@@ -86,9 +86,9 @@ from scrupyst_ray.stages.exchange import (
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
 from scrupyst_ray.stages.frontier import seeds_to_frontier
+from scrupyst_ray.state.politeness import budget_draw, draw_order
 from scrupyst_ray.state.shard import (
     ADMITTED,
-    DEFERRED,
     ROBOTS_FORBIDDEN,
     SEEN_DUP,
     StateShard,
@@ -135,12 +135,7 @@ def _shard_gate_fn(
 
     # LIFO tie-break in DFO mode: every within-round ordering flips the
     # order_key direction (matches the oracle simulator's composed sorts)
-    _OK_DIR = "descending" if order_mode == "dfo" else "ascending"
-    SORT_KEYS = [
-        ("host", "ascending"),
-        ("priority", "descending"),
-        ("order_key", _OK_DIR),
-    ]
+    SORT_KEYS = draw_order(order_mode)
 
     def gate(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -162,13 +157,11 @@ def _shard_gate_fn(
                     ).combine_chunks()
         deferred_in = None
         if deferred_in_dir is not None:
-            for ext in (EXCHANGE_EXT, ".parquet"):  # .parquet = legacy resume
-                dpath = os.path.join(
-                    deferred_in_dir, f"deferred-shard-{shard_id:05d}{ext}"
-                )
-                if os.path.exists(dpath):
-                    deferred_in = read_exchange_file(dpath)
-                    break
+            dpath = os.path.join(
+                deferred_in_dir, f"deferred-shard-{shard_id:05d}{EXCHANGE_EXT}"
+            )
+            if os.path.exists(dpath):
+                deferred_in = read_exchange_file(dpath)
         n = group.num_rows
         n_def = deferred_in.num_rows if deferred_in is not None else 0
         t_read = time.monotonic()
@@ -180,10 +173,13 @@ def _shard_gate_fn(
         # gated (forbidden rows are dropped, never deferred; robots rules
         # are static), so the backlog never crosses the RPC — per-round
         # actor payload and Python-loop work are O(new rows), not
-        # O(frontier backlog).
-        status = np.zeros(0, dtype=np.int8)
-        new_surv = None
+        # O(frontier backlog).  A deferred-only shard (n == 0) still makes
+        # the call, with empty columns, to fetch its hosts' budgets.
         budget_hosts = set()
+        live = np.zeros(0, dtype=np.int64)
+        fp64 = np.zeros(0, dtype=np.uint64)
+        skip_seen = np.zeros(0, dtype=bool)
+        fps_live, hosts_live, urls_live = [], [], []
         if n_def:
             budget_hosts.update(pc.unique(deferred_in["host"]).to_pylist())
         if n:
@@ -195,8 +191,7 @@ def _shard_gate_fn(
                 .astype(bool)
             )
             order_rank = pc.sort_indices(
-                group,
-                sort_keys=[("priority", "descending"), ("order_key", _OK_DIR)],
+                group, sort_keys=SORT_KEYS[1:]  # (priority, order_key)
             ).to_numpy(zero_copy_only=False)
             rank_of_row = np.empty(n, dtype=np.int64)
             rank_of_row[order_rank] = np.arange(n)
@@ -273,56 +268,40 @@ def _shard_gate_fn(
             # hosts(live) == hosts(all candidates): a local dup always shares
             # its host with the surviving winner (same url / same canonical)
             budget_hosts.update(hosts_live)
-            budget_hosts = sorted(budget_hosts)
-            t_dedup = time.monotonic()
-            res = ray.get(
-                actors[shard_id].gate_check.remote(
-                    round_id,
-                    fps_live,
-                    fp64[live],
-                    skip_seen[live],
-                    hosts_live,
-                    urls_live,
-                    budget_hosts,
-                )
+        budget_hosts = sorted(budget_hosts)
+        t_dedup = time.monotonic()
+        res = ray.get(
+            actors[shard_id].gate_check.remote(
+                round_id,
+                fps_live,
+                fp64[live],
+                skip_seen[live],
+                hosts_live,
+                urls_live,
+                budget_hosts,
             )
-            t_rpc = time.monotonic()
-            status = np.full(n, SEEN_DUP, dtype=np.int8)  # dups = filtered
-            fresh, robots = res["fresh"], res["robots_ok"]
-            status[live[fresh & ~robots]] = ROBOTS_FORBIDDEN
-            status[live[fresh & robots]] = ADMITTED  # passed gate → budget draw
-            keep_pos = np.flatnonzero(fresh & robots)
-            sel = live[keep_pos]
-            new_surv = group.take(pa.array(sel))
-            i_fp = new_surv.column_names.index("fp")
-            new_surv = new_surv.set_column(
-                i_fp,
-                "fp",
-                pa.array([fps_live[j] for j in keep_pos], pa.binary()),
-            )
-            i64 = new_surv.column_names.index("fp64")
-            new_surv = new_surv.set_column(
-                i64, "fp64", pa.array(fp64[sel], pa.uint64())
-            )
-        else:
-            budget_hosts = sorted(budget_hosts)
-            t_dedup = time.monotonic()
-            res = ray.get(
-                actors[shard_id].gate_check.remote(
-                    round_id,
-                    [],
-                    np.empty(0, np.uint64),
-                    np.empty(0, bool),
-                    [],
-                    [],
-                    budget_hosts,
-                )
-            )
-            t_rpc = time.monotonic()
+        )
+        t_rpc = time.monotonic()
+        status = np.full(n, SEEN_DUP, dtype=np.int8)  # dups = filtered
+        fresh, robots = res["fresh"], res["robots_ok"]
+        status[live[fresh & ~robots]] = ROBOTS_FORBIDDEN
+        status[live[fresh & robots]] = ADMITTED  # passed gate → budget draw
+        keep_pos = np.flatnonzero(fresh & robots)
+        sel = live[keep_pos]
+        new_surv = group.take(pa.array(sel))
+        i_fp = new_surv.column_names.index("fp")
+        new_surv = new_surv.set_column(
+            i_fp,
+            "fp",
+            pa.array([fps_live[j] for j in keep_pos], pa.binary()),
+        )
+        i64 = new_surv.column_names.index("fp64")
+        new_surv = new_surv.set_column(
+            i64, "fp64", pa.array(fp64[sel], pa.uint64())
+        )
 
-        # -- budget draw over deferred ∪ surviving new rows: pure, vectorized,
-        # deterministic (same (host, -priority, order_key) order the per-row
-        # admit loop used), so task retries replay to identical decisions.
+        # -- budget draw over deferred ∪ surviving new rows: pure and
+        # deterministic, so task retries replay to identical decisions.
         parts = [
             t for t in (deferred_in, new_surv) if t is not None and t.num_rows
         ]
@@ -334,33 +313,13 @@ def _shard_gate_fn(
                 if len(parts) > 1
                 else parts[0]
             )
-            combined = combined.take(
-                pc.sort_indices(combined, sort_keys=SORT_KEYS)
+            order, admit_mask = budget_draw(
+                combined, budget_hosts, res["budgets"], order_mode
             )
-            dict_col = pc.dictionary_encode(combined["host"])
-            if isinstance(dict_col, pa.ChunkedArray):
-                dict_col = dict_col.combine_chunks()
-            codes = dict_col.indices.to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            bmap = dict(zip(budget_hosts, res["budgets"]))
-            bud = np.fromiter(
-                (bmap[h] for h in dict_col.dictionary.to_pylist()),
-                dtype=np.int64,
-                count=len(dict_col.dictionary),
-            )
-            m = combined.num_rows
-            change = np.empty(m, dtype=bool)
-            change[0] = True
-            change[1:] = codes[1:] != codes[:-1]
-            host_start = np.maximum.accumulate(
-                np.where(change, np.arange(m), 0)
-            )
-            rank_in_host = np.arange(m) - host_start
-            admit_mask = rank_in_host < bud[codes]
+            combined = combined.take(order)
             admitted = combined.filter(pa.array(admit_mask))
             n_admit = admitted.num_rows
-            n_defer_out = m - n_admit
+            n_defer_out = combined.num_rows - n_admit
             if n_defer_out:
                 deferred = combined.filter(pa.array(~admit_mask))
                 i_enq = deferred.column_names.index("already_enqueued")
@@ -463,12 +422,6 @@ def _write_sharded_candidates(ds, out_dir: str, num_shards: int, tag: str) -> No
     ds.repartition(num_shards).groupby(
         "shard", num_partitions=num_shards
     ).map_groups(write_shard, batch_format="pyarrow").materialize()
-
-
-def _parquet_rows(dir_path: str) -> int:
-    """Row count over a frontier exchange directory (resume-only fallback;
-    the live engine carries counts forward from task sidecars)."""
-    return exchange_rows(dir_path)
 
 
 @dataclass
@@ -699,8 +652,8 @@ class CrawlEngine:
         cand = self._candidates_dir(n)
         deferred = self._deferred_dir(n)
         rows = (
-            _parquet_rows(cand) if os.path.isdir(cand) else 0,
-            _parquet_rows(deferred) if os.path.isdir(deferred) else 0,
+            exchange_rows(cand) if os.path.isdir(cand) else 0,
+            exchange_rows(deferred) if os.path.isdir(deferred) else 0,
         )
         self._frontier_rows_cache[n] = rows
         return rows
@@ -818,10 +771,7 @@ class CrawlEngine:
         if os.path.isdir(def_dir):
             for fname in os.listdir(def_dir):
                 stem, ext = os.path.splitext(fname)
-                if stem.startswith("deferred-shard-") and ext in (
-                    EXCHANGE_EXT,
-                    ".parquet",
-                ):
+                if stem.startswith("deferred-shard-") and ext == EXCHANGE_EXT:
                     work_shards.add(int(stem[len("deferred-shard-") :]))
         tickler_shards = sorted(work_shards)
         from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA

@@ -1,5 +1,5 @@
 """Per-host politeness for one host-hash shard: robots.txt cache + per-round
-token budgets (plain class, Ray-free).
+token budgets (plain class, Ray-free), and the budget draw that spends them.
 
 Reference semantics being reproduced:
 - robots: per-netloc parser cache; missing/unfetchable robots.txt ⇒ allow-all
@@ -23,17 +23,20 @@ Reference semantics being reproduced:
   (``scrapy/pqueues.py:324-335``); fairness oracle shape:
   reference ``tests/test_scheduler.py:276-290``.
 
-Retry idempotence: one admit() call per shard per round; the full decision
-vector is cached per round and replayed on re-delivery.
+Retry idempotence: robots verdicts and budgets are pure per round, and
+:func:`budget_draw` is a pure function of the gate's rows and those budgets,
+so a retried gate task replays to identical decisions.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from scrupyst_ray.functions.robots import RobotsRules, parse_robots
 
-# admit() status codes (int8 column on the frontier)
+# gate status codes (int8, per frontier row)
 ADMITTED = 0
 DEFERRED = 1  # over budget this round — stays in the frontier
 ROBOTS_FORBIDDEN = 2  # dropped permanently
@@ -66,8 +69,7 @@ class PolitenessState:
         self.throttle = throttle
         self._robots_bodies: dict[str, bytes | None] = {}  # host -> raw body
         self._robots_cache: dict[str, RobotsRules] = {}  # host -> parsed (lazy)
-        self._round_cache: dict[int, np.ndarray] = {}  # round -> decision vector
-        self.stats = {"robots_forbidden": 0, "deferred": 0, "admitted": 0}
+        self.stats = {"robots_forbidden": 0}
 
     # -- robots -------------------------------------------------------------
 
@@ -99,12 +101,12 @@ class PolitenessState:
             return max(1, int(self.round_seconds / delay))
         return concurrency
 
-    # -- vectorized gate helpers (scale path) ---------------------------------
+    # -- gate helpers ---------------------------------------------------------
     # The superstep gate keeps the deferred backlog OUT of the actor RPC:
     # deferred rows were robots-checked and seen-recorded when first gated, so
     # per round the actor only answers (a) robots verdicts for NEW rows and
-    # (b) per-host budgets; the budget draw itself is pure deterministic
-    # compute done vectorized inside the gate task (pipelines/crawl.py).
+    # (b) per-host budgets; the draw itself (budget_draw below) is pure
+    # deterministic compute run inside the gate task (pipelines/crawl.py).
 
     def robots_ok(self, hosts: list[str], urls: list[str]) -> np.ndarray:
         """Per-row robots verdict (all-True when ROBOTSTXT_OBEY is off)."""
@@ -123,42 +125,51 @@ class PolitenessState:
             (self._budget_for(h) for h in hosts), dtype=np.int64, count=len(hosts)
         )
 
-    # -- admission ----------------------------------------------------------
 
-    def admit(self, round_id: int, hosts: list[str], urls: list[str]) -> np.ndarray:
-        """Decide each row of this shard's round batch.
+def draw_order(order_mode: str) -> list[tuple[str, str]]:
+    """Sort keys of the budget draw: (host, -priority, order_key).  DFO mode
+    flips the order_key tie-break to LIFO (matches the oracle simulator's
+    composed sorts)."""
+    ok_dir = "descending" if order_mode == "dfo" else "ascending"
+    return [
+        ("host", "ascending"),
+        ("priority", "descending"),
+        ("order_key", ok_dir),
+    ]
 
-        Rows MUST be pre-sorted by (host, -priority, order_key): budget is
-        spent in that order, which makes the admitted set the per-host top-k
-        by priority with FIFO tie-break (reference dequeue order,
-        ``scrapy/pqueues.py:143-198`` + BFO config, SURVEY.md §2.6).
 
-        Returns an int8 vector of ADMITTED / DEFERRED / ROBOTS_FORBIDDEN.
-        """
-        cached = self._round_cache.get(round_id)
-        if cached is not None and len(cached) == len(urls):
-            return cached
-        n = len(urls)
-        out = np.empty(n, dtype=np.int8)
-        remaining: dict[str, int] = {}
-        obey = self.robotstxt_obey
-        for i in range(n):
-            host = hosts[i]
-            if obey and not self._rules_for(host).allowed(urls[i], self.user_agent):
-                out[i] = ROBOTS_FORBIDDEN
-                continue
-            left = remaining.get(host)
-            if left is None:
-                left = self._budget_for(host)
-            if left > 0:
-                remaining[host] = left - 1
-                out[i] = ADMITTED
-            else:
-                remaining[host] = 0
-                out[i] = DEFERRED
-        self.stats["robots_forbidden"] += int((out == ROBOTS_FORBIDDEN).sum())
-        self.stats["deferred"] += int((out == DEFERRED).sum())
-        self.stats["admitted"] += int((out == ADMITTED).sum())
-        # keep only the latest round's decisions (retries target the current round)
-        self._round_cache = {round_id: out}
-        return out
+def budget_draw(
+    rows: pa.Table,
+    budget_hosts: list[str],
+    budgets: np.ndarray,
+    order_mode: str = "bfo",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spend each host's round budget over *rows* (columns host, priority,
+    order_key) in :func:`draw_order`: the admitted set is the per-host top-k
+    by priority with FIFO tie-break (LIFO under DFO) — the reference dequeue
+    order, ``scrapy/pqueues.py:143-198`` + BFO config, SURVEY.md §2.6.
+
+    *budgets* is :meth:`PolitenessState.budgets` over *budget_hosts*, which
+    must cover every host in *rows*.  Returns ``(order, admit)``: the row
+    indices in draw order and, aligned with them, the admit mask.
+    """
+    order = pc.sort_indices(rows, sort_keys=draw_order(order_mode)).to_numpy()
+    m = len(order)
+    if m == 0:
+        return order, np.zeros(0, dtype=bool)
+    dict_col = pc.dictionary_encode(rows["host"].take(order))
+    if isinstance(dict_col, pa.ChunkedArray):
+        dict_col = dict_col.combine_chunks()
+    codes = dict_col.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    bmap = dict(zip(budget_hosts, budgets))
+    bud = np.fromiter(
+        (bmap[h] for h in dict_col.dictionary.to_pylist()),
+        dtype=np.int64,
+        count=len(dict_col.dictionary),
+    )
+    change = np.empty(m, dtype=bool)
+    change[0] = True
+    change[1:] = codes[1:] != codes[:-1]
+    host_start = np.maximum.accumulate(np.where(change, np.arange(m), 0))
+    rank_in_host = np.arange(m) - host_start
+    return order, rank_in_host < bud[codes]

@@ -10,10 +10,11 @@ per round serves the dupefilter AND the politeness gate):
   + per-host per-round budgets (reference downloader slots + robots
   middleware).
 
-Data flow per round (see ``pipelines/crawl.py``): the frontier is grouped by
-``shard``; each group task deduplicates its rows, sorts them by
-(host, -priority, order_key) and makes ONE ``process()`` call carrying only
-the small columns (fp, host, url) — html never reaches these actors.
+Data flow per round (see ``pipelines/crawl.py``): each shard's gate task
+deduplicates its new rows and makes ONE ``gate_check()`` call carrying only
+the small columns (fp, host, url) — html never reaches these actors.  The
+call answers seen-checks, robots verdicts and per-host budgets; the gate
+task then runs :func:`~scrupyst_ray.state.politeness.budget_draw` itself.
 
 Status codes extend ``state.politeness``: ADMITTED / DEFERRED /
 ROBOTS_FORBIDDEN plus SEEN_DUP (filtered by the dupefilter).
@@ -106,44 +107,6 @@ class _StateShard:
                 table["host"].to_pylist(), table["body"].to_pylist()
             )
 
-    def process(
-        self,
-        round_id: int,
-        fps: list[bytes],
-        fp64: np.ndarray,
-        skip_seen: np.ndarray,
-        hosts: list[str],
-        urls: list[str],
-    ) -> np.ndarray:
-        """Seen-check + politeness decision for one round's shard group.
-
-        Rows must be pre-deduplicated by fp (deterministic winner kept) and
-        pre-sorted by (host, -priority, order_key).  ``skip_seen`` marks rows
-        that bypass the dupefilter: ``dont_filter`` requests (reference
-        ``core/scheduler.py:343``) and deferred rows re-entering the frontier
-        (their fp was recorded when first enqueued).
-        """
-        self._ensure_robots()
-        n = len(urls)
-        skip_seen = np.asarray(skip_seen, dtype=bool)
-        check_idx = np.flatnonzero(~skip_seen)
-        fresh = np.ones(n, dtype=bool)
-        if len(check_idx):
-            sub_fps = [fps[i] for i in check_idx]
-            sub64 = np.asarray(fp64, dtype=np.uint64)[check_idx]
-            fresh[check_idx] = self.seen.check_and_add(round_id, sub_fps, sub64)
-
-        out = np.full(n, SEEN_DUP, dtype=np.int8)
-        live_idx = np.flatnonzero(fresh)
-        if len(live_idx):
-            decisions = self.politeness.admit(
-                round_id,
-                [hosts[i] for i in live_idx],
-                [urls[i] for i in live_idx],
-            )
-            out[live_idx] = decisions
-        return out
-
     def gate_check(
         self,
         round_id: int,
@@ -154,13 +117,17 @@ class _StateShard:
         urls: list[str],
         budget_hosts: list[str],
     ) -> dict:
-        """Scale-path gate RPC: seen-check + robots verdicts for the round's
-        NEW rows only, plus per-host budgets for *budget_hosts* (the union of
-        new and deferred hosts).  The budget draw itself happens in the gate
-        task (pure, vectorized, retry-safe) — the deferred backlog never
-        crosses this RPC, so per-round actor payload is O(new rows), not
+        """Gate RPC: seen-check + robots verdicts for the round's NEW rows
+        only, plus per-host budgets for *budget_hosts* (the union of new and
+        deferred hosts).  The budget draw itself happens in the gate task
+        (``politeness.budget_draw``: pure, retry-safe) — the deferred backlog
+        never crosses this RPC, so per-round actor payload is O(new rows), not
         O(frontier).  Idempotent per round: ``check_and_add`` replays round-
         *r* re-deliveries, robots verdicts and budgets are pure per round.
+
+        Rows must be pre-deduplicated by fp.  ``skip_seen`` marks rows that
+        bypass the dupefilter: ``dont_filter`` requests (reference
+        ``core/scheduler.py:343``) and deferred rows re-entering the frontier.
         """
         self._ensure_robots()
         n = len(urls)

@@ -4,6 +4,7 @@ kill-and-resume identity (FIXTURES.md §5, §7; reference oracle shape:
 
 from __future__ import annotations
 
+import json
 import os
 
 import pyarrow.parquet as pq
@@ -43,6 +44,37 @@ def _engine_seen_fps(workdir: str) -> set[bytes]:
             if f.startswith("round=") and f.endswith(".parquet"):
                 fps.update(pq.read_table(os.path.join(sdir, f))["fp"].to_pylist())
     return fps
+
+
+GATE_SIDECAR_KEYS = {
+    "total", "admitted", "deferred", "robots_forbidden", "dupefilter_filtered"
+}
+GATE_PHASES = {"read", "dedup", "rpc", "draw"}
+
+
+def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
+    """Pin the per-round record the benchmark reads: every gate sidecar
+    carries the counters and phase seconds, and every manifest folds them
+    into ``stats.fetch_phase_s`` as gate_<phase>."""
+    rounds_dir = os.path.join(workdir, "rounds")
+    rdirs = sorted(  # round n+1's dir already holds its frontier
+        d
+        for d in os.listdir(rounds_dir)
+        if os.path.exists(os.path.join(rounds_dir, d, "MANIFEST.json"))
+    )
+    assert len(rdirs) == n_rounds
+    for d in rdirs:
+        gdir = os.path.join(rounds_dir, d, "gate_stats")
+        sidecars = [f for f in os.listdir(gdir) if f.startswith("shard=")]
+        assert sidecars, d
+        for f in sidecars:
+            with open(os.path.join(gdir, f)) as fh:
+                c = json.load(fh)
+            assert GATE_SIDECAR_KEYS <= c.keys(), (d, f)
+            assert set(c["phase_s"]) == GATE_PHASES, (d, f)
+        with open(os.path.join(rounds_dir, d, "MANIFEST.json")) as fh:
+            phases = json.load(fh)["stats"]["fetch_phase_s"]
+        assert {f"gate_{p}" for p in GATE_PHASES} <= phases.keys(), d
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -170,6 +202,7 @@ class TestCrawlE2E:
         t = res.fetched_dataset().to_pandas()
         fetched_hosts = set(t[t.status == 200].host)
         assert "host001.test" not in fetched_hosts
+        _assert_phase_schema(str(tmp_path / "wd2"), len(res.rounds))
 
     def test_candidate_cap_bounds_frontier(self, smoke_corpus, tmp_path):
         """max_round_candidates: the per-round top-k keeps the next shuffle

@@ -1,5 +1,5 @@
-"""Exchange-file layer (stages/exchange.py): IPC round-trip, legacy parquet
-resume compatibility, row counting, atomicity."""
+"""Exchange-file layer (stages/exchange.py): IPC round-trip, legacy lz4
+feather compatibility, row counting, atomicity."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import os
 
 import pyarrow as pa
 import pyarrow.feather as feather
-import pyarrow.parquet as pq
 
 from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
@@ -46,15 +45,6 @@ class TestExchange:
         # deterministic file order (sorted paths): from-000001 first
         assert out.num_rows == 5
         assert out["url"][0].as_py() == "http://h.test/p100"
-
-    def test_legacy_parquet_files_still_load(self, tmp_path):
-        d = str(tmp_path / "mixed")
-        os.makedirs(d)
-        pq.write_table(_t(4, 0), os.path.join(d, "from-000001.parquet"))
-        write_exchange(_t(6, 50), os.path.join(d, f"from-000002{EXCHANGE_EXT}"))
-        out = read_exchange_dir(d)
-        assert out.num_rows == 10
-        assert exchange_rows(d) == 10
 
     def test_legacy_lz4_feather_still_loads(self, tmp_path):
         # files written by the earlier lz4 build must keep loading

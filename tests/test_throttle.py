@@ -7,9 +7,16 @@ target_concurrency; new = max(target, (old + target) / 2) clamped to
 overrides: ``scrapy/core/downloader/__init__.py:148-167``.
 """
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
-from scrupyst_ray.state.politeness import PolitenessState
+from scrupyst_ray.state.politeness import (
+    ADMITTED,
+    DEFERRED,
+    PolitenessState,
+    budget_draw,
+)
 from scrupyst_ray.state.shard import _StateShard
 from scrupyst_ray.state.throttle import AutoThrottleState
 
@@ -128,41 +135,48 @@ class TestCheckpointRestore:
         assert resumed.throttle.delay_for("h") == 20.0
 
 
+def _draw(p: PolitenessState, host: str, n: int) -> list[int]:
+    """Budget-draw *n* equal-priority rows of *host* against
+    ``p.budgets``: ADMITTED (0) / DEFERRED (1) per row, in input order."""
+    rows = pa.table(
+        {
+            "host": [host] * n,
+            "priority": pa.array([0] * n, pa.int64()),
+            "order_key": [i.to_bytes(4, "big") for i in range(n)],
+        }
+    )
+    order, admit = budget_draw(rows, [host], p.budgets([host]))
+    out = np.empty(n, dtype=np.int64)
+    out[order] = np.where(admit, ADMITTED, DEFERRED)
+    return out.tolist()
+
+
 class TestBudgetIntegration:
     def test_throttle_delay_drives_budget(self):
         at = AutoThrottleState(start_delay=2.0)
         p = PolitenessState(0, user_agent="ua", round_seconds=8.0, throttle=at)
         # fresh host: delay 2 → budget 8/2 = 4
-        out = p.admit(0, ["h"] * 6, [f"http://h/{i}" for i in range(6)])
-        assert list(out) == [0, 0, 0, 0, 1, 1]  # 4 admitted, 2 deferred
+        assert _draw(p, "h", 6) == [0, 0, 0, 0, 1, 1]  # 4 admitted, 2 deferred
         at.observe_round(0, ["h"], [8.0], [True])  # slow → delay 8
-        out = p.admit(1, ["h"] * 3, [f"http://h/x{i}" for i in range(3)])
-        assert list(out) == [0, 1, 1]  # budget 8/8 = 1
+        assert _draw(p, "h", 3) == [0, 1, 1]  # budget 8/8 = 1
 
     def test_download_slots_override_delay(self):
         p = PolitenessState(
             0, user_agent="ua", per_domain_budget=8, round_seconds=8.0,
             download_slots={"slow.example": {"delay": 4.0}},
         )
-        out = p.admit(0, ["slow.example"] * 4,
-                      [f"http://slow.example/{i}" for i in range(4)])
-        assert list(out) == [0, 0, 1, 1]  # 8/4 = 2 admitted
-        out2 = p.admit(1, ["fast.example"] * 4,
-                       [f"http://fast.example/{i}" for i in range(4)])
-        assert list(out2) == [0, 0, 0, 0]  # default budget 8
+        assert _draw(p, "slow.example", 4) == [0, 0, 1, 1]  # 8/4 = 2 admitted
+        assert _draw(p, "fast.example", 4) == [0, 0, 0, 0]  # default budget 8
 
     def test_download_slots_override_concurrency(self):
         p = PolitenessState(
             0, user_agent="ua", per_domain_budget=8, round_seconds=8.0,
             download_slots={"tight.example": {"concurrency": 1}},
         )
-        out = p.admit(0, ["tight.example"] * 3,
-                      [f"http://tight.example/{i}" for i in range(3)])
-        assert list(out) == [0, 1, 1]
+        assert _draw(p, "tight.example", 3) == [0, 1, 1]
 
     def test_robots_crawl_delay_still_wins_over_throttle(self):
         at = AutoThrottleState(start_delay=1.0)
         p = PolitenessState(0, user_agent="ua", round_seconds=8.0, throttle=at)
         p.load_robots_bodies(["h"], [b"User-agent: *\nCrawl-delay: 8\n"])
-        out = p.admit(0, ["h"] * 3, [f"http://h/{i}" for i in range(3)])
-        assert list(out) == [0, 1, 1]  # max(throttle 1, crawl-delay 8) → 1/round
+        assert _draw(p, "h", 3) == [0, 1, 1]  # max(throttle 1, crawl-delay 8) → 1/round
