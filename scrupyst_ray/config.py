@@ -75,10 +75,11 @@ class CrawlConfig:
     seen_sketch: str = "bloom"
     max_round_candidates: int = 1_000_000  # frontier cap per round (shuffle bound)
     # hot-host skew bound (SURVEY §7.4 salting, the "two-phase top-k"): each
-    # PRODUCER task keeps only its local per-host top-N candidates (same
-    # (host, -priority, order_key) order the budget draw uses) before writing
-    # the shard exchange files, so no gate task ever ingests a hot domain's
-    # full candidate set.  None = off (default).  Parity caveat: the local
+    # PRODUCER (the fetched pages of one fetch_key) keeps only its local
+    # per-host top-N candidates (same (host, -priority, order_key) order the
+    # budget draw uses) before writing the shard exchange files, so no gate
+    # task ever ingests a hot domain's full candidate set.  None = off
+    # (default).  Parity caveat: the local
     # rank is computed BEFORE the gate, so already-seen / dup / robots rows
     # count against N — a fresh admittable URL behind ≥N such rows in one
     # producer's output is dropped un-fingerprinted (re-discoverable later;

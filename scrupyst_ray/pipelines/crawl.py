@@ -4,18 +4,20 @@ Replaces the reference's single-process asyncio event loop
 (``scrapy/core/engine.py:269-427``) with frontier-expansion rounds
 (SURVEY.md §7.0).  One round =
 
-    frontier_N ──groupby(shard)──▶ gate: within-round dedup → lazy
-               │                   fingerprint → StateShard RPC (seen +
-               │                   robots + per-host budget)
-               │                     └─ side-write: deferred → frontier_{N+1}
-               └─ admitted ──groupby(bucket)──▶ fetch+parse (bucketed page
-                                store; html never shuffled)
+    frontier_N ──per shard──▶ gate: within-round dedup → lazy
+               │              fingerprint → StateShard RPC (seen +
+               │              robots + per-host budget)
+               │                └─ side-write: deferred → frontier_{N+1}
+               └─ admitted ──sort(fetch_key)──▶ fetch+parse, one task per
+                                sorted block (bucketed page store; each
+                                bucket probed once; html never shuffled)
                       ├─ side-write: fetched artifact → checkpoint
                       └─ edges → candidate filters → frontier_{N+1}
 
-One Ray Data execution per round; the two shuffles move only frontier
-METADATA (~100 B/row): one groupby by host-shard, one by url-bucket.  The
-page corpus itself is never shuffled or re-scanned (see ``stages/fetch.py``).
+One Ray Data execution per round; the only shuffle is the sort of the
+ADMITTED set's METADATA (~100 B/row) by url-bucket sub-key.  The gate reads
+its shard's frontier files task-side, and the page corpus itself is never
+shuffled or re-scanned (see ``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
@@ -27,7 +29,8 @@ Checkpoint layout (resume = reference JOBDIR contract,
       rounds/round-N/frontier/deferred/    per-shard deferred rows (read
                                            directly by the owning shard's
                                            gate task — never re-shuffled)
-      rounds/round-N/fetched/         crawl artifact (bucket=K.parquet)
+      rounds/round-N/fetched/         crawl artifact (part-K.parquet, one
+                                      per fetch block, + part-K.stats.json)
       rounds/round-N/MANIFEST.json    commit record — written LAST (atomic
                                       rename); a round without a manifest is
                                       re-run from its frontier on resume.
@@ -36,12 +39,13 @@ Checkpoint layout (resume = reference JOBDIR contract,
                                       hive-partition inference on read-back
                                       and inject a stray column.
 
-Every file write is tmp+rename and every actor method is idempotent per
-round, so a kill at ANY point resumes bit-identically (FIXTURES.md §5).
+Every file write is tmp+rename, every actor method is idempotent per
+round, and a re-run round first clears the outputs of its killed attempt,
+so a kill at ANY point resumes bit-identically (FIXTURES.md §5).
 
 Skew story (SURVEY §7.4 "hot-domain skew"):
-- The FETCH stage keys on url-hash sub-splits — perfectly balanced even for
-  a single-host crawl.
+- The FETCH stage sorts on url-hash sub-splits — balanced range partitions
+  even for a single-host crawl.
 - The GATE stage keys on host-shard, so one pathological host concentrates
   its candidate volume in one task.  Three bounds keep that task finite:
   per-page link dedup (M14) caps fan-out at unique links; the vectorized
@@ -50,10 +54,12 @@ Skew story (SURVEY §7.4 "hot-domain skew"):
   a priority top-k, so no shard can exceed the cap.
 - Finer per-host bounds: ``CrawlConfig.map_side_host_cap`` enables phase-1
   of the salted two-phase top-k IN the candidate writer
-  (``stages/fetch.py``): each producer task keeps only its local per-host
-  top-N under the budget draw's exact sort order, so a hot domain's
-  candidate volume reaching the gate is bounded by N × producers instead
-  of its full fan-out.  The local rank counts rows the gate later discards
+  (``stages/fetch.py``): each producer (the fetched pages of one
+  ``fetch_key``, a pure function of the url, so the cap does not depend on
+  how the fetch sort cut its blocks) keeps only its local per-host top-N
+  under the budget draw's exact sort order, so a hot domain's candidate
+  volume reaching the gate is bounded by N × producers instead of its full
+  fan-out.  The local rank counts rows the gate later discards
   (seen/dup/robots), so identity requires N to also cover that inflation
   (see ``CrawlConfig.map_side_host_cap``); identity-on-the-smoke-corpus
   and the bound itself are pytest-gated (``tests/test_crawl_e2e.py``).
@@ -94,10 +100,29 @@ from scrupyst_ray.state.shard import (
     StateShard,
 )
 
-# sub-splits per store bucket for the fetch-stage routing key (see
-# _shard_gate_fn: balances the low-cardinality bucket groupby)
+# sub-splits per store bucket for the fetch-stage sort key (see
+# _shard_gate_fn: balances the range partitions of the low-cardinality
+# bucket)
 FETCH_SPLIT = 8
 
+
+def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
+    """Fetch task count for a round of *total_rows* frontier rows: the
+    sorted admitted set is cut into this many blocks, one task each.
+
+    Up to half the fetch_key space (buckets × FETCH_SPLIT sub-keys), NOT
+    capped at the bucket count — coarse partitions (~8 keys each) gave a
+    2-4× task-duration spread and a straggler tail that idled most of a
+    32-core node for the last third of every parse phase; ~2 keys per
+    partition amortizes the tail across waves at every cluster size.  But
+    capped at ~2 waves of the cluster's cpu slots: more tasks than that
+    only adds wave-quantization loss (each extra wave pays the slowest
+    task) and multiplies the per-(shard, task) candidate-file count the
+    next gate must read back."""
+    return max(
+        4,
+        min(cfg.fetch_buckets * FETCH_SPLIT // 2, total_rows // 64, 4 * n_cpus),
+    )
 
 
 def _shard_gate_fn(
@@ -361,11 +386,12 @@ def _shard_gate_fn(
             os.replace(path + ".tmp", path)
         if admitted is None:
             return group.slice(0, 0)
-        # fetch routing key: sub-split each store bucket FETCH_SPLIT ways
+        # fetch sort key: sub-split each store bucket FETCH_SPLIT ways
         # (bucket is only 64-ary; range-partitioning so few distinct values
         # across ~32 blocks is lumpy — measured 3.3s..10.9s fetch-task skew.
-        # 512 groups hash-balance across tasks; key // FETCH_SPLIT is still
-        # the store bucket, so probe locality is unchanged.)
+        # 512 keys balance the sorted blocks; key // FETCH_SPLIT is still
+        # the store bucket, so a block holds a contiguous run of buckets
+        # and probes each of them once.)
         fetch_key = pc.add(
             pc.multiply(admitted["bucket"], FETCH_SPLIT),
             pc.cast(
@@ -734,18 +760,18 @@ class CrawlEngine:
     def _run_round(self, n: int, actors: list) -> RoundStats:
         """One superstep in ONE Ray Data execution:
 
-            shard ticklers → groupby(shard) → gate (reads its shard's
-            candidate + deferred files; dedup + lazy fingerprint + StateShard
-            RPC + vectorized budget draw; side-writes DEFERRED rows) →
-            groupby(fetch_key) → fused fetch+parse → per-shard candidate
-            files for round n+1.
+            shard ticklers → gate, one task per shard block (reads its
+            shard's candidate + deferred files; dedup + lazy fingerprint +
+            StateShard RPC + vectorized budget draw; side-writes DEFERRED
+            rows) → sort(fetch_key) → fused fetch+parse, one call per
+            sorted block → per-shard candidate files for round n+1.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
-        write ``candidates/shard=K/from-<group>.feather``) and each gate
+        write ``candidates/shard-K/from-<block>.feather``) and each gate
         task reads only its own shard's files — per-round shuffle volume is
         the ADMITTED set (politeness-bounded), not the candidate flood.
-        All counters come from idempotent per-shard / per-group sidecar
+        All counters come from idempotent per-shard / per-block sidecar
         files and parquet footers — zero bookkeeping executions.
         """
         t0 = time.monotonic()
@@ -755,8 +781,12 @@ class CrawlEngine:
         gate_stats_dir = os.path.join(rdir, "gate_stats")
         fetched_dir = os.path.join(rdir, "fetched")
         nf_dir = self._frontier_dir(n + 1)
-        if os.path.isdir(nf_dir):  # partial files from a killed attempt
-            shutil.rmtree(nf_dir)
+        # files from a killed attempt at this round: fetch block ids come
+        # from sampled sort boundaries, so a re-run need not overwrite them.
+        # Round n's own frontier/ is this round's input and stays.
+        for d in (gate_stats_dir, fetched_dir, nf_dir):
+            if os.path.isdir(d):
+                shutil.rmtree(d)
         cand_rows, def_rows = self._frontier_rows(n)
         cand_dir = self._candidates_dir(n)
         def_dir = self._deferred_dir(n)
@@ -802,25 +832,10 @@ class CrawlEngine:
             [ticklers.slice(i, 1) for i in range(k)] if k else ticklers
         )
 
-        total_rows = cand_rows + def_rows
-        # fetch partitions: up to half the fetch_key space (buckets ×
-        # FETCH_SPLIT sub-keys), NOT capped at the bucket count — coarse
-        # partitions (~8 keys each) gave a 2-4× task-duration spread and a
-        # straggler tail that idled most of a 32-core node for the last
-        # third of every parse phase; ~2 keys per partition amortizes the
-        # tail across waves at every cluster size
-        # ...but cap at ~2 waves of the CLUSTER's cpu slots: more tasks than
-        # that only adds wave-quantization loss (each extra wave pays the
-        # slowest task) and multiplies the per-(shard, task) candidate-file
-        # count the next gate must read back
-        n_cpus = int(ray.cluster_resources().get("CPU", 32))
-        fetch_parts = max(
-            4,
-            min(
-                cfg.fetch_buckets * FETCH_SPLIT // 2,
-                total_rows // 64,
-                4 * n_cpus,
-            ),
+        fetch_parts = _fetch_parts(
+            cfg,
+            cand_rows + def_rows,
+            int(ray.cluster_resources().get("CPU", 32)),
         )
         store_dir = self.store_dir
         next_cand_dir = os.path.join(nf_dir, "candidates")
@@ -845,17 +860,21 @@ class CrawlEngine:
                 batch_format="pyarrow",
             )
             # split the admitted set to ≥fetch_parts blocks first: the gate
-            # emits one block per shard, and the fetch groupby's partition
-            # count is capped by its input block count (see tickler note) —
-            # without this the fetch stage is bounded at seen_shards tasks.
-            # Split-only repartition (no shuffle) of politeness-bounded
-            # metadata rows; the groupby right after is the real exchange.
+            # emits one block per shard, and the sort's output block count
+            # is its input block count (see tickler note) — without this the
+            # fetch stage is bounded at seen_shards tasks.  Split-only
+            # repartition (no shuffle) of politeness-bounded metadata rows;
+            # the sort right after is the real exchange.  FetchParse only
+            # needs each bucket's rows co-located, not one call per key, so
+            # it runs once per sorted block (a groupby's map_groups would
+            # call it once per fetch_key).
             .repartition(fetch_parts)
-            .groupby("fetch_key", num_partitions=fetch_parts)
-            .map_groups(
-                lambda g: FetchParse(
+            .sort("fetch_key")
+            .map_batches(
+                lambda b: FetchParse(
                     store_dir, n, fetched_dir, cfg, candidates_dir=next_cand_dir
-                )(g),
+                )(b),
+                batch_size=None,
                 batch_format="pyarrow",
             )
             .materialize()
@@ -876,7 +895,7 @@ class CrawlEngine:
                         stats.fetch_phase_s.get(key, 0.0) + sec, 2
                     )
 
-        # fetch / candidate counters from the bucket sidecars; the summed
+        # fetch / candidate counters from the block sidecars; the summed
         # "kept" count IS next round's candidate row count (the fetch tasks
         # wrote exactly those rows into the sharded candidate files), so no
         # driver-side footer walk over thousands of small files is needed

@@ -1,6 +1,6 @@
 """Intermediate-exchange file I/O: candidate / deferred / frontier shards.
 
-The crawl's map-side-partitioned exchange writes ~(fetch groups × shards)
+The crawl's map-side-partitioned exchange writes ~(fetch blocks × shards)
 small files per round and reads them back exactly once next round.  Arrow
 IPC (feather v2, lz4) instead of parquet here: measured ~2.5× cheaper on
 both sides at the bench's file sizes (no column encode pass, no row-group

@@ -7,9 +7,11 @@ page table WITHOUT re-scanning or re-shuffling the corpus every round, the
 pages are partitioned ONCE by ``bucket = stable_hash64(url) % B`` (same
 function the frontier uses).  Per round:
 
-    admitted.groupby("bucket").map_groups(FetchParse)
+    admitted.sort("fetch_key").map_batches(FetchParse, batch_size=None)
 
-and each group task reads ONLY its bucket's parquet fragments with an
+``fetch_key`` is the bucket times FETCH_SPLIT plus a sub-split, so each
+sorted block holds a contiguous run of buckets, and its task reads ONLY
+those buckets' parquet fragments (one probe per bucket) with an
 ``url ∈ frontier`` scan filter — per-round I/O is proportional to the
 frontier, not the corpus.  At 10^10-URL design scale B is sized so one
 bucket ≈ a few GB (e.g. B=65536 for 100 TB) and fragments stay prunable.
@@ -20,7 +22,7 @@ and links extracted (:mod:`~scrupyst_ray.functions.links`) INSIDE the task,
 so html never crosses a task boundary or enters a shuffle (SURVEY.md §7.4
 "drop html immediately after parse").  The task's side output — the fetched
 artifact (url, order, status, text) — is written straight to the round's
-checkpoint directory (tmp+rename per bucket file, so Ray task retries are
+checkpoint directory (tmp+rename per block file, so Ray task retries are
 idempotent); the dataset flow carries only edge metadata onward.
 """
 
@@ -43,6 +45,10 @@ from scrupyst_ray.functions.textextract import detect_and_decode
 from scrupyst_ray.stages.exchange import EXCHANGE_EXT, write_exchange
 from scrupyst_ray.stages.frontier import EDGE_META_SCHEMA
 from scrupyst_ray.stages.middleware import MiddlewareContext, MiddlewarePipeline
+
+# the edge rows a fetch task builds: the filter chain's columns plus each
+# edge's parent fetch_key, which the map-side host cap ranks within
+_EDGE_SCHEMA = EDGE_META_SCHEMA.append(pa.field("parent_fetch_key", pa.int32()))
 
 FETCHED_SCHEMA = pa.schema(
     [
@@ -181,19 +187,30 @@ def _read_bucket_pages(store_dir: str, bucket: int, urls: list[str]) -> pa.Table
 
 
 class FetchParse:
-    """Fused fetch→parse→candidate stage for one bucket group.
+    """Fused fetch→parse→candidate stage for one sorted block of admitted
+    rows.
 
-    One task per url-bucket per round: reads the bucket's page bytes, decodes
-    text, extracts links, builds + filters next-round candidate rows
-    (``stages.frontier.edges_to_candidates``), and side-writes two artifacts
-    keyed by the stable bucket id (idempotent tmp+rename, retry-safe):
+    One task per ``fetch_key``-sorted block per round: the block may span
+    several store buckets, and the task works through them one bucket at a
+    time — probes the bucket's page bytes once, decodes text, extracts
+    links — then builds + filters the block's next-round candidate rows
+    (``stages.frontier.edges_to_candidates``) in one pass, and side-writes
+    two artifacts keyed by the block id (idempotent tmp+rename,
+    retry-safe):
 
     - ``fetched/part-K.parquet`` — the crawl-order artifact rows,
     - ``fetched/part-K.stats.json`` — counters (fetched/miss/edges/drops),
       so per-round stats cost zero extra Ray Data executions.
-      K is the group's routing key: ``fetch_key`` (a FETCH_SPLIT-way
-      sub-split of the store bucket, see pipelines/crawl.py) when present,
-      else the bare bucket.
+      K is the block's lowest ``fetch_key`` (a FETCH_SPLIT-way sub-split of
+      the store bucket, see pipelines/crawl.py).  Sorted blocks cover
+      disjoint key ranges, so K is unique within a round; it is not a pure
+      function of the rows (sort boundaries are sampled), which is why a
+      re-run round first clears its ``fetched/`` directory.
+
+    The kept candidates go to one file per destination shard per block
+    (``candidates/shard-S/from-K``); with ``map_side_host_cap`` on, the cap
+    ranks within each parent ``fetch_key`` and the files are per (shard,
+    parent fetch_key), so the cap does not depend on the block cuts.
 
     Returns the KEPT candidate frontier rows (html and dropped candidates
     never leave the task).
@@ -213,12 +230,23 @@ class FetchParse:
         self.cfg = cfg or CrawlConfig()
         self.candidates_dir = candidates_dir
         self.extractor = LinkExtractorConfig()
-        # user middleware chains (SURVEY §2.10) — built once per worker
+        # user middleware chains (SURVEY §2.10) — built once per block
         self.mw = MiddlewarePipeline(self.cfg.middlewares)
         os.makedirs(fetched_dir, exist_ok=True)
         _cap_arrow_threads()
 
-    def __call__(self, group: pa.Table) -> pa.Table:
+    def _write_stats(
+        self, part_key: int, stats: dict, mw_ctx: MiddlewareContext
+    ) -> None:
+        stats["phase_s"] = {k: round(v, 3) for k, v in stats["phase_s"].items()}
+        if mw_ctx.stats:
+            stats["mw"] = mw_ctx.stats
+        path = os.path.join(self.fetched_dir, f"part-{part_key:06d}.stats.json")
+        with open(path + ".tmp", "w") as f:
+            json.dump(stats, f)
+        os.replace(path + ".tmp", path)
+
+    def __call__(self, block: pa.Table) -> pa.Table:
         from scrupyst_ray.stages.frontier import (
             DROP_REASON_NAMES,
             FRONTIER_SCHEMA,
@@ -228,46 +256,142 @@ class FetchParse:
         empty = pa.table(
             {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
         )
-        if group.num_rows == 0:
+        if block.num_rows == 0:
             return empty
         t0 = time.monotonic()
-        bucket = group["bucket"][0].as_py()
-        part_key = (
-            group["fetch_key"][0].as_py()
-            if "fetch_key" in group.column_names
-            else bucket
-        )
-        mw_ctx = MiddlewareContext(round_id=self.round_id, bucket=int(bucket))
+        part_key = pc.min(block["fetch_key"]).as_py()
+        mw_ctx = MiddlewareContext(round_id=self.round_id)
+        stats = {
+            "fetched": 0,
+            "miss": 0,
+            "edges": 0,
+            "kept": 0,
+            "drops": {},
+            # per-phase wall (s): store probe / decode+parse+links / artifact
+            # write + candidate build / sharded candidate write — lets the
+            # driver see where fetch-task time goes without extra executions
+            "phase_s": dict.fromkeys(("read", "parse", "emit", "write"), 0.0),
+        }
+        if self.cfg.autothrottle_enabled:
+            stats["host_obs"] = {}
         if self.mw.has("process_candidates"):
             # downloader-mw process_request analogue: last chance to drop or
             # rewrite admitted rows before the (fetch) store probe
-            group = self.mw.run("process_candidates", group, mw_ctx)
-            if group.num_rows == 0:
-                # whole group dropped pre-fetch: still emit a sidecar so the
+            block = self.mw.run("process_candidates", block, mw_ctx)
+            if block.num_rows == 0:
+                # whole block dropped pre-fetch: still emit a sidecar so the
                 # middleware counters reach the round stats
-                stats = {
-                    "bucket": int(bucket),
-                    "fetched": 0,
-                    "miss": 0,
-                    "edges": 0,
-                    "kept": 0,
-                    "drops": {},
-                    "phase_s": {},
-                }
-                if mw_ctx.stats:
-                    stats["mw"] = mw_ctx.stats
-                sc_path = os.path.join(
-                    self.fetched_dir, f"part-{part_key:06d}.stats.json"
-                )
-                with open(sc_path + ".tmp", "w") as f:
-                    json.dump(stats, f)
-                os.replace(sc_path + ".tmp", sc_path)
+                self._write_stats(part_key, stats, mw_ctx)
                 return empty
-        urls = group["url"].to_pylist()
-        pages = _read_bucket_pages(self.store_dir, bucket, urls)
+        stats["phase_s"]["read"] = time.monotonic() - t0
+        # one bucket at a time, so the task holds one bucket's pages and
+        # html, never the whole block's; every bucket's artifact rows go to
+        # the block's one artifact file
+        out_path = os.path.join(self.fetched_dir, f"part-{part_key:06d}.parquet")
+        writer = None
+        edge_parts = []
+        buckets = block["bucket"].to_numpy(zero_copy_only=False)
+        for b in np.unique(buckets):
+            fetched, edges = self._fetch_bucket(
+                int(b), block.filter(pa.array(buckets == b)), mw_ctx, stats
+            )
+            t_emit = time.monotonic()
+            if writer is None:
+                writer = pq.ParquetWriter(out_path + ".tmp", fetched.schema)
+            writer.write_table(fetched)
+            edge_parts.append(edges)
+            stats["phase_s"]["emit"] += time.monotonic() - t_emit
+        t_emit = time.monotonic()
+        writer.close()
+        os.replace(out_path + ".tmp", out_path)  # idempotent on task retry
+
+        # edges are url metadata, not pages: the block's candidate filter
+        # chain runs once over all of them
+        edges = pa.concat_tables(edge_parts)
+        if self.mw.has("process_edges"):
+            # spider-mw process_spider_output analogue: extracted edges
+            # before the candidate filter chain
+            edges = self.mw.run("process_edges", edges, mw_ctx)
+        kept, drop_counts = edges_to_candidates(
+            edges, self.cfg, carry=("parent_fetch_key",)
+        )
+        stats["edges"] = int(edges.num_rows)
+        stats["drops"] = {DROP_REASON_NAMES[r]: c for r, c in drop_counts.items()}
+        t_write = time.monotonic()
+        stats["phase_s"]["emit"] += t_write - t_emit
+        cap = self.cfg.map_side_host_cap
+        if cap and kept.num_rows:
+            # phase-1 of the salted two-phase top-k (SURVEY §7.4): local
+            # per-host rank bound under the SAME order the budget draw
+            # sorts by, so every globally-admittable row survives.  Ranked
+            # within each parent fetch_key, not within the block: fetch_key
+            # is a function of the parent row, so which rows survive does
+            # not depend on where the sort cut the blocks.
+            ok_dir = "descending" if self.cfg.order_mode == "dfo" else "ascending"
+            order = pc.sort_indices(
+                kept,
+                sort_keys=[
+                    ("parent_fetch_key", "ascending"),
+                    ("host", "ascending"),
+                    ("priority", "descending"),
+                    ("order_key", ok_dir),
+                ],
+            )
+            kept = kept.take(order)
+            keys_np = kept["parent_fetch_key"].to_numpy(zero_copy_only=False)
+            hosts_np = kept["host"].to_numpy(zero_copy_only=False)
+            m = kept.num_rows
+            change = np.empty(m, dtype=bool)
+            change[0] = True
+            change[1:] = (hosts_np[1:] != hosts_np[:-1]) | (
+                keys_np[1:] != keys_np[:-1]
+            )
+            start = np.maximum.accumulate(np.where(change, np.arange(m), 0))
+            kept = kept.filter(pa.array(np.arange(m) - start < cap))
+        src_keys = kept["parent_fetch_key"].to_numpy(zero_copy_only=False)
+        kept = kept.drop_columns(["parent_fetch_key"])
+        # Map-side partitioned exchange: write the kept candidates ALREADY
+        # split by their owning seen/politeness shard, so next round's gate
+        # task reads its shard's files directly and the frontier NEVER rides
+        # an all-to-all shuffle (the per-round sort of millions of candidate
+        # rows was the dominant non-parallel cost — only the small admitted
+        # set is ever exchanged through Ray Data).  File per (shard, block)
+        # with tmp+rename keyed by part_key: a retried task gets the same
+        # block, so it is idempotent, and the files ARE the resume checkpoint.
+        # With the host cap on, the file is per (shard, parent fetch_key)
+        # instead, so each file is one unit of the cap.
+        if self.candidates_dir is not None and kept.num_rows:
+            file_keys = src_keys if cap else np.full(kept.num_rows, part_key)
+            shards_col = kept["shard"].to_numpy(zero_copy_only=False)
+            for shard_id, key in sorted(
+                set(zip(shards_col.tolist(), file_keys.tolist()))
+            ):
+                sub = kept.filter(
+                    pa.array((shards_col == shard_id) & (file_keys == key))
+                )
+                sdir = os.path.join(self.candidates_dir, f"shard-{shard_id:05d}")
+                os.makedirs(sdir, exist_ok=True)
+                write_exchange(
+                    sub, os.path.join(sdir, f"from-{key:06d}{EXCHANGE_EXT}")
+                )
+        stats["kept"] = int(kept.num_rows)
+        stats["phase_s"]["write"] = time.monotonic() - t_write
+        self._write_stats(part_key, stats, mw_ctx)
+        if self.candidates_dir is None:
+            return kept
+        return empty
+
+    def _fetch_bucket(
+        self, bucket: int, rows: pa.Table, mw_ctx: MiddlewareContext, stats: dict
+    ) -> tuple[pa.Table, pa.Table]:
+        """Probe *bucket* once for *rows* and parse the pages.  Returns
+        (artifact rows, link edges with their parent's ``parent_fetch_key``);
+        counters and phase seconds are added into the block's *stats*."""
+        t0 = time.monotonic()
+        pages = _read_bucket_pages(self.store_dir, bucket, rows["url"].to_pylist())
         t_read = time.monotonic()
-        joined = group.join(pages, keys="url", join_type="left outer")
-        # deterministic artifact order within the bucket file
+        joined = rows.join(pages, keys="url", join_type="left outer")
+        # deterministic artifact order within the bucket's run of the file
         joined = joined.sort_by([("priority", "descending"), ("order_key", "ascending")])
         if self.mw.has("process_fetched"):
             # downloader-mw process_response analogue, pre-parse: a dropped
@@ -280,6 +404,7 @@ class FetchParse:
         hosts = joined["host"].to_pylist()
         depths = joined["depth"].to_pylist()
         order_keys = joined["order_key"].to_pylist()
+        fetch_keys = joined["fetch_key"].to_pylist()
 
         n = len(j_urls)
         statuses = np.full(n, 200, dtype=np.int16)
@@ -291,6 +416,7 @@ class FetchParse:
         e_link_idx: list[int] = []
         e_pdepth: list[int] = []
         e_pkey: list[bytes] = []
+        e_fkey: list[int] = []
 
         for i in range(n):
             html = htmls[i]
@@ -309,6 +435,7 @@ class FetchParse:
                 e_link_idx.append(li)
                 e_pdepth.append(depths[i])
                 e_pkey.append(order_keys[i])
+                e_fkey.append(fetch_keys[i])
         t_parse = time.monotonic()
 
         fetched = pa.table(
@@ -331,9 +458,6 @@ class FetchParse:
             # item-pipeline analogue: transform/drop artifact rows before the
             # sink write (DropItem = filtered-out row)
             fetched = self.mw.run("process_items", fetched, mw_ctx)
-        out_path = os.path.join(self.fetched_dir, f"part-{part_key:06d}.parquet")
-        pq.write_table(fetched, out_path + ".tmp")
-        os.replace(out_path + ".tmp", out_path)  # idempotent on task retry
 
         edges = pa.table(
             {
@@ -342,95 +466,28 @@ class FetchParse:
                 "link_idx": pa.array(e_link_idx, pa.int32()),
                 "parent_depth": pa.array(e_pdepth, pa.int32()),
                 "parent_order_key": pa.array(e_pkey, pa.binary()),
+                "parent_fetch_key": pa.array(e_fkey, pa.int32()),
             },
-            schema=EDGE_META_SCHEMA,
+            schema=_EDGE_SCHEMA,
         )
-        if self.mw.has("process_edges"):
-            # spider-mw process_spider_output analogue: extracted edges
-            # before the candidate filter chain
-            edges = self.mw.run("process_edges", edges, mw_ctx)
-        kept, drop_counts = edges_to_candidates(edges, self.cfg)
-        drops = {DROP_REASON_NAMES[r]: c for r, c in drop_counts.items()}
-        t_cand = time.monotonic()
-        # Map-side partitioned exchange: write the kept candidates ALREADY
-        # split by their owning seen/politeness shard, so next round's gate
-        # task reads its shard's files directly and the frontier NEVER rides
-        # an all-to-all shuffle (the per-round sort of millions of candidate
-        # rows was the dominant non-parallel cost — only the small admitted
-        # set is ever exchanged through Ray Data).  File per (shard, fetch
-        # group) with tmp+rename keyed by the stable part_key: idempotent on
-        # task retry, and the files ARE the resume checkpoint.
-        if self.candidates_dir is not None and kept.num_rows:
-            cap = self.cfg.map_side_host_cap
-            if cap:
-                # phase-1 of the salted two-phase top-k (SURVEY §7.4): local
-                # per-host rank bound under the SAME order the budget draw
-                # sorts by, so every globally-admittable row survives
-                ok_dir = (
-                    "descending" if self.cfg.order_mode == "dfo" else "ascending"
-                )
-                order = pc.sort_indices(
-                    kept,
-                    sort_keys=[
-                        ("host", "ascending"),
-                        ("priority", "descending"),
-                        ("order_key", ok_dir),
-                    ],
-                )
-                kept = kept.take(order)
-                hosts_np = kept["host"].to_numpy(zero_copy_only=False)
-                m = kept.num_rows
-                change = np.empty(m, dtype=bool)
-                change[0] = True
-                change[1:] = hosts_np[1:] != hosts_np[:-1]
-                start = np.maximum.accumulate(np.where(change, np.arange(m), 0))
-                kept = kept.filter(pa.array(np.arange(m) - start < cap))
-            shards_col = kept["shard"].to_numpy(zero_copy_only=False)
-            for shard_id in np.unique(shards_col):
-                sub = kept.filter(pa.array(shards_col == shard_id))
-                sdir = os.path.join(self.candidates_dir, f"shard-{shard_id:05d}")
-                os.makedirs(sdir, exist_ok=True)
-                write_exchange(
-                    sub,
-                    os.path.join(sdir, f"from-{part_key:06d}{EXCHANGE_EXT}"),
-                )
-        t_write = time.monotonic()
-        stats = {
-            "bucket": int(bucket),
-            "fetched": int((statuses == 200).sum()),
-            "miss": int((statuses != 200).sum()),
-            "edges": int(edges.num_rows),
-            "kept": int(kept.num_rows),
-            "drops": drops,
-            # per-phase wall (s): store probe / decode+parse+links / artifact
-            # write + candidate build / sharded candidate write — lets the
-            # driver see where fetch-task time goes without extra executions
-            "phase_s": {
-                "read": round(t_read - t0, 3),
-                "parse": round(t_parse - t_read, 3),
-                "emit": round(t_cand - t_parse, 3),
-                "write": round(t_write - t_cand, 3),
-            },
-        }
-        if mw_ctx.stats:
-            stats["mw"] = mw_ctx.stats
-        if self.cfg.autothrottle_enabled:
+        t_emit = time.monotonic()
+
+        stats["fetched"] += int((statuses == 200).sum())
+        stats["miss"] += int((statuses != 200).sum())
+        phase = stats["phase_s"]
+        phase["read"] += t_read - t0
+        phase["parse"] += t_parse - t_read
+        phase["emit"] += t_emit - t_parse
+        if "host_obs" in stats:
             # per-host observations for the AutoThrottle feedback loop (ST5):
             # host -> [sum_html_bytes, n_fetches, n_ok]; the engine converts
             # bytes to a deterministic proxy latency (config
             # autothrottle_sim_bandwidth) and feeds the owning state shard
-            host_obs: dict[str, list[int]] = {}
+            host_obs = stats["host_obs"]
             for i in range(n):
                 ob = host_obs.setdefault(hosts[i], [0, 0, 0])
                 ob[1] += 1
                 if htmls[i] is not None:
                     ob[0] += len(htmls[i])
                     ob[2] += 1
-            stats["host_obs"] = host_obs
-        sc_path = os.path.join(self.fetched_dir, f"part-{part_key:06d}.stats.json")
-        with open(sc_path + ".tmp", "w") as f:
-            json.dump(stats, f)
-        os.replace(sc_path + ".tmp", sc_path)
-        if self.candidates_dir is None:
-            return kept
-        return empty
+        return fetched, edges

@@ -231,9 +231,11 @@ def candidate_filter_reasons(
 
 
 def edges_to_candidates(
-    batch: pa.Table, cfg: CrawlConfig
+    batch: pa.Table, cfg: CrawlConfig, carry: tuple[str, ...] = ()
 ) -> tuple[pa.Table, dict[int, int]]:
     """Edge rows (``EDGE_META_SCHEMA``) → (kept frontier rows, drop counts).
+    Each extra edge column named in *carry* is copied onto the kept rows,
+    after the ``FRONTIER_SCHEMA`` columns.
 
     Child depth/priority per the reference depth middleware
     (``spidermiddlewares/depth.py:87-90``): ``depth = parent + 1``,
@@ -248,12 +250,13 @@ def edges_to_candidates(
     value instead of once per row (hosts repeat heavily across edges).
     """
     n = batch.num_rows
-    empty_counts: dict[int, int] = {}
     if n == 0:
-        return (
-            pa.table({k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA),
-            empty_counts,
+        kept = pa.table(
+            {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
         )
+        for name in carry:
+            kept = kept.append_column(name, batch[name])
+        return kept, {}
     dst = batch["dst"]
     if isinstance(dst, pa.ChunkedArray):
         dst = dst.combine_chunks()
@@ -311,6 +314,8 @@ def edges_to_candidates(
         },
         schema=FRONTIER_SCHEMA,
     )
+    for name in carry:
+        kept = kept.append_column(name, batch[name].filter(keep_pa))
     dropped = reason[~keep]
     counts = {
         int(r): int(c) for r, c in zip(*np.unique(dropped, return_counts=True))

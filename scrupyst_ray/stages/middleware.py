@@ -24,7 +24,9 @@ Hook points and their reference equivalents:
 - ``process_fetched`` — downloader-mw ``process_response``: the joined
   (frontier ⨝ pages) table with ``status``/``html`` columns (reverse order).
 - ``process_edges`` — spider-mw ``process_spider_output``: extracted link
-  edges before candidate filtering (reverse order, ``spidermw.py``).
+  edges before candidate filtering (reverse order, ``spidermw.py``); the
+  table also carries each edge's ``parent_fetch_key``, which a hook must
+  keep.
 - ``process_items`` — item pipelines ``process_item``: the fetched-artifact
   rows before they are written (ascending order; all pipelines run).
 
@@ -47,10 +49,12 @@ ALL_HOOKS = HOOKS_ASCENDING + HOOKS_DESCENDING
 @dataclass
 class MiddlewareContext:
     """Engine-side facts a hook may need (the batch analogue of the
-    ``spider``/``request`` arguments the reference passes to hooks)."""
+    ``spider``/``request`` arguments the reference passes to hooks): the
+    round being crawled and a stats counter.  One context serves a whole
+    fetch block, which may span several store buckets, so it names no
+    bucket."""
 
     round_id: int = 0
-    bucket: int = -1
     stats: dict[str, int] = field(default_factory=dict)
 
     def inc(self, key: str, n: int = 1) -> None:

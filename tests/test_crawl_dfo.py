@@ -14,6 +14,7 @@ equal priority.  The parity oracle flips the same sorts.
 from __future__ import annotations
 
 import os
+import sys
 
 import pyarrow.parquet as pq
 import pytest
@@ -22,6 +23,9 @@ from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.pipelines.crawl import CrawlEngine
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
+
+# the checkout these tests run in, so __ray_entry__ imports from it
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
 def _seed_urls(corpus: str) -> list[str]:
@@ -76,9 +80,6 @@ class TestCrawlDFO:
 def test_dfo_query_entry_differs_from_bfo(ray_session):
     """crawl_dfo_order runs the LIFO-tie-break crawl and its fetched set
     diverges from BFO's (full value parity is the SQL-oracle gate)."""
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     bfo = e.queries()["crawl_bfo_order"]("/root/testdata/sf0.001").to_pandas()
@@ -92,9 +93,6 @@ def test_dfo_query_entry_differs_from_bfo(ray_session):
 def test_pagecount_query_stops_early(ray_session):
     """O3: the pagecount variant stops before the first round whose prior
     cumulative fetch count reaches 40 (SQL parity is the oracle gate)."""
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     df = e.queries()["crawl_pagecount_limit"]("/root/testdata/sf0.001").to_pandas()
@@ -107,9 +105,6 @@ def test_pagecount_query_stops_early(ray_session):
 def test_depth_and_offsite_variants(ray_session):
     """M6/M4 inside the engine: depth_limit caps every fetched depth;
     allowed_domains confines non-seed fetches to the allowed hosts."""
-    import sys
-
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as e
 
     dl = e.queries()["crawl_depth_limited"]("/root/testdata/sf0.001").to_pandas()

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pyarrow.parquet as pq
 import pytest
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.pipelines.crawl import CrawlEngine
+from scrupyst_ray.pipelines.crawl import CrawlEngine, _fetch_parts
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
 
@@ -52,19 +53,27 @@ GATE_SIDECAR_KEYS = {
 GATE_PHASES = {"read", "dedup", "rpc", "draw"}
 
 
+def _committed_manifests(workdir: str) -> dict[str, dict]:
+    """{round dir: MANIFEST.json} for the committed rounds (round n+1's dir
+    already holds its frontier)."""
+    rounds_dir = os.path.join(workdir, "rounds")
+    out = {}
+    for d in sorted(os.listdir(rounds_dir)):
+        mp = os.path.join(rounds_dir, d, "MANIFEST.json")
+        if os.path.exists(mp):
+            with open(mp) as fh:
+                out[d] = json.load(fh)
+    return out
+
+
 def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
     """Pin the per-round record the benchmark reads: every gate sidecar
     carries the counters and phase seconds, and every manifest folds them
     into ``stats.fetch_phase_s`` as gate_<phase>."""
-    rounds_dir = os.path.join(workdir, "rounds")
-    rdirs = sorted(  # round n+1's dir already holds its frontier
-        d
-        for d in os.listdir(rounds_dir)
-        if os.path.exists(os.path.join(rounds_dir, d, "MANIFEST.json"))
-    )
-    assert len(rdirs) == n_rounds
-    for d in rdirs:
-        gdir = os.path.join(rounds_dir, d, "gate_stats")
+    manifests = _committed_manifests(workdir)
+    assert len(manifests) == n_rounds
+    for d, manifest in manifests.items():
+        gdir = os.path.join(workdir, "rounds", d, "gate_stats")
         sidecars = [f for f in os.listdir(gdir) if f.startswith("shard=")]
         assert sidecars, d
         for f in sidecars:
@@ -72,9 +81,29 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
                 c = json.load(fh)
             assert GATE_SIDECAR_KEYS <= c.keys(), (d, f)
             assert set(c["phase_s"]) == GATE_PHASES, (d, f)
-        with open(os.path.join(rounds_dir, d, "MANIFEST.json")) as fh:
-            phases = json.load(fh)["stats"]["fetch_phase_s"]
+        phases = manifest["stats"]["fetch_phase_s"]
         assert {f"gate_{p}" for p in GATE_PHASES} <= phases.keys(), d
+
+
+def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
+    """The fetch stage writes one artifact per sorted block, not one per
+    fetch_key: each round's fetched/*.parquet count is at most its fetch
+    task count, and the block sidecars add up to the manifest."""
+    import ray
+
+    n_cpus = int(ray.cluster_resources()["CPU"])
+    for d, manifest in _committed_manifests(workdir).items():
+        stats = manifest["stats"]
+        fdir = os.path.join(workdir, "rounds", d, "fetched")
+        files = os.listdir(fdir) if os.path.isdir(fdir) else []
+        parts = [f for f in files if f.endswith(".parquet")]
+        assert len(parts) <= _fetch_parts(cfg, stats["frontier"], n_cpus), d
+        fetched = 0
+        for f in files:
+            if f.endswith(".stats.json"):
+                with open(os.path.join(fdir, f)) as fh:
+                    fetched += json.load(fh)["fetched"]
+        assert fetched == stats["fetched"], d
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -100,8 +129,12 @@ class TestCrawlE2E:
         assert [r.admitted for r in res.rounds] == sim.per_round_admitted
         assert [r.deferred for r in res.rounds] == sim.per_round_deferred
         assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
+        _assert_one_artifact_per_block(str(tmp_path / "wd"), cfg)
 
     def test_kill_and_resume_identical(self, smoke_corpus, tmp_path):
+        """A resumed crawl equals an uninterrupted one, even when the killed
+        round left fetch outputs under a block id the re-run does not
+        reuse (block ids follow sampled sort boundaries)."""
         cfg = _cfg()
         # uninterrupted reference run
         eng_a = CrawlEngine.for_corpus(
@@ -117,6 +150,16 @@ class TestCrawlE2E:
         eng_b.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
         eng_b.run(max_rounds=2)
         eng_b.shutdown_actors()  # "kill"
+        # the killed attempt at round 2 got as far as one fetch block
+        src = tmp_path / "full" / "rounds" / "round-000002" / "fetched"
+        part = sorted(f for f in os.listdir(src) if f.endswith(".parquet"))[0]
+        stale = os.path.join(wd, "rounds", "round-000002", "fetched")
+        os.makedirs(stale)
+        for ext in (".parquet", ".stats.json"):
+            shutil.copy(
+                src / part.replace(".parquet", ext),
+                os.path.join(stale, f"part-999999{ext}"),
+            )
 
         eng_c = CrawlEngine(eng_b.store_dir, wd, cfg)
         assert eng_c.last_complete_round() == 1
@@ -140,6 +183,13 @@ class TestCrawlE2E:
             == full_order
         )
         assert _engine_seen_fps(wd) == _engine_seen_fps(str(tmp_path / "full"))
+        fetched = {
+            d: m["stats"]["fetched"] for d, m in _committed_manifests(wd).items()
+        }
+        assert fetched == {
+            d: m["stats"]["fetched"]
+            for d, m in _committed_manifests(str(tmp_path / "full")).items()
+        }
 
     def test_autothrottle_resume_identical(self, smoke_corpus, tmp_path):
         """AutoThrottle (ST5) on: adaptive delays shrink budgets AND the
@@ -252,6 +302,38 @@ class TestMapSideHostCap:
         )
         assert cap_order == base_order
         assert cap_seen == base_seen
+
+    def test_binding_cap_resume_identical(self, smoke_corpus, tmp_path, monkeypatch):
+        """With a cap that drops rows, a crawl killed after round 1 and
+        resumed with a different fetch task count (other sort cuts, as on a
+        resized cluster) equals the uninterrupted crawl: the cap ranks
+        within each fetch_key, not within a block."""
+        from scrupyst_ray.pipelines import crawl
+
+        cfg = _cfg()
+        cfg.map_side_host_cap = 3
+        pages = os.path.join(smoke_corpus, "pages")
+        eng_a = CrawlEngine.for_corpus(pages, str(tmp_path / "full"), cfg)
+        eng_a.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        res_a = eng_a.run(max_rounds=5)
+        eng_a.shutdown_actors()
+
+        wd = str(tmp_path / "resumed")
+        eng_b = CrawlEngine.for_corpus(pages, wd, cfg)
+        eng_b.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        eng_b.run(max_rounds=2)
+        eng_b.shutdown_actors()  # "kill"
+        monkeypatch.setattr(crawl, "_fetch_parts", lambda cfg, rows, n_cpus: 7)
+        eng_c = CrawlEngine(eng_b.store_dir, wd, cfg)
+        eng_c.run(max_rounds=5)
+        eng_c.shutdown_actors()
+
+        t_res = crawl.CrawlResult(wd, [], "").crawl_order_table()
+        assert (
+            list(zip(t_res["round"].to_pylist(), t_res["url"].to_pylist()))
+            == _engine_order(res_a)
+        )
+        assert _engine_seen_fps(wd) == _engine_seen_fps(str(tmp_path / "full"))
 
     def test_cap_bounds_candidate_files(self, smoke_corpus, tmp_path):
         import pyarrow as pa
