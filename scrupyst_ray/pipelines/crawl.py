@@ -15,9 +15,15 @@ Replaces the reference's single-process asyncio event loop
                       └─ edges → candidate filters → frontier_{N+1}
 
 One Ray Data execution per round; the only shuffle is the sort of the
-ADMITTED set's METADATA (~100 B/row) by url-bucket sub-key.  The gate reads
-its shard's frontier files task-side, and the page corpus itself is never
-shuffled or re-scanned (see ``stages/fetch.py``).
+ADMITTED set's METADATA (~100 B/row) by url-bucket sub-key.  The sort is
+cut at fixed, even ``fetch_key`` ranges (one per fetch task), so it runs
+no sampling pass and needs no repartition in front of it: one all-to-all
+barrier per round, and block ids a pure function of (fetch_key,
+fetch_parts).  Each gate task adds one ``url == ""`` placeholder row per
+range so no range is ever empty (an empty range would come out of the
+sort as a schema-less block).  The gate reads its shard's frontier files
+task-side, and the page corpus itself is never shuffled or re-scanned
+(see ``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
@@ -86,12 +92,13 @@ from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
     exchange_files,
     exchange_rows,
+    key_cuts,
     read_exchange_dir,
     read_exchange_file,
     write_exchange,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
-from scrupyst_ray.stages.frontier import seeds_to_frontier
+from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
 from scrupyst_ray.state.politeness import budget_draw, draw_order
 from scrupyst_ray.state.shard import (
     ADMITTED,
@@ -104,6 +111,9 @@ from scrupyst_ray.state.shard import (
 # _shard_gate_fn: balances the range partitions of the low-cardinality
 # bucket)
 FETCH_SPLIT = 8
+
+# what every gate task returns: the frontier row plus its fetch sort key
+ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
 
 
 def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
@@ -118,16 +128,44 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     capped at ~2 waves of the cluster's cpu slots: more tasks than that
     only adds wave-quantization loss (each extra wave pays the slowest
     task) and multiplies the per-(shard, task) candidate-file count the
-    next gate must read back."""
+    next gate must read back.
+
+    The cuts are even ranges of the key space (``key_cuts``), not sampled:
+    ``fetch_key`` is a uniform hash, so they balance as well.  A block's
+    keys are consecutive, so it probes each of its buckets once; with
+    more parts than buckets one bucket is probed by several blocks."""
     return max(
         4,
         min(cfg.fetch_buckets * FETCH_SPLIT // 2, total_rows // 64, 4 * n_cpus),
     )
 
 
+def _blank_rows(schema: pa.Schema, **columns: list) -> pa.Table:
+    """Placeholder rows of *schema* (gate ticklers, exchange placeholders):
+    the given *columns*, every other column zero / empty / false, so an
+    empty ``url`` (or ``host``) marks them."""
+    n = len(next(iter(columns.values())))
+
+    def blank(t: pa.DataType):
+        if pa.types.is_string(t):
+            return ""
+        if pa.types.is_binary(t):
+            return b""
+        return False if pa.types.is_boolean(t) else 0
+
+    return pa.table(
+        {
+            f.name: pa.array(columns.get(f.name, [blank(f.type)] * n), f.type)
+            for f in schema
+        },
+        schema=schema,
+    )
+
+
 def _shard_gate_fn(
     actors: list,
     round_id: int,
+    fetch_cuts: list[int],
     stats_dir: str | None = None,
     deferred_dir: str | None = None,
     deferred_in_dir: str | None = None,
@@ -150,6 +188,12 @@ def _shard_gate_fn(
     unions in to guarantee a shard with deferred work gets a gate call even
     when it has no new candidates; they are dropped here.
 
+    Every call returns ``ADMITTED_SCHEMA`` rows, plus one ``url == ""``
+    placeholder per fetch range (its lowest key in *fetch_cuts*), which
+    FetchParse drops.  So no range of the fetch sort is ever empty: Ray
+    emits an empty range as a schema-less block, which makes Ray Data log
+    "different schema" warnings on the sort and the fetch stage.
+
     Dedup runs in two passes: by URL string first (cheap, catches the bulk),
     then by fingerprint over the survivors (catches canonically-equivalent
     spellings).  The combined winner equals pure-fingerprint dedup because
@@ -161,10 +205,12 @@ def _shard_gate_fn(
     # LIFO tie-break in DFO mode: every within-round ordering flips the
     # order_key direction (matches the oracle simulator's composed sorts)
     SORT_KEYS = draw_order(order_mode)
+    empty = ADMITTED_SCHEMA.empty_table()
+    placeholders = _blank_rows(ADMITTED_SCHEMA, fetch_key=[0, *fetch_cuts])
 
     def gate(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return group
+            return empty
         t_start = time.monotonic()
         shard_id = group["shard"][0].as_py()
         mask = pc.not_equal(group["url"], "")
@@ -191,7 +237,7 @@ def _shard_gate_fn(
         n_def = deferred_in.num_rows if deferred_in is not None else 0
         t_read = time.monotonic()
         if n == 0 and n_def == 0:
-            return group
+            return empty
 
         # -- NEW candidates only: dedup, lazy fingerprint, one gate RPC.
         # Deferred rows were seen-recorded and robots-checked when first
@@ -385,7 +431,7 @@ def _shard_gate_fn(
                 json.dump(counts, f)
             os.replace(path + ".tmp", path)
         if admitted is None:
-            return group.slice(0, 0)
+            return empty
         # fetch sort key: sub-split each store bucket FETCH_SPLIT ways
         # (bucket is only 64-ary; range-partitioning so few distinct values
         # across ~32 blocks is lumpy — measured 3.3s..10.9s fetch-task skew.
@@ -409,19 +455,17 @@ def _shard_gate_fn(
         and the groupby("shard") AllToAll exchange (a sort over 32 one-row
         blocks — pure barrier cost, measured ~0.3-0.5 s/round of the
         headline bench) is unnecessary.  Robustness: if the executor ever
-        hands a batch spanning shards, split and process each."""
-        if batch.num_rows <= 1:
-            return gate(batch)
-        shards = batch["shard"].to_pylist()
-        if len(set(shards)) == 1:
-            return gate(batch)
-        outs = []
-        for sid in sorted(set(shards)):
-            outs.append(gate(batch.filter(pc.equal(batch["shard"], sid))))
-        return pa.concat_tables(
-            [t for t in outs if t.num_rows] or outs[:1],
-            promote_options="default",
-        )
+        hands a batch spanning shards, split and process each.  The fetch
+        placeholders are appended once per call."""
+        shards = pc.unique(batch["shard"]).to_pylist()
+        if len(shards) <= 1:
+            outs = [gate(batch)]
+        else:
+            outs = [
+                gate(batch.filter(pc.equal(batch["shard"], sid)))
+                for sid in sorted(shards)
+            ]
+        return pa.concat_tables([*outs, placeholders])
 
     return gate_blocks
 
@@ -430,9 +474,14 @@ def _write_sharded_candidates(ds, out_dir: str, num_shards: int, tag: str) -> No
     """Write a frontier dataset as per-shard candidate files
     (``out_dir/shard-K/from-<tag>.feather``) — the same map-side-partitioned
     layout the fetch stage emits, so the gate can always read its shard's
-    rows without a shuffle."""
+    rows without a shuffle.  The sort cuts one block per shard whatever the
+    input block count (``key_cuts``), so each shard's file is written by
+    exactly one call.  Each input block gains one ``url == ""`` placeholder
+    per shard, so no shard's block is empty (see ``_shard_gate_fn``)."""
+    blanks = _blank_rows(FRONTIER_SCHEMA, shard=list(range(num_shards)))
 
     def write_shard(group: pa.Table) -> pa.Table:
+        group = group.filter(pc.not_equal(group["url"], ""))
         if group.num_rows == 0:
             return pa.table({"shard": pa.array([], pa.int32())})
         shard_id = group["shard"][0].as_py()
@@ -442,12 +491,16 @@ def _write_sharded_candidates(ds, out_dir: str, num_shards: int, tag: str) -> No
         return pa.table({"shard": pa.array([shard_id], pa.int32())})
 
     os.makedirs(out_dir, exist_ok=True)
-    # repartition first: the groupby's output partition count (= writer
-    # parallelism) is capped by the input block count, and a single-file
-    # seed list arrives as one block
-    ds.repartition(num_shards).groupby(
-        "shard", num_partitions=num_shards
-    ).map_groups(write_shard, batch_format="pyarrow").materialize()
+    (
+        ds.map_batches(
+            lambda b: pa.concat_tables([b, blanks]),
+            batch_size=None,
+            batch_format="pyarrow",
+        )
+        .sort("shard", boundaries=key_cuts(num_shards, num_shards))
+        .map_batches(write_shard, batch_size=None, batch_format="pyarrow")
+        .materialize()
+    )
 
 
 @dataclass
@@ -586,12 +639,16 @@ class CrawlEngine:
             sub = batch.filter(mask)
             urls = sub["url"].to_pylist()
             hosts = [u.split("://", 1)[-1].split("/", 1)[0].lower() for u in urls]
-            return pa.table(
+            out = pa.table(
                 {
                     "host": pa.array(hosts, pa.string()),
                     "body": sub["html"],
                     "shard": pa.array(hash_mod_batch(hosts, num_shards), pa.int32()),
                 }
+            )
+            # one host == "" placeholder per shard: no shard's block is empty
+            return pa.concat_tables(
+                [out, _blank_rows(out.schema, shard=list(range(num_shards)))]
             )
 
         robots = ds.map_batches(to_robots, batch_format="pyarrow")
@@ -599,16 +656,28 @@ class CrawlEngine:
         robots_dir = self.robots_dir
 
         def write_shard(group: pa.Table) -> pa.Table:
+            group = group.filter(pc.not_equal(group["host"], ""))
+            if group.num_rows == 0:
+                return pa.table(
+                    {"shard": pa.array([], pa.int32()), "n": pa.array([], pa.int64())}
+                )
             shard_id = group["shard"][0].as_py()
             path = os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
             pq.write_table(group.drop_columns(["shard"]), path + ".tmp")
             os.replace(path + ".tmp", path)
-            return pa.table({"shard": [shard_id], "n": [group.num_rows]})
+            return pa.table(
+                {
+                    "shard": pa.array([shard_id], pa.int32()),
+                    "n": pa.array([group.num_rows], pa.int64()),
+                }
+            )
 
-        counts = robots.groupby("shard", num_partitions=num_shards).map_groups(
-            write_shard, batch_format="pyarrow"
+        # one sorted block per shard (see key_cuts), one write_shard call each
+        (
+            robots.sort("shard", boundaries=key_cuts(num_shards, num_shards))
+            .map_batches(write_shard, batch_size=None, batch_format="pyarrow")
+            .materialize()
         )
-        counts.materialize()
         with open(done + ".tmp", "w") as f:
             f.write("ok\n")
         os.replace(done + ".tmp", done)
@@ -763,8 +832,8 @@ class CrawlEngine:
             shard ticklers → gate, one task per shard block (reads its
             shard's candidate + deferred files; dedup + lazy fingerprint +
             StateShard RPC + vectorized budget draw; side-writes DEFERRED
-            rows) → sort(fetch_key) → fused fetch+parse, one call per
-            sorted block → per-shard candidate files for round n+1.
+            rows) → sort(fetch_key) at fixed cuts → fused fetch+parse, one
+            call per sorted block → per-shard candidate files for round n+1.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
@@ -781,9 +850,10 @@ class CrawlEngine:
         gate_stats_dir = os.path.join(rdir, "gate_stats")
         fetched_dir = os.path.join(rdir, "fetched")
         nf_dir = self._frontier_dir(n + 1)
-        # files from a killed attempt at this round: fetch block ids come
-        # from sampled sort boundaries, so a re-run need not overwrite them.
-        # Round n's own frontier/ is this round's input and stays.
+        # files from a killed attempt at this round: fetch block ids follow
+        # the fetch_parts cuts, and fetch_parts follows the CPU count, so a
+        # re-run on a resized cluster need not overwrite them.  Round n's
+        # own frontier/ is this round's input and stays.
         for d in (gate_stats_dir, fetched_dir, nf_dir):
             if os.path.isdir(d):
                 shutil.rmtree(d)
@@ -804,38 +874,22 @@ class CrawlEngine:
                 if stem.startswith("deferred-shard-") and ext == EXCHANGE_EXT:
                     work_shards.add(int(stem[len("deferred-shard-") :]))
         tickler_shards = sorted(work_shards)
-        from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA
-
         k = len(tickler_shards)
-        ticklers = pa.table(
-            {
-                "url": [""] * k,
-                "host": [""] * k,
-                "depth": pa.array([0] * k, pa.int32()),
-                "priority": pa.array([0] * k, pa.int64()),
-                "order_key": pa.array([b""] * k, pa.binary()),
-                "dont_filter": [False] * k,
-                "already_enqueued": [False] * k,
-                "is_start": [False] * k,
-                "fp": pa.array([b""] * k, pa.binary()),
-                "fp64": pa.array([0] * k, pa.uint64()),
-                "shard": pa.array(tickler_shards, pa.int32()),
-                "bucket": pa.array([0] * k, pa.int32()),
-            },
-            schema=FRONTIER_SCHEMA,
-        )
-        # ONE BLOCK PER TICKLER ROW: a groupby's output partition count is
-        # silently capped by its input block count, so a single-block tickler
-        # table would collapse the gate stage (and everything downstream of
-        # it) to ONE serial task — measured 4× on the whole bench.
+        ticklers = _blank_rows(FRONTIER_SCHEMA, shard=tickler_shards)
+        # ONE BLOCK PER TICKLER ROW: map_batches(batch_size=None) runs one
+        # call per block, so a single-block tickler table would collapse the
+        # gate stage to ONE serial task.
         frontier = ray.data.from_arrow(
             [ticklers.slice(i, 1) for i in range(k)] if k else ticklers
         )
 
-        fetch_parts = _fetch_parts(
-            cfg,
-            cand_rows + def_rows,
-            int(ray.cluster_resources().get("CPU", 32)),
+        fetch_cuts = key_cuts(
+            _fetch_parts(
+                cfg,
+                cand_rows + def_rows,
+                int(ray.cluster_resources().get("CPU", 32)),
+            ),
+            cfg.fetch_buckets * FETCH_SPLIT,
         )
         store_dir = self.store_dir
         next_cand_dir = os.path.join(nf_dir, "candidates")
@@ -850,6 +904,7 @@ class CrawlEngine:
                 _shard_gate_fn(
                     actors,
                     n,
+                    fetch_cuts,
                     gate_stats_dir,
                     deferred_dir=os.path.join(nf_dir, "deferred"),
                     deferred_in_dir=def_dir if def_rows else None,
@@ -859,17 +914,13 @@ class CrawlEngine:
                 batch_size=None,
                 batch_format="pyarrow",
             )
-            # split the admitted set to ≥fetch_parts blocks first: the gate
-            # emits one block per shard, and the sort's output block count
-            # is its input block count (see tickler note) — without this the
-            # fetch stage is bounded at seen_shards tasks.  Split-only
-            # repartition (no shuffle) of politeness-bounded metadata rows;
-            # the sort right after is the real exchange.  FetchParse only
-            # needs each bucket's rows co-located, not one call per key, so
-            # it runs once per sorted block (a groupby's map_groups would
-            # call it once per fetch_key).
-            .repartition(fetch_parts)
-            .sort("fetch_key")
+            # the only exchange: fixed cuts, so the sort neither samples
+            # nor depends on the gate's block count (one block per shard)
+            # and emits exactly fetch_parts blocks.  FetchParse only needs
+            # each bucket's rows co-located, not one call per key, so it
+            # runs once per sorted block (a groupby's map_groups would call
+            # it once per fetch_key).
+            .sort("fetch_key", boundaries=fetch_cuts)
             .map_batches(
                 lambda b: FetchParse(
                     store_dir, n, fetched_dir, cfg, candidates_dir=next_cand_dir

@@ -10,6 +10,9 @@ side-table stay parquet.
 
 The exchange files double as the resume checkpoint.  All writes are
 tmp+rename and keyed by a stable tag, so task retries are idempotent.
+
+``key_cuts`` gives the fixed sort boundaries the crawl's keyed Ray Data
+exchanges use (fetch stage, candidate / robots / page-store writers).
 """
 
 from __future__ import annotations
@@ -20,6 +23,20 @@ import pyarrow as pa
 import pyarrow.feather as feather
 
 EXCHANGE_EXT = ".feather"
+
+
+def key_cuts(parts: int, n_keys: int) -> list[int]:
+    """``boundaries=`` for ``Dataset.sort`` over an int key in
+    ``[0, n_keys)``: *parts* even ranges (``parts <= n_keys``;
+    ``parts == n_keys`` puts every key in its own block).
+
+    Given boundaries, Ray's sort skips its per-block sampling pass and
+    emits exactly one block per range whatever its input block count, so
+    the block a key lands in is a pure function of (key, parts).  One part
+    still gets a cut, past the last key: an empty list means "sample" to
+    Ray, which then emits as many blocks as it received and can split one
+    key across them."""
+    return [n_keys * i // parts for i in range(1, parts)] or [n_keys]
 
 
 def write_exchange(table: pa.Table, path: str) -> None:

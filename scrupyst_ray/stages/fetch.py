@@ -7,14 +7,17 @@ page table WITHOUT re-scanning or re-shuffling the corpus every round, the
 pages are partitioned ONCE by ``bucket = stable_hash64(url) % B`` (same
 function the frontier uses).  Per round:
 
-    admitted.sort("fetch_key").map_batches(FetchParse, batch_size=None)
+    admitted.sort("fetch_key", boundaries=cuts)
+            .map_batches(FetchParse, batch_size=None)
 
-``fetch_key`` is the bucket times FETCH_SPLIT plus a sub-split, so each
-sorted block holds a contiguous run of buckets, and its task reads ONLY
-those buckets' parquet fragments (one probe per bucket) with an
-``url ∈ frontier`` scan filter — per-round I/O is proportional to the
-frontier, not the corpus.  At 10^10-URL design scale B is sized so one
-bucket ≈ a few GB (e.g. B=65536 for 100 TB) and fragments stay prunable.
+The cuts are fixed, even ranges of the ``fetch_key`` space (one block per
+fetch task, no sampling pass).  ``fetch_key`` is the bucket times
+FETCH_SPLIT plus a sub-split, so each sorted block holds a contiguous run
+of buckets, and its task reads ONLY those buckets' parquet fragments (one
+probe per bucket) with an ``url ∈ frontier`` scan filter — per-round I/O
+is proportional to the frontier, not the corpus.  At 10^10-URL design
+scale B is sized so one bucket ≈ a few GB (e.g. B=65536 for 100 TB) and
+fragments stay prunable.
 
 The task is fused fetch→parse: html bytes are decoded
 (:mod:`~scrupyst_ray.functions.textextract` — the byte-identical invariant)
@@ -42,7 +45,7 @@ from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.functions.hashing import hash_mod_batch
 from scrupyst_ray.functions.links import LinkExtractorConfig, extract_links
 from scrupyst_ray.functions.textextract import detect_and_decode
-from scrupyst_ray.stages.exchange import EXCHANGE_EXT, write_exchange
+from scrupyst_ray.stages.exchange import EXCHANGE_EXT, key_cuts, write_exchange
 from scrupyst_ray.stages.frontier import EDGE_META_SCHEMA
 from scrupyst_ray.stages.middleware import MiddlewareContext, MiddlewarePipeline
 
@@ -77,12 +80,12 @@ def build_page_store(
     """One-time corpus partitioning by url-hash bucket (idempotent).
 
     Reads only the columns the crawl needs (url, warc_ts, html — column
-    pruning at the read, never the oracle ``text`` column), hash-groups by
-    bucket and writes ``store_dir/bucket=K/*.parquet``.  The groupby is a
-    full corpus shuffle, but it runs ONCE per corpus (this pass IS the
-    design-scale partitioning step); the payoff is one compact fragment per
-    bucket instead of one per (input block × bucket), which makes the
-    per-round bucket probes O(1) file opens.
+    pruning at the read, never the oracle ``text`` column), sorts by bucket
+    into one block per bucket and writes ``store_dir/bucket=K/*.parquet``.
+    The sort is a full corpus shuffle, but it runs ONCE per corpus (this
+    pass IS the design-scale partitioning step); the payoff is one compact
+    fragment per bucket instead of one per (input block × bucket), which
+    makes the per-round bucket probes O(1) file opens.
     """
     import ray
 
@@ -101,7 +104,9 @@ def build_page_store(
 
     def write_bucket(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
-            return pa.table({"bucket": [], "rows": []})
+            return pa.table(
+                {"bucket": pa.array([], pa.int32()), "rows": pa.array([], pa.int64())}
+            )
         bucket = group["bucket"][0].as_py()
         bdir = os.path.join(store_dir, f"bucket={bucket}")
         os.makedirs(bdir, exist_ok=True)
@@ -115,12 +120,18 @@ def build_page_store(
         group = group.drop_columns(["bucket"]).sort_by("url")
         pq.write_table(group, path + ".tmp", row_group_size=1024)
         os.replace(path + ".tmp", path)
-        return pa.table({"bucket": [bucket], "rows": [group.num_rows]})
+        return pa.table(
+            {
+                "bucket": pa.array([bucket], pa.int32()),
+                "rows": pa.array([group.num_rows], pa.int64()),
+            }
+        )
 
+    # one sorted block per bucket (see key_cuts), one write_bucket call each
     (
         ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket", num_partitions=num_buckets)
-        .map_groups(write_bucket, batch_format="pyarrow")
+        .sort("bucket", boundaries=key_cuts(num_buckets, num_buckets))
+        .map_batches(write_bucket, batch_size=None, batch_format="pyarrow")
         .materialize()
     )
     with open(done + ".tmp", "w") as f:
@@ -203,9 +214,11 @@ class FetchParse:
       so per-round stats cost zero extra Ray Data executions.
       K is the block's lowest ``fetch_key`` (a FETCH_SPLIT-way sub-split of
       the store bucket, see pipelines/crawl.py).  Sorted blocks cover
-      disjoint key ranges, so K is unique within a round; it is not a pure
-      function of the rows (sort boundaries are sampled), which is why a
-      re-run round first clears its ``fetched/`` directory.
+      disjoint key ranges, so K is unique within a round.  The ranges are
+      fixed cuts of the key space, a pure function of ``fetch_parts``;
+      that follows the cluster's CPU count, so a round re-run on another
+      cluster may cut differently, which is why a re-run round first
+      clears its ``fetched/`` directory.
 
     The kept candidates go to one file per destination shard per block
     (``candidates/shard-S/from-K``); with ``map_side_host_cap`` on, the cap
@@ -256,6 +269,9 @@ class FetchParse:
         empty = pa.table(
             {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
         )
+        # drop the gates' url == "" placeholders (one per fetch range, see
+        # pipelines/crawl.py); a block that held only those writes nothing
+        block = block.filter(pc.not_equal(block["url"], ""))
         if block.num_rows == 0:
             return empty
         t0 = time.monotonic()

@@ -3,11 +3,14 @@ determinism, feature accounting, and oracle parity at sf0.001."""
 
 from __future__ import annotations
 
+import os
+
 import duckdb
 import pyarrow as pa
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestModel:
@@ -62,7 +65,7 @@ class TestOracleParity:
     def test_scores_match_duckdb(self):
         import sys
 
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, REPO_ROOT)
         import __ray_entry__ as e
 
         ours = e.queries()["quality_classifier_scores"](SF).to_pandas()

@@ -134,7 +134,8 @@ class TestCrawlE2E:
     def test_kill_and_resume_identical(self, smoke_corpus, tmp_path):
         """A resumed crawl equals an uninterrupted one, even when the killed
         round left fetch outputs under a block id the re-run does not
-        reuse (block ids follow sampled sort boundaries)."""
+        reuse (block ids follow the fetch_parts cuts, and fetch_parts
+        follows the CPU count)."""
         cfg = _cfg()
         # uninterrupted reference run
         eng_a = CrawlEngine.for_corpus(
@@ -305,9 +306,9 @@ class TestMapSideHostCap:
 
     def test_binding_cap_resume_identical(self, smoke_corpus, tmp_path, monkeypatch):
         """With a cap that drops rows, a crawl killed after round 1 and
-        resumed with a different fetch task count (other sort cuts, as on a
-        resized cluster) equals the uninterrupted crawl: the cap ranks
-        within each fetch_key, not within a block."""
+        resumed with a different fetch task count (so other fixed fetch_key
+        cuts, as on a resized cluster) equals the uninterrupted crawl: the
+        cap ranks within each fetch_key, not within a block."""
         from scrupyst_ray.pipelines import crawl
 
         cfg = _cfg()
@@ -361,3 +362,87 @@ class TestMapSideHostCap:
                 assert all(v <= 3 for v in Counter(hosts).values()), (root, f)
                 checked += 1
         assert checked > 0
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestFixedCutExchanges:
+    """Every keyed exchange of a crawl (fetch stage; candidate, robots and
+    page-store writers) is a sort at fixed cuts: it never samples, and no
+    range comes out of the sort as a schema-less empty block."""
+
+    @pytest.mark.parametrize("shards", [4, 1])
+    def test_no_sampling_matches_oracle(
+        self, smoke_corpus, tmp_path, monkeypatch, shards
+    ):
+        """One shard is the case where every-key cuts are an empty list,
+        which Ray would read as "sample"."""
+        from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a crawl exchange sampled its sort boundaries")
+
+        cfg = _cfg()
+        cfg.seen_shards = shards
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        with monkeypatch.context() as m:
+            m.setattr(SortTaskSpec, "sample_boundaries", staticmethod(no_sampling))
+            eng = CrawlEngine.for_corpus(
+                os.path.join(smoke_corpus, "pages"), str(tmp_path / "wd"), cfg
+            )
+            eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+            res = eng.run(max_rounds=6)
+        eng.shutdown_actors()
+
+        assert _engine_order(res) == sim.fetch_order
+        assert _engine_seen_fps(str(tmp_path / "wd")) == sim.seen_fps
+        assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
+
+    def test_no_schema_drift_warnings(self, smoke_corpus, tmp_path, monkeypatch):
+        """Rounds that admit fewer rows than there are fetch ranges, and
+        capped rounds that leave a shard without candidates, log no Ray
+        Data "different schema" warning; nor does building the page store
+        and the robots side-table.  (Not checked: ``init_frontier``, whose
+        read of the five-row seed file yields empty read blocks.)"""
+        import contextlib
+        import logging
+
+        import ray.data  # noqa: F401 — sets up Ray Data's loggers first
+
+        from scrupyst_ray.pipelines import crawl
+
+        parts = 16
+        monkeypatch.setattr(crawl, "_fetch_parts", lambda cfg, rows, n_cpus: parts)
+        messages: list[str] = []
+
+        class Capture(logging.Handler):
+            def emit(self, record):
+                messages.append(record.getMessage())
+
+        @contextlib.contextmanager
+        def captured():
+            log = logging.getLogger(
+                "ray.data._internal.execution.streaming_executor_state"
+            )
+            handler = Capture(logging.WARNING)
+            log.addHandler(handler)
+            try:
+                yield
+            finally:
+                log.removeHandler(handler)
+
+        cfg = _cfg()
+        cfg.max_round_candidates = 25
+        with captured():
+            eng = CrawlEngine.for_corpus(
+                os.path.join(smoke_corpus, "pages"), str(tmp_path / "wd"), cfg
+            )
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        with captured():
+            res = eng.run(max_rounds=4)
+        eng.shutdown_actors()
+
+        assert min(r.admitted for r in res.rounds) < parts
+        assert any(r.cap_s > 0 for r in res.rounds)
+        assert not [m for m in messages if "different schema" in m]

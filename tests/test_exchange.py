@@ -12,6 +12,7 @@ from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
     exchange_files,
     exchange_rows,
+    key_cuts,
     read_exchange_dir,
     read_exchange_file,
     write_exchange,
@@ -68,3 +69,22 @@ class TestExchange:
             f.write(b"garbage")
         assert read_exchange_dir(d).num_rows == 2
         assert exchange_rows(d) == 2
+
+
+class TestKeyCuts:
+    def test_even_cuts_strictly_inside_key_space(self):
+        for n_keys in (8, 32, 128, 512):
+            for parts in range(2, n_keys + 1):
+                cuts = key_cuts(parts, n_keys)
+                assert len(cuts) == parts - 1
+                assert all(isinstance(c, int) for c in cuts)
+                assert all(0 < a < b < n_keys for a, b in zip(cuts, cuts[1:]))
+                assert 0 < cuts[0] and cuts[-1] < n_keys
+
+    def test_every_key_own_range(self):
+        assert key_cuts(4, 4) == [1, 2, 3]
+
+    def test_one_part_is_not_an_empty_list(self):
+        # an empty boundaries list would make Ray's sort sample instead
+        assert key_cuts(1, 1) == [1]
+        assert key_cuts(1, 64) == [64]

@@ -11,6 +11,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 DOCS = [
     (1, "the cat sat on the mat", "web"),
     (2, "the cat ran", "web"),
@@ -125,7 +127,7 @@ def test_unicode_whitespace_matches_duckdb_oracle(ray_session, tmp_path):
     import importlib.util
 
     spec = importlib.util.spec_from_file_location(
-        "entry_for_lm_test", "/root/repo/__ray_entry__.py"
+        "entry_for_lm_test", os.path.join(REPO_ROOT, "__ray_entry__.py")
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)

@@ -3,10 +3,13 @@
 
 from __future__ import annotations
 
+import os
+
 import duckdb
 import pytest
 
 SF = "/root/testdata/sf0.001"
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _con():
@@ -216,7 +219,7 @@ class TestTpchPatternQueries:
     def test_matches_oracle(self, name):
         import sys
 
-        sys.path.insert(0, "/root/repo")
+        sys.path.insert(0, REPO_ROOT)
         import __ray_entry__ as e
 
         ours = e.queries()[name](SF).to_pandas()
