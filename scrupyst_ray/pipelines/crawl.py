@@ -14,16 +14,21 @@ Replaces the reference's single-process asyncio event loop
                       ├─ side-write: fetched artifact → checkpoint
                       └─ edges → candidate filters → frontier_{N+1}
 
-One Ray Data execution per round; the only shuffle is the sort of the
-ADMITTED set's METADATA (~100 B/row) by url-bucket sub-key.  The sort is
-cut at fixed, even ``fetch_key`` ranges (one per fetch task), so it runs
-no sampling pass and needs no repartition in front of it: one all-to-all
-barrier per round, and block ids a pure function of (fetch_key,
-fetch_parts).  Each gate task adds one ``url == ""`` placeholder row per
-range so no range is ever empty (an empty range would come out of the
-sort as a schema-less block).  The gate reads its shard's frontier files
-task-side, and the page corpus itself is never shuffled or re-scanned
-(see ``stages/fetch.py``).
+Two Ray Data executions per round, each sized by the rows it carries.
+The gate stage runs first and is materialized: about one gate task per
+``GATE_ROWS`` frontier rows (never more than one per shard with work).
+The driver then reads the exact admitted count from the block metadata
+and sizes the fetch fan-out from it (``_fetch_parts``).  The second
+execution is the only shuffle: the sort of the ADMITTED set's METADATA
+(~100 B/row) by url-bucket sub-key, cut at fixed, even ``fetch_key``
+ranges (one per fetch task), so it runs no sampling pass and needs no
+repartition in front of it, and block ids are a pure function of
+(fetch_key, fetch_parts).  The driver adds one ``url == ""`` placeholder
+row per range to its input, so no range is ever empty (an empty range
+would come out of the sort as a schema-less block).  A round that admits
+nothing runs no fetch execution.  The gate reads its shards' frontier
+files task-side, and the page corpus itself is never shuffled or
+re-scanned (see ``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
@@ -115,10 +120,19 @@ FETCH_SPLIT = 8
 # what every gate task returns: the frontier row plus its fetch sort key
 ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
 
+# frontier rows per gate task: the gate's dedup costs ~10 µs/row, so this
+# many rows roughly equal one Ray task's ~15-20 ms fixed cost.  Smaller
+# rounds share a task between shards; at design scale every shard with
+# work has a task of its own.
+GATE_ROWS = 2048
+
 
 def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
-    """Fetch task count for a round of *total_rows* frontier rows: the
-    sorted admitted set is cut into this many blocks, one task each.
+    """Fetch task count for a round that admitted *total_rows* rows: the
+    sorted admitted set is cut into this many blocks, one task each.  The
+    count is exact (the materialized gate output's block metadata); the
+    frontier row count would overstate a polite crawl's fetch work by the
+    inverse of its admit ratio (~20× when most rows are deferred).
 
     Up to half the fetch_key space (buckets × FETCH_SPLIT sub-keys), NOT
     capped at the bucket count — coarse partitions (~8 keys each) gave a
@@ -165,7 +179,6 @@ def _blank_rows(schema: pa.Schema, **columns: list) -> pa.Table:
 def _shard_gate_fn(
     actors: list,
     round_id: int,
-    fetch_cuts: list[int],
     stats_dir: str | None = None,
     deferred_dir: str | None = None,
     deferred_in_dir: str | None = None,
@@ -178,21 +191,20 @@ def _shard_gate_fn(
     columns.  Returns ADMITTED rows; DEFERRED rows are side-written straight
     into next round's frontier directory (tmp+rename per stable shard id, so
     both the sidecar stats and the deferred file are idempotent on task
-    retry) — the whole round is a single Ray Data execution.
+    retry).  The gate stage is the round's first Ray Data execution; the
+    driver materializes it and sizes the fetch execution from its exact
+    admitted count.
 
     Deferred rows NEVER re-enter a shuffle: they were written per shard, and
-    the owning shard's gate task reads its file straight from
-    *deferred_in_dir* (task-side read, no exchange).  Only freshly-discovered
-    candidates — an order of magnitude fewer rows on a deep frontier — flow
-    through the groupby.  Rows with ``url == ""`` are ticklers the driver
-    unions in to guarantee a shard with deferred work gets a gate call even
-    when it has no new candidates; they are dropped here.
+    the owning shard's gate call reads its file straight from
+    *deferred_in_dir* (task-side read, no exchange).  New candidates are
+    read the same way from the per-shard files the previous round's fetch
+    tasks wrote.  The driver's tickler rows (``url == ""``, one per shard
+    with work) only say which shards a gate task serves; they are dropped
+    here.
 
-    Every call returns ``ADMITTED_SCHEMA`` rows, plus one ``url == ""``
-    placeholder per fetch range (its lowest key in *fetch_cuts*), which
-    FetchParse drops.  So no range of the fetch sort is ever empty: Ray
-    emits an empty range as a schema-less block, which makes Ray Data log
-    "different schema" warnings on the sort and the fetch stage.
+    Every call returns ``ADMITTED_SCHEMA`` rows (zero rows when nothing is
+    admitted), so the materialized gate output has one schema throughout.
 
     Dedup runs in two passes: by URL string first (cheap, catches the bulk),
     then by fingerprint over the survivors (catches canonically-equivalent
@@ -206,7 +218,6 @@ def _shard_gate_fn(
     # order_key direction (matches the oracle simulator's composed sorts)
     SORT_KEYS = draw_order(order_mode)
     empty = ADMITTED_SCHEMA.empty_table()
-    placeholders = _blank_rows(ADMITTED_SCHEMA, fetch_key=[0, *fetch_cuts])
 
     def gate(group: pa.Table) -> pa.Table:
         if group.num_rows == 0:
@@ -450,22 +461,21 @@ def _shard_gate_fn(
         return admitted.append_column("fetch_key", pc.cast(fetch_key, pa.int32()))
 
     def gate_blocks(batch: pa.Table) -> pa.Table:
-        """map_batches adapter: the tickler table is built one BLOCK per
-        shard, so with ``batch_size=None`` each call is one shard's group
-        and the groupby("shard") AllToAll exchange (a sort over 32 one-row
-        blocks — pure barrier cost, measured ~0.3-0.5 s/round of the
-        headline bench) is unnecessary.  Robustness: if the executor ever
-        hands a batch spanning shards, split and process each.  The fetch
-        placeholders are appended once per call."""
+        """map_batches adapter: the tickler table is built as contiguous
+        BLOCKS of shards (one per gate task, see ``_run_round``), so with
+        ``batch_size=None`` each call is one block and no groupby("shard")
+        AllToAll exchange (pure barrier cost, measured ~0.3-0.5 s/round of
+        the headline bench) is needed.  A block spanning several shards is
+        split and each shard's gate runs in turn."""
         shards = pc.unique(batch["shard"]).to_pylist()
         if len(shards) <= 1:
-            outs = [gate(batch)]
-        else:
-            outs = [
+            return gate(batch)
+        return pa.concat_tables(
+            [
                 gate(batch.filter(pc.equal(batch["shard"], sid)))
                 for sid in sorted(shards)
             ]
-        return pa.concat_tables([*outs, placeholders])
+        )
 
     return gate_blocks
 
@@ -477,7 +487,8 @@ def _write_sharded_candidates(ds, out_dir: str, num_shards: int, tag: str) -> No
     rows without a shuffle.  The sort cuts one block per shard whatever the
     input block count (``key_cuts``), so each shard's file is written by
     exactly one call.  Each input block gains one ``url == ""`` placeholder
-    per shard, so no shard's block is empty (see ``_shard_gate_fn``)."""
+    per shard, so no shard's block is empty (see
+    ``CrawlEngine._run_round``)."""
     blanks = _blank_rows(FRONTIER_SCHEMA, shard=list(range(num_shards)))
 
     def write_shard(group: pa.Table) -> pa.Table:
@@ -516,6 +527,8 @@ class RoundStats:
     edges: int = 0
     candidates_kept: int = 0
     candidate_drops: dict = field(default_factory=dict)
+    gate_tasks: int = 0  # gate-stage Ray tasks
+    fetch_parts: int = 0  # fetch tasks; 0 = the round ran no fetch execution
     fetch_phase_s: dict = field(default_factory=dict)  # cumulative task-sec
     mw_counts: dict = field(default_factory=dict)  # user-middleware counters
     wall_s: float = 0.0
@@ -827,21 +840,28 @@ class CrawlEngine:
         return total
 
     def _run_round(self, n: int, actors: list) -> RoundStats:
-        """One superstep in ONE Ray Data execution:
+        """One superstep in TWO Ray Data executions, each sized by the rows
+        it carries:
 
-            shard ticklers → gate, one task per shard block (reads its
-            shard's candidate + deferred files; dedup + lazy fingerprint +
-            StateShard RPC + vectorized budget draw; side-writes DEFERRED
-            rows) → sort(fetch_key) at fixed cuts → fused fetch+parse, one
-            call per sorted block → per-shard candidate files for round n+1.
+            1. shard ticklers → gate, one task per block of shards, ~one
+               per ``GATE_ROWS`` frontier rows (reads its shards' candidate
+               + deferred files; dedup + lazy fingerprint + StateShard RPC +
+               vectorized budget draw; side-writes DEFERRED rows) →
+               materialized admitted set.
+            2. (only if anything was admitted) admitted ∪ one placeholder
+               per fetch range → sort(fetch_key) at fixed cuts, as many
+               ranges as the exact admitted count calls for → fused
+               fetch+parse, one call per sorted block → per-shard
+               candidate files for round n+1.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
         write ``candidates/shard-K/from-<block>.feather``) and each gate
-        task reads only its own shard's files — per-round shuffle volume is
+        task reads only its own shards' files — per-round shuffle volume is
         the ADMITTED set (politeness-bounded), not the candidate flood.
         All counters come from idempotent per-shard / per-block sidecar
-        files and parquet footers — zero bookkeeping executions.
+        files, parquet footers and block metadata — zero bookkeeping
+        executions.
         """
         t0 = time.monotonic()
         cfg = self.cfg
@@ -850,9 +870,10 @@ class CrawlEngine:
         gate_stats_dir = os.path.join(rdir, "gate_stats")
         fetched_dir = os.path.join(rdir, "fetched")
         nf_dir = self._frontier_dir(n + 1)
-        # files from a killed attempt at this round: fetch block ids follow
-        # the fetch_parts cuts, and fetch_parts follows the CPU count, so a
-        # re-run on a resized cluster need not overwrite them.  Round n's
+        # files from a killed attempt at this round (killed in either
+        # execution, or between them): fetch block ids follow the
+        # fetch_parts cuts, and fetch_parts follows the admitted count and
+        # the CPU count, so a re-run need not overwrite them.  Round n's
         # own frontier/ is this round's input and stays.
         for d in (gate_stats_dir, fetched_dir, nf_dir):
             if os.path.isdir(d):
@@ -862,7 +883,7 @@ class CrawlEngine:
         def_dir = self._deferred_dir(n)
         # One tickler row per shard with work (candidate files and/or a
         # deferred file) drives the gate stage; the actual rows are read
-        # task-side by the owning gate task.
+        # task-side by the gate task that serves the shard.
         work_shards: set[int] = set()
         if os.path.isdir(cand_dir):
             for d in os.listdir(cand_dir):
@@ -876,60 +897,70 @@ class CrawlEngine:
         tickler_shards = sorted(work_shards)
         k = len(tickler_shards)
         ticklers = _blank_rows(FRONTIER_SCHEMA, shard=tickler_shards)
-        # ONE BLOCK PER TICKLER ROW: map_batches(batch_size=None) runs one
-        # call per block, so a single-block tickler table would collapse the
-        # gate stage to ONE serial task.
+        # ONE BLOCK PER GATE TASK: map_batches(batch_size=None) runs one
+        # call per block, so the tickler table is cut into contiguous
+        # blocks of shards, about one per GATE_ROWS frontier rows and at
+        # most one per shard
+        gate_tasks = min(k, max(1, -(-(cand_rows + def_rows) // GATE_ROWS)))
         frontier = ray.data.from_arrow(
-            [ticklers.slice(i, 1) for i in range(k)] if k else ticklers
+            [
+                ticklers.slice(int(idx[0]), len(idx))
+                for idx in np.array_split(np.arange(k), gate_tasks)
+            ]
+            if k
+            else ticklers
         )
+        stats.gate_tasks = gate_tasks
 
-        fetch_cuts = key_cuts(
-            _fetch_parts(
-                cfg,
-                cand_rows + def_rows,
-                int(ray.cluster_resources().get("CPU", 32)),
-            ),
-            cfg.fetch_buckets * FETCH_SPLIT,
-        )
         store_dir = self.store_dir
         next_cand_dir = os.path.join(nf_dir, "candidates")
         t_exec = time.monotonic()
-        (
-            # gate stage: NO shuffle — the tickler table arrives one block
-            # per shard (see the tickler note above), so map_batches with
-            # batch_size=None already delivers exactly one shard's group to
-            # each gate task; the old groupby("shard") sort was a pure
-            # AllToAll barrier over 32 one-row blocks
-            frontier.map_batches(
-                _shard_gate_fn(
-                    actors,
-                    n,
-                    fetch_cuts,
-                    gate_stats_dir,
-                    deferred_dir=os.path.join(nf_dir, "deferred"),
-                    deferred_in_dir=def_dir if def_rows else None,
-                    candidates_in_dir=cand_dir if cand_rows else None,
-                    order_mode=cfg.order_mode,
-                ),
-                batch_size=None,
-                batch_format="pyarrow",
+        # execution 1, the gate stage: NO shuffle — each tickler block
+        # names the shards its task serves
+        gated = frontier.map_batches(
+            _shard_gate_fn(
+                actors,
+                n,
+                gate_stats_dir,
+                deferred_dir=os.path.join(nf_dir, "deferred"),
+                deferred_in_dir=def_dir if def_rows else None,
+                candidates_in_dir=cand_dir if cand_rows else None,
+                order_mode=cfg.order_mode,
+            ),
+            batch_size=None,
+            batch_format="pyarrow",
+        ).materialize()
+        admitted = gated.count()  # block metadata: no task runs
+        if admitted:
+            stats.fetch_parts = _fetch_parts(
+                cfg, admitted, int(ray.cluster_resources().get("CPU", 32))
             )
-            # the only exchange: fixed cuts, so the sort neither samples
-            # nor depends on the gate's block count (one block per shard)
-            # and emits exactly fetch_parts blocks.  FetchParse only needs
-            # each bucket's rows co-located, not one call per key, so it
-            # runs once per sorted block (a groupby's map_groups would call
-            # it once per fetch_key).
-            .sort("fetch_key", boundaries=fetch_cuts)
-            .map_batches(
-                lambda b: FetchParse(
-                    store_dir, n, fetched_dir, cfg, candidates_dir=next_cand_dir
-                )(b),
-                batch_size=None,
-                batch_format="pyarrow",
+            fetch_cuts = key_cuts(stats.fetch_parts, cfg.fetch_buckets * FETCH_SPLIT)
+            # one url == "" placeholder per fetch range (its lowest key),
+            # which FetchParse drops: Ray emits an empty range as a
+            # schema-less block, which makes Ray Data log "different
+            # schema" warnings on the sort and the fetch stage
+            placeholders = ray.data.from_arrow(
+                _blank_rows(ADMITTED_SCHEMA, fetch_key=[0, *fetch_cuts])
             )
-            .materialize()
-        )
+            (
+                # execution 2, the only exchange: fixed cuts, so the sort
+                # neither samples nor depends on the gate's block count,
+                # and emits exactly fetch_parts blocks.  FetchParse only
+                # needs each bucket's rows co-located, not one call per
+                # key, so it runs once per sorted block (a groupby's
+                # map_groups would call it once per fetch_key).
+                gated.union(placeholders)
+                .sort("fetch_key", boundaries=fetch_cuts)
+                .map_batches(
+                    lambda b: FetchParse(
+                        store_dir, n, fetched_dir, cfg, candidates_dir=next_cand_dir
+                    )(b),
+                    batch_size=None,
+                    batch_format="pyarrow",
+                )
+                .materialize()
+            )
         stats.expand_s = round(time.monotonic() - t_exec, 2)
         for fname in os.listdir(gate_stats_dir) if os.path.isdir(gate_stats_dir) else []:
             if fname.endswith(".json"):

@@ -216,8 +216,8 @@ class FetchParse:
       the store bucket, see pipelines/crawl.py).  Sorted blocks cover
       disjoint key ranges, so K is unique within a round.  The ranges are
       fixed cuts of the key space, a pure function of ``fetch_parts``;
-      that follows the cluster's CPU count, so a round re-run on another
-      cluster may cut differently, which is why a re-run round first
+      that follows the round's admitted count and the cluster's CPU count,
+      so a round re-run on another cluster may cut differently, which is why a re-run round first
       clears its ``fetched/`` directory.
 
     The kept candidates go to one file per destination shard per block
@@ -269,8 +269,8 @@ class FetchParse:
         empty = pa.table(
             {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
         )
-        # drop the gates' url == "" placeholders (one per fetch range, see
-        # pipelines/crawl.py); a block that held only those writes nothing
+        # drop the driver's url == "" placeholders (one per fetch range, see
+        # CrawlEngine._run_round); a block that held only those writes nothing
         block = block.filter(pc.not_equal(block["url"], ""))
         if block.num_rows == 0:
             return empty

@@ -83,6 +83,11 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
             assert set(c["phase_s"]) == GATE_PHASES, (d, f)
         phases = manifest["stats"]["fetch_phase_s"]
         assert {f"gate_{p}" for p in GATE_PHASES} <= phases.keys(), d
+        # the round's fan-out: gate tasks (at most one per shard with work)
+        # and fetch tasks
+        stats = manifest["stats"]
+        assert {"gate_tasks", "fetch_parts"} <= stats.keys(), d
+        assert 1 <= stats["gate_tasks"] <= len(sidecars), d
 
 
 def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
@@ -97,7 +102,7 @@ def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
         fdir = os.path.join(workdir, "rounds", d, "fetched")
         files = os.listdir(fdir) if os.path.isdir(fdir) else []
         parts = [f for f in files if f.endswith(".parquet")]
-        assert len(parts) <= _fetch_parts(cfg, stats["frontier"], n_cpus), d
+        assert len(parts) <= _fetch_parts(cfg, stats["admitted"], n_cpus), d
         fetched = 0
         for f in files:
             if f.endswith(".stats.json"):
@@ -273,6 +278,125 @@ class TestCrawlE2E:
         for r in capped_rounds:
             # kept = capped new candidates (= exactly k) + deferred backlog
             assert r.candidates_kept == 25 + r.deferred
+
+
+def _gate_counts(workdir: str) -> dict[str, dict]:
+    """{round dir/sidecar: gate counters} over the committed rounds, phase
+    seconds left out."""
+    out = {}
+    for d in _committed_manifests(workdir):
+        gdir = os.path.join(workdir, "rounds", d, "gate_stats")
+        for f in sorted(os.listdir(gdir)):
+            with open(os.path.join(gdir, f)) as fh:
+                c = json.load(fh)
+            c.pop("phase_s")
+            out[f"{d}/{f}"] = c
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestRoundFanOut:
+    """Each round's two fan-outs follow the rows they carry: the fetch
+    tasks the exact admitted count, the gate tasks the frontier rows."""
+
+    def _crawl(self, smoke_corpus, wd, cfg, seeds=None, max_rounds=6):
+        eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
+        eng.init_frontier(seeds or os.path.join(smoke_corpus, "seeds.parquet"))
+        res = eng.run(max_rounds=max_rounds)
+        eng.shutdown_actors()
+        return res
+
+    def test_fetch_sized_by_admitted_rows(self, smoke_corpus, tmp_path, monkeypatch):
+        from scrupyst_ray.pipelines import crawl
+
+        calls: list[int] = []
+        sized = crawl._fetch_parts
+
+        def spy(cfg, rows, n_cpus):
+            calls.append(rows)
+            return sized(cfg, rows, n_cpus)
+
+        monkeypatch.setattr(crawl, "_fetch_parts", spy)
+        cfg = _cfg()
+        res = self._crawl(smoke_corpus, str(tmp_path / "wd"), cfg)
+        admitted = [r.admitted for r in res.rounds]
+        assert all(admitted) and len(res.rounds) > 1
+        assert calls == admitted
+        # the frontier overstates the fetch work on a deferring crawl
+        assert any(r.frontier > r.admitted for r in res.rounds)
+        import ray
+
+        n_cpus = int(ray.cluster_resources()["CPU"])
+        assert [r.fetch_parts for r in res.rounds] == [
+            sized(cfg, a, n_cpus) for a in admitted
+        ]
+
+    def test_gate_grouping_changes_nothing(self, smoke_corpus, tmp_path, monkeypatch):
+        """GATE_ROWS = 1 gives every shard with work a gate task of its
+        own; the default groups the smoke corpus's small rounds into fewer
+        tasks.  The crawl and every shard's gate counters are the same."""
+        from scrupyst_ray.pipelines import crawl
+
+        cfg = _cfg()
+        with monkeypatch.context() as m:
+            m.setattr(crawl, "GATE_ROWS", 1)
+            res_one = self._crawl(smoke_corpus, str(tmp_path / "one"), cfg)
+        res_grouped = self._crawl(smoke_corpus, str(tmp_path / "grouped"), cfg)
+
+        counts_one = _gate_counts(str(tmp_path / "one"))
+        counts_grouped = _gate_counts(str(tmp_path / "grouped"))
+        shards_with_work = [
+            len(os.listdir(os.path.join(tmp_path, "one", "rounds", d, "gate_stats")))
+            for d in _committed_manifests(str(tmp_path / "one"))
+        ]
+        assert [r.gate_tasks for r in res_one.rounds] == shards_with_work
+        assert any(
+            r.gate_tasks < k for r, k in zip(res_grouped.rounds, shards_with_work)
+        )
+        assert _engine_order(res_grouped) == _engine_order(res_one)
+        assert _engine_seen_fps(str(tmp_path / "grouped")) == _engine_seen_fps(
+            str(tmp_path / "one")
+        )
+        assert counts_grouped == counts_one
+
+    def test_round_admitting_nothing(self, smoke_corpus, tmp_path, monkeypatch):
+        """Seeds only on host001, whose robots.txt disallows our UA: round 0
+        admits nothing, commits, and runs no fetch execution."""
+        import pyarrow as pa
+
+        from scrupyst_ray.pipelines import crawl
+
+        class NoFetch:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a round that admitted nothing fetched")
+
+        urls = sorted(
+            u
+            for u in load_pages_dict(smoke_corpus)
+            if u.startswith("http://host001.test/")
+        )[:3]
+        seeds = str(tmp_path / "seeds.parquet")
+        pq.write_table(pa.table({"url": urls, "seq": list(range(len(urls)))}), seeds)
+        cfg = _cfg()
+        sim = simulate_crawl(load_pages_dict(smoke_corpus), urls, cfg, max_rounds=6)
+
+        monkeypatch.setattr(crawl, "FetchParse", NoFetch)
+        wd = str(tmp_path / "wd")
+        res = self._crawl(smoke_corpus, wd, cfg, seeds=seeds)
+
+        assert [r.round for r in res.rounds] == [0]
+        (r0,) = res.rounds
+        assert (r0.admitted, r0.fetched, r0.fetch_parts) == (0, 0, 0)
+        assert r0.robots_forbidden == len(urls) == sim.robots_forbidden
+        (manifest,) = _committed_manifests(wd).values()
+        assert manifest["stats"]["fetched"] == 0
+        fdir = os.path.join(wd, "rounds", "round-000000", "fetched")
+        assert not os.path.isdir(fdir) or not [
+            f for f in os.listdir(fdir) if f.endswith(".parquet")
+        ]
+        assert sim.fetch_order == []
+        assert sim.per_round_admitted == [0]
+        assert _engine_seen_fps(wd) == sim.seen_fps
 
 
 @pytest.mark.usefixtures("ray_session")
