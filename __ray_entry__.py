@@ -28,15 +28,12 @@ _CRAWL_ROUNDS = 5
 
 
 def _crawl_workdir() -> tuple[str, str]:
-    from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
+    from scrupyst_ray import cache
+    from scrupyst_ray.sources.corpus import CORPUS_VERSION, corpus_cache_dir, write_corpus
 
-    corpus = corpus_cache_dir("/tmp", _CRAWL_H, _CRAWL_P)
+    corpus = corpus_cache_dir(_CRAWL_H, _CRAWL_P)
     write_corpus(corpus, H=_CRAWL_H, P=_CRAWL_P)
-    from scrupyst_ray.sources.corpus import CORPUS_VERSION
-
-    wd = os.path.join(
-        "/tmp", f"scrupyst_crawl_v{CORPUS_VERSION}_H{_CRAWL_H}_P{_CRAWL_P}"
-    )
+    wd = cache.path(f"scrupyst_crawl_v{CORPUS_VERSION}_H{_CRAWL_H}_P{_CRAWL_P}")
     return corpus, wd
 
 
@@ -1121,7 +1118,7 @@ def oracle_sql() -> dict[str, str]:
     try:
         from scrupyst_ray.sources.corpus import corpus_cache_dir
 
-        corpus_glob = os.path.join(corpus_cache_dir("/tmp", 8, 50), "pages", "*.parquet")
+        corpus_glob = os.path.join(corpus_cache_dir(8, 50), "pages", "*.parquet")
     except ImportError:
         pass
     out = {
@@ -2739,15 +2736,9 @@ def oracle_sql() -> dict[str, str]:
         # verified by the link-extractor goldens; the oracle independently
         # recomputes the ITERATIVE MATH — degrees, dangling mass, damping)
         try:
-            from scrupyst_ray.pipelines.graph import _GRAPH_VERSION
-            from scrupyst_ray.sources.corpus import CORPUS_VERSION as _CV
+            from scrupyst_ray.pipelines.graph import edges_dir
 
-            edges_glob = os.path.join(
-                "/tmp",
-                f"scrupyst_linkgraph_v{_CV}.{_GRAPH_VERSION}_H8_P50",
-                "edges",
-                "*.parquet",
-            )
+            edges_glob = os.path.join(edges_dir(8, 50), "*.parquet")
             out["pagerank"] = _pagerank_sql(edges_glob)
             out["hits_scores"] = _hits_sql(edges_glob)
             out["degree_distribution"] = f"""

@@ -67,13 +67,14 @@ def run_crawl_bench(
     over fetch+parse rounds (store/corpus build excluded — one-time)."""
     import shutil
 
+    from scrupyst_ray import cache
     from scrupyst_ray.config import CrawlConfig
     from scrupyst_ray.pipelines.crawl import CrawlEngine
     from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
 
     if H is None or P is None:
         H, P = corpus_params(sf_dir)
-    corpus = corpus_cache_dir("/tmp", H, P, show=show)
+    corpus = corpus_cache_dir(H, P, show=show)
     t0 = time.monotonic()
     write_corpus(corpus, H=H, P=P, show=show, hosts_per_file=max(1, H // 32))
     gen_s = time.monotonic() - t0
@@ -110,12 +111,11 @@ def run_crawl_bench(
     )
     from scrupyst_ray.sources.corpus import CORPUS_VERSION
 
-    store_dir = os.path.join(
-        "/tmp",
+    store_dir = cache.path(
         f"scrupyst_store_v{CORPUS_VERSION}_H{H}_P{P}_s{show}"
-        f"_b{cfg.fetch_buckets}_rg1k",
+        f"_b{cfg.fetch_buckets}_rg1k"
     )
-    wd = os.path.join("/tmp", f"scrupyst_bench_wd{workdir_tag}")
+    wd = cache.path(f"scrupyst_bench_wd{workdir_tag}")
     shutil.rmtree(wd, ignore_errors=True)
 
     t0 = time.monotonic()

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import shutil
 
 import numpy as np
 import pyarrow as pa
@@ -27,6 +26,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Min
+
+from scrupyst_ray import cache
 
 
 def _emb(sf_dir: str):
@@ -134,62 +135,11 @@ def _kmeans(m: np.ndarray, n_clusters: int, iters: int = 8) -> np.ndarray:
 
 
 _IVF_VERSION = 3  # v3: corpus-fingerprint cache key + atomic staged publish
+_IVF_SAMPLE_ROWS = 4096  # quantizer training sample
+_IVF_SEED = 7
 
 
-def _corpus_fingerprint(sf_dir: str) -> str:
-    """8-hex content key for the embeddings corpus: sha1 over each parquet
-    file's (relative name, size, mtime_ns).  Folding this into the derived-
-    store cache key means a changed corpus at the same path can never reuse
-    a stale ``_COMPLETE``-marked store (round-5 ADVICE)."""
-    import hashlib
-
-    p = os.path.join(sf_dir, "embeddings.parquet")
-    if os.path.isfile(p):
-        files = [p]
-    elif os.path.isdir(p):
-        files = sorted(
-            os.path.join(p, f) for f in os.listdir(p) if f.endswith(".parquet")
-        )
-    else:
-        files = []
-    h = hashlib.sha1()
-    for f in files:
-        st = os.stat(f)
-        h.update(
-            f"{os.path.basename(f)}:{st.st_size}:{st.st_mtime_ns}".encode()
-        )
-    return h.hexdigest()[:8]
-
-
-def _publish_store(staging: str, root: str) -> None:
-    """Atomically publish a FULLY-BUILT staging dir as *root* (round-5
-    ADVICE): the rename is the commit point, so a concurrently-running
-    builder can never observe (or clobber) a half-written store.  Losing
-    the rename race just discards our staging copy — the winner's store is
-    byte-equivalent (deterministic build)."""
-    try:
-        os.rename(staging, root)
-    except OSError:
-        if not os.path.exists(os.path.join(root, "_COMPLETE")):
-            raise
-        shutil.rmtree(staging, ignore_errors=True)
-
-
-def _ivf_root(sf_dir: str, n_clusters: int) -> str:
-    base = os.path.basename(os.path.normpath(sf_dir))
-    return os.path.join(
-        "/tmp",
-        f"scrupyst_ivf_v{_IVF_VERSION}_{base}"
-        f"_{_corpus_fingerprint(sf_dir)}_c{n_clusters}",
-    )
-
-
-def build_ivf_index(
-    sf_dir: str,
-    n_clusters: int = 16,
-    sample_rows: int = 4096,
-    seed: int = 7,
-) -> tuple[str, np.ndarray]:
+def build_ivf_index(sf_dir: str, n_clusters: int = 16) -> tuple[str, np.ndarray]:
     """One-time partitioned IVF cell store → (cells_dir, centroids).
 
     - The quantizer trains on a SEEDED uniform ``random_sample`` of the
@@ -199,40 +149,36 @@ def build_ivf_index(
       and written under ``cell=<c>/`` hive partitions, so a probe later
       reads only the probed partitions' files — the page-store pattern
       (``stages/fetch.py:64-123``).
-    - Idempotent/resumable: the store is built in a ``mkdtemp`` staging dir
-      and atomically ``os.rename``d into place (``_publish_store``); the
-      ``_COMPLETE`` marker plus corpus-fingerprint cache key gate reuse,
-      and a killed build leaves only an orphan staging dir (derived data —
-      rebuilt from scratch).
+    - Built once through ``cache.store``, named by ``n_clusters`` and the
+      embeddings' ``cache.source_key``: a killed or concurrent build never
+      leaves a partial store where readers look.
     """
-    import tempfile
+    def build(staging: str) -> None:
+        centroids = _train_centroids(
+            sf_dir, n_clusters, _IVF_SAMPLE_ROWS, _IVF_SEED
+        )
+        cent_ref = ray.put(centroids)
 
-    root = _ivf_root(sf_dir, n_clusters)
-    cells_dir = os.path.join(root, "cells")
-    cent_path = os.path.join(root, "centroids.npy")
-    marker = os.path.join(root, "_COMPLETE")
-    if os.path.exists(marker):
-        return cells_dir, np.load(cent_path)
+        def assign(b: pa.Table) -> pa.Table:
+            cents = ray.get(cent_ref)
+            _, mb = _to_matrix(b)
+            cell = (_normalize(mb) @ cents.T).argmax(axis=1)
+            return b.append_column(
+                "cell", pa.array(cell.astype(np.int64), pa.int64())
+            )
 
-    emb = _emb(sf_dir)
-    centroids = _train_centroids(sf_dir, n_clusters, sample_rows, seed)
-    cent_ref = ray.put(centroids)
+        _emb(sf_dir).map_batches(assign, batch_format="pyarrow").write_parquet(
+            os.path.join(staging, "cells"), partition_cols=["cell"]
+        )
+        np.save(os.path.join(staging, "centroids.npy"), centroids)
 
-    def assign(b: pa.Table) -> pa.Table:
-        cents = ray.get(cent_ref)
-        _, mb = _to_matrix(b)
-        cell = (_normalize(mb) @ cents.T).argmax(axis=1)
-        return b.append_column("cell", pa.array(cell.astype(np.int64), pa.int64()))
-
-    staging = tempfile.mkdtemp(prefix="scrupyst_ivf_stage_", dir="/tmp")
-    emb.map_batches(assign, batch_format="pyarrow").write_parquet(
-        os.path.join(staging, "cells"), partition_cols=["cell"]
+    root = cache.store(
+        f"scrupyst_ivf_v{_IVF_VERSION}_{os.path.basename(os.path.normpath(sf_dir))}"
+        f"_{cache.source_key(os.path.join(sf_dir, 'embeddings.parquet'))}"
+        f"_c{n_clusters}",
+        build,
     )
-    np.save(os.path.join(staging, "centroids.npy"), centroids)
-    with open(os.path.join(staging, "_COMPLETE"), "w") as f:
-        f.write(f"n_clusters={n_clusters} sample_rows={sample_rows} seed={seed}\n")
-    _publish_store(staging, root)
-    return cells_dir, np.load(cent_path)
+    return os.path.join(root, "cells"), np.load(os.path.join(root, "centroids.npy"))
 
 
 def _read_cells(cells_dir: str, cells: list[int]):

@@ -3,7 +3,7 @@ iterative web-graph operator (Page et al. '99; the reason crawlers exist).
 
 Pipeline shape (all Ray Data, superstep-driver like ``pipelines/crawl.py``):
 
-- **Edge store** (one-time, marker-gated): pages → link extraction →
+- **Edge store** (one-time, ``cache.store``): pages → link extraction →
   distinct follow edges ``(src, dst)`` persisted as parquet — ``rel=nofollow``
   edges are dropped because nofollow does not pass rank.
 - **Static tables** (built once, reused every iteration): out-degree per
@@ -30,6 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from scrupyst_ray import cache
 from scrupyst_ray.pipelines.joins import (
     attach_by_key,
     attach_from_lookup,
@@ -42,47 +43,51 @@ from scrupyst_ray.pipelines.joins import (
 _GRAPH_VERSION = 1
 
 
+def _edges_name(H: int, P: int) -> str:
+    from scrupyst_ray.sources.corpus import CORPUS_VERSION
+
+    return f"scrupyst_linkgraph_v{CORPUS_VERSION}.{_GRAPH_VERSION}_H{H}_P{P}"
+
+
+def edges_dir(H: int = 8, P: int = 50) -> str:
+    """Where :func:`edges_store` publishes the edge parquet (built or not);
+    the DuckDB oracles read this path."""
+    return os.path.join(cache.path(_edges_name(H, P)), "edges")
+
+
 def edges_store(H: int = 8, P: int = 50) -> str:
-    """Persist the corpus' distinct follow-edge list once; return the dir."""
+    """Persist the corpus' distinct follow-edge list once (``cache.store``:
+    staged, then published whole); return :func:`edges_dir`."""
     from scrupyst_ray.functions.links import extract_links_batch
     from scrupyst_ray.functions.textextract import detect_and_decode
-    from scrupyst_ray.sources.corpus import CORPUS_VERSION, corpus_cache_dir, write_corpus
+    from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
 
-    root = os.path.join(
-        "/tmp",
-        f"scrupyst_linkgraph_v{CORPUS_VERSION}.{_GRAPH_VERSION}_H{H}_P{P}",
-    )
-    edges_dir = os.path.join(root, "edges")
-    marker = os.path.join(root, "_COMPLETE")
-    if os.path.exists(marker):
-        return edges_dir
-
-    corpus = corpus_cache_dir("/tmp", H, P)
-    write_corpus(corpus, H=H, P=P)
-    pages = ray.data.read_parquet(
-        os.path.join(corpus, "pages"), columns=["url", "html"]
-    )
-
-    def to_edges(b: pa.Table) -> pa.Table:
-        urls = b["url"].to_pylist()
-        decoded = [detect_and_decode(h or b"") for h in b["html"].to_pylist()]
-        t = extract_links_batch(
-            [txt for _, txt in decoded], urls, [e for e, _ in decoded]
+    def build(staging: str) -> None:
+        corpus = corpus_cache_dir(H, P)
+        write_corpus(corpus, H=H, P=P)
+        pages = ray.data.read_parquet(
+            os.path.join(corpus, "pages"), columns=["url", "html"]
         )
-        t = t.filter(pc.invert(t["nofollow"]))
-        return t.select(["src", "dst"])
 
-    distinct = (
-        pages.map_batches(to_edges, batch_format="pyarrow")
-        .groupby(["src", "dst"])
-        .count()
-        .select_columns(["src", "dst"])
-    )
-    os.makedirs(root, exist_ok=True)
-    distinct.write_parquet(edges_dir)
-    with open(marker, "w") as f:
-        f.write(f"H={H} P={P}\n")
-    return edges_dir
+        def to_edges(b: pa.Table) -> pa.Table:
+            urls = b["url"].to_pylist()
+            decoded = [detect_and_decode(h or b"") for h in b["html"].to_pylist()]
+            t = extract_links_batch(
+                [txt for _, txt in decoded], urls, [e for e, _ in decoded]
+            )
+            t = t.filter(pc.invert(t["nofollow"]))
+            return t.select(["src", "dst"])
+
+        (
+            pages.map_batches(to_edges, batch_format="pyarrow")
+            .groupby(["src", "dst"])
+            .count()
+            .select_columns(["src", "dst"])
+            .write_parquet(os.path.join(staging, "edges"))
+        )
+
+    cache.store(_edges_name(H, P), build)
+    return edges_dir(H, P)
 
 
 def _left_attach_fill0(nodes, incoming, n_incoming: int):

@@ -30,11 +30,13 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from scrupyst_ray import cache
 from scrupyst_ray.pipelines.ann import (
     _emb,
     _kmeans,
     _normalize,
     _to_matrix,
+    build_ivf_index,
     load_query_vectors,
 )
 
@@ -265,17 +267,6 @@ def adc_topk(
 _IVFPQ_VERSION = 2  # v2: corpus-fingerprint cache key + atomic staged publish
 
 
-def _ivfpq_root(sf_dir: str, n_clusters: int, m: int, n_codes: int) -> str:
-    from scrupyst_ray.pipelines.ann import _corpus_fingerprint
-
-    base = os.path.basename(os.path.normpath(sf_dir))
-    return os.path.join(
-        "/tmp",
-        f"scrupyst_ivfpq_v{_IVFPQ_VERSION}_{base}"
-        f"_{_corpus_fingerprint(sf_dir)}_c{n_clusters}_m{m}_k{n_codes}",
-    )
-
-
 def build_ivfpq_store(
     sf_dir: str, n_clusters: int = 16, m: int = 16, n_codes: int = 256
 ) -> tuple[str, np.ndarray, np.ndarray]:
@@ -289,64 +280,53 @@ def build_ivfpq_store(
     IVF-Flat index (``build_ivf_index`` — same centroids, same cells), so
     the two indexes stay consistent.  ``cell_id`` is duplicated as a data
     column because hive partition values don't ride into partition-file
-    reads (see ``ann._read_cells``).  Idempotent via a ``_COMPLETE``
-    marker keyed on the corpus content fingerprint; built in a ``mkdtemp``
-    staging dir atomically ``os.rename``d into place
-    (``ann._publish_store``) so concurrent builders can never interleave a
-    half-written store (round-5 ADVICE)."""
-    from scrupyst_ray.pipelines.ann import _publish_store, build_ivf_index
+    reads (see ``ann._read_cells``).  Built once through ``cache.store``,
+    named by the parameters and the embeddings' ``cache.source_key``, so
+    concurrent or killed builders never leave a half-written store."""
 
-    root = _ivfpq_root(sf_dir, n_clusters, m, n_codes)
-    codes_dir = os.path.join(root, "codes")
-    marker = os.path.join(root, "_COMPLETE")
-    if os.path.exists(marker):
-        return (
-            codes_dir,
-            np.load(os.path.join(root, "centroids.npy")),
-            np.load(os.path.join(root, "books.npy")),
-        )
+    def build(staging: str) -> None:
+        books = train_codebooks(sf_dir, m, n_codes)
+        _, centroids = build_ivf_index(sf_dir, n_clusters)
+        cent_ref = ray.put(centroids)
+        books_ref = ray.put(books)
 
-    books = train_codebooks(sf_dir, m, n_codes)
-    _, centroids = build_ivf_index(sf_dir, n_clusters)
-    cent_ref = ray.put(centroids)
-    books_ref = ray.put(books)
+        def assign_encode(b: pa.Table) -> pa.Table:
+            cents = ray.get(cent_ref)
+            bks = ray.get(books_ref)
+            ids, x = _to_matrix(b)
+            x = _normalize(x)
+            cell = (x @ cents.T).argmax(axis=1).astype(np.int64)
+            mm, _, sub = bks.shape
+            codes = np.empty((len(x), mm), np.uint8)
+            for j in range(mm):
+                xs = x[:, j * sub : (j + 1) * sub]
+                dots = xs @ bks[j].T
+                codes[:, j] = np.argmin(
+                    (bks[j] ** 2).sum(axis=1)[None, :] - 2 * dots, axis=1
+                ).astype(np.uint8)
+            return pa.table(
+                {
+                    "vec_id": pa.array(ids, pa.int64()),
+                    "code": pa.array([c.tobytes() for c in codes], pa.binary()),
+                    "cell_id": pa.array(cell, pa.int64()),
+                    "cell": pa.array(cell, pa.int64()),
+                }
+            )
 
-    def assign_encode(b: pa.Table) -> pa.Table:
-        cents = ray.get(cent_ref)
-        bks = ray.get(books_ref)
-        ids, x = _to_matrix(b)
-        x = _normalize(x)
-        cell = (x @ cents.T).argmax(axis=1).astype(np.int64)
-        mm, _, sub = bks.shape
-        codes = np.empty((len(x), mm), np.uint8)
-        for j in range(mm):
-            xs = x[:, j * sub : (j + 1) * sub]
-            dots = xs @ bks[j].T
-            codes[:, j] = np.argmin(
-                (bks[j] ** 2).sum(axis=1)[None, :] - 2 * dots, axis=1
-            ).astype(np.uint8)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "code": pa.array([c.tobytes() for c in codes], pa.binary()),
-                "cell_id": pa.array(cell, pa.int64()),
-                "cell": pa.array(cell, pa.int64()),
-            }
-        )
+        _emb(sf_dir).map_batches(
+            assign_encode, batch_format="pyarrow"
+        ).write_parquet(os.path.join(staging, "codes"), partition_cols=["cell"])
+        np.save(os.path.join(staging, "centroids.npy"), centroids)
+        np.save(os.path.join(staging, "books.npy"), books)
 
-    import tempfile
-
-    staging = tempfile.mkdtemp(prefix="scrupyst_ivfpq_stage_", dir="/tmp")
-    _emb(sf_dir).map_batches(assign_encode, batch_format="pyarrow").write_parquet(
-        os.path.join(staging, "codes"), partition_cols=["cell"]
+    root = cache.store(
+        f"scrupyst_ivfpq_v{_IVFPQ_VERSION}_{os.path.basename(os.path.normpath(sf_dir))}"
+        f"_{cache.source_key(os.path.join(sf_dir, 'embeddings.parquet'))}"
+        f"_c{n_clusters}_m{m}_k{n_codes}",
+        build,
     )
-    np.save(os.path.join(staging, "centroids.npy"), centroids)
-    np.save(os.path.join(staging, "books.npy"), books)
-    with open(os.path.join(staging, "_COMPLETE"), "w") as f:
-        f.write(f"c={n_clusters} m={m} k={n_codes}\n")
-    _publish_store(staging, root)
     return (
-        codes_dir,
+        os.path.join(root, "codes"),
         np.load(os.path.join(root, "centroids.npy")),
         np.load(os.path.join(root, "books.npy")),
     )

@@ -16,6 +16,7 @@ import os
 import pyarrow as pa
 import ray.data
 
+from scrupyst_ray import cache
 from scrupyst_ray.sources.corpus import (
     corpus_cache_dir,
     host_name,
@@ -27,7 +28,7 @@ _H, _P = 8, 50
 
 
 def _pages(columns: list[str] | None = None):
-    corpus = corpus_cache_dir("/tmp", _H, _P)
+    corpus = corpus_cache_dir(_H, _P)
     write_corpus(corpus, H=_H, P=_P)
     return ray.data.read_parquet(os.path.join(corpus, "pages"), columns=columns)
 
@@ -542,7 +543,7 @@ def crawl_resume_equivalence(sf_dir: str):
     from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
 
     H, P = 8, 50
-    corpus = corpus_cache_dir("/tmp", H, P)
+    corpus = corpus_cache_dir(H, P)
     write_corpus(corpus, H=H, P=P)
     pages = os.path.join(corpus, "pages")
     seeds = os.path.join(corpus, "seeds.parquet")
@@ -864,28 +865,25 @@ def middleware_quality_gate(sf_dir: str):
     ).sort("doc_id")
 
 
+def _docs_store_name(kind: str, sf_dir: str) -> str:
+    """Cache name of a store derived from ``sf_dir``'s documents table."""
+    docs = os.path.join(sf_dir, "documents.parquet")
+    return (
+        f"scrupyst_{kind}_{os.path.basename(os.path.normpath(sf_dir))}"
+        f"_{cache.source_key(docs)}"
+    )
+
+
 def warc_store(sf_dir: str) -> str:
-    """One-time (marker-gated) render of the documents table to sharded
-    ``.warc.gz`` files; returns the store dir.  Deterministic mapping:
-    url = ``http://warc.corpus.local/{lang}/{doc_id}``, status 404 every
-    17th doc (exercises non-200 HTTP-block parsing), warc_ts = 2025-01-01 +
-    doc_id seconds (exercises WARC-Date round-trip)."""
+    """One-time render of the documents table to sharded ``.warc.gz``
+    files through ``cache.store`` (staged, then published whole, so a killed
+    build's shards are never read back); returns the store dir.
+    Deterministic mapping: url = ``http://warc.corpus.local/{lang}/{doc_id}``,
+    status 404 every 17th doc (exercises non-200 HTTP-block parsing),
+    warc_ts = 2025-01-01 + doc_id seconds (exercises WARC-Date round-trip)."""
     import datetime as dt
 
     from scrupyst_ray.sources.warc import write_warc
-
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "lang"],
-    )
-    n_docs = docs.count()
-    out_dir = os.path.join(
-        "/tmp",
-        f"scrupyst_warc_v1_{os.path.basename(os.path.normpath(sf_dir))}_{n_docs}",
-    )
-    done = os.path.join(out_dir, "_WARC_COMPLETE")
-    if os.path.exists(done):
-        return out_dir
 
     epoch = dt.datetime(2025, 1, 1)
 
@@ -914,15 +912,19 @@ def warc_store(sf_dir: str) -> str:
             }
         )
 
-    write_warc(
-        docs.map_batches(to_pages, batch_format="pyarrow"),
-        out_dir,
-        status_col="status",
-        ts_col="ts",
-    )
-    with open(done, "w") as f:
-        f.write("ok")
-    return out_dir
+    def build(staging: str) -> None:
+        docs = ray.data.read_parquet(
+            os.path.join(sf_dir, "documents.parquet"),
+            columns=["doc_id", "text", "lang"],
+        )
+        write_warc(
+            docs.map_batches(to_pages, batch_format="pyarrow"),
+            staging,
+            status_col="status",
+            ts_col="ts",
+        )
+
+    return cache.store(_docs_store_name("warc_v1", sf_dir), build)
 
 
 def warc_roundtrip(sf_dir: str):
@@ -1004,41 +1006,28 @@ def cdx_index(sf_dir: str):
 
 
 def _export_store(sf_dir: str, fmt: str) -> str:
-    """One-time (marker-gated) feed export of a documents projection through
-    the S4/S5 export stage (``stages/export.py``): per-feed item filter
-    (``feedexport.py:57-90``), ``fields_to_export`` rename
+    """One-time feed export of a documents projection (``cache.store``)
+    through the S4/S5 export stage (``stages/export.py``): per-feed item
+    filter (``feedexport.py:57-90``), ``fields_to_export`` rename
     (``exporters.py:74-110``), and FEED_EXPORT_BATCH_ITEM_COUNT rotation
     (``feedexport.py:588-652``, = rows-per-file here).  Returns the feed dir."""
-    import shutil
-
     from scrupyst_ray.stages.export import export_dataset
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "n_chars"],
-    )
-    n_docs = docs.count()
-    out_dir = os.path.join(
-        "/tmp",
-        f"scrupyst_feed_v1_{fmt}_"
-        f"{os.path.basename(os.path.normpath(sf_dir))}_{n_docs}",
-    )
-    done = os.path.join(out_dir, "_FEED_COMPLETE")
-    if os.path.exists(done):
-        return out_dir
-    if os.path.exists(out_dir):  # stale partial write
-        shutil.rmtree(out_dir)
-    export_dataset(
-        docs,
-        out_dir,
-        fmt=fmt,
-        fields={"doc_id": "doc_id", "source": "source", "n_chars": "chars"},
-        item_filter="n_chars >= 100",
-        batch_item_count=128,
-    )
-    with open(done, "w") as f:
-        f.write("ok")
-    return out_dir
+    def build(staging: str) -> None:
+        docs = ray.data.read_parquet(
+            os.path.join(sf_dir, "documents.parquet"),
+            columns=["doc_id", "source", "n_chars"],
+        )
+        export_dataset(
+            docs,
+            staging,
+            fmt=fmt,
+            fields={"doc_id": "doc_id", "source": "source", "n_chars": "chars"},
+            item_filter="n_chars >= 100",
+            batch_item_count=128,
+        )
+
+    return cache.store(_docs_store_name(f"feed_v1_{fmt}", sf_dir), build)
 
 
 def export_jsonl_roundtrip(sf_dir: str):
@@ -1068,7 +1057,7 @@ def export_csv_roundtrip(sf_dir: str):
 
 
 def wet_store() -> str:
-    """One-time (marker-gated) WET render of the synthetic page corpus:
+    """One-time WET render of the synthetic page corpus (``cache.store``):
     html → M12 ``extract_text`` (the byte-identical invariant kernel) →
     ``conversion`` records in sharded ``part-*.warc.wet.gz`` files — the
     Common Crawl WET-generation pipeline in miniature.  Extraction and
@@ -1078,28 +1067,19 @@ def wet_store() -> str:
     from scrupyst_ray.sources.corpus import CORPUS_VERSION
     from scrupyst_ray.sources.warc import write_wet
 
-    out_dir = os.path.join(
-        "/tmp", f"scrupyst_wet_v{CORPUS_VERSION}_H{_H}_P{_P}"
-    )
-    done = os.path.join(out_dir, "_WET_COMPLETE")
-    if os.path.exists(done):
-        return out_dir
-
-    pages = _pages(columns=["url", "warc_ts", "html"])
-
     def extract(b: pa.Table) -> pa.Table:
         out = extract_text_batch(b)
         return out.select(["url", "warc_ts", "text"])
 
-    write_wet(
-        pages.map_batches(extract, batch_format="pyarrow"),
-        out_dir,
-        ts_col="warc_ts",
-    )
-    with open(done + ".tmp", "w") as f:
-        f.write("ok")
-    os.replace(done + ".tmp", done)
-    return out_dir
+    def build(staging: str) -> None:
+        pages = _pages(columns=["url", "warc_ts", "html"])
+        write_wet(
+            pages.map_batches(extract, batch_format="pyarrow"),
+            staging,
+            ts_col="warc_ts",
+        )
+
+    return cache.store(f"scrupyst_wet_v{CORPUS_VERSION}_H{_H}_P{_P}", build)
 
 
 def wet_roundtrip(sf_dir: str):
@@ -1142,7 +1122,7 @@ def wet_roundtrip(sf_dir: str):
 
 
 def wat_store() -> str:
-    """One-time (marker-gated) WAT render of the synthetic page corpus:
+    """One-time WAT render of the synthetic page corpus (``cache.store``):
     html → decode → M14 link extraction → one JSON ``metadata`` record per
     page (url + ordered extracted links) in sharded ``part-*.warc.wat.gz``
     files — Common Crawl's WAT generation in miniature.  The JSON is
@@ -1154,15 +1134,6 @@ def wat_store() -> str:
     from scrupyst_ray.functions.textextract import detect_and_decode
     from scrupyst_ray.sources.corpus import CORPUS_VERSION
     from scrupyst_ray.sources.warc import write_wat
-
-    out_dir = os.path.join(
-        "/tmp", f"scrupyst_wat_v{CORPUS_VERSION}_H{_H}_P{_P}"
-    )
-    done = os.path.join(out_dir, "_WAT_COMPLETE")
-    if os.path.exists(done):
-        return out_dir
-
-    pages = _pages(columns=["url", "warc_ts", "html"])
 
     def to_wat(b: pa.Table) -> pa.Table:
         payloads = []
@@ -1187,15 +1158,15 @@ def wat_store() -> str:
             }
         )
 
-    write_wat(
-        pages.map_batches(to_wat, batch_format="pyarrow"),
-        out_dir,
-        ts_col="warc_ts",
-    )
-    with open(done + ".tmp", "w") as f:
-        f.write("ok")
-    os.replace(done + ".tmp", done)
-    return out_dir
+    def build(staging: str) -> None:
+        pages = _pages(columns=["url", "warc_ts", "html"])
+        write_wat(
+            pages.map_batches(to_wat, batch_format="pyarrow"),
+            staging,
+            ts_col="warc_ts",
+        )
+
+    return cache.store(f"scrupyst_wat_v{CORPUS_VERSION}_H{_H}_P{_P}", build)
 
 
 def wat_link_counts(sf_dir: str):
@@ -1319,25 +1290,13 @@ def partitioned_export_roundtrip(sf_dir: str):
 
     from scrupyst_ray.stages.export import read_partitioned, write_partitioned
 
-    import hashlib
-
-    src_path = os.path.join(sf_dir, "documents.parquet")
     docs = ray.data.read_parquet(
-        src_path, columns=["doc_id", "source", "n_chars"]
+        os.path.join(sf_dir, "documents.parquet"),
+        columns=["doc_id", "source", "n_chars"],
     )
-    n_docs = docs.count()
-    # key the persistent sink on a CONTENT fingerprint (file size + mtime),
-    # not just dir basename + row count — a regenerated corpus with equal
-    # count must not resume-skip into stale aggregates (ADVICE r2)
-    st = os.stat(src_path)
-    fp = hashlib.md5(
-        f"{st.st_size}_{st.st_mtime_ns}".encode()
-    ).hexdigest()[:10]
-    out_dir = os.path.join(
-        "/tmp",
-        f"scrupyst_partsink_v2_"
-        f"{os.path.basename(os.path.normpath(sf_dir))}_{n_docs}_{fp}",
-    )
+    # keyed on the source's content, so a regenerated table with an equal
+    # row count never resume-skips into stale partitions
+    out_dir = cache.path(_docs_store_name("partsink_v2", sf_dir))
     write_partitioned(docs, out_dir, "source")  # resume-skips completed keys
     back = read_partitioned(out_dir, "source")
     out = back.groupby("source").aggregate(

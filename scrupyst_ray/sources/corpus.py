@@ -33,9 +33,11 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from scrupyst_ray import cache
+
 EPOCH = dt.datetime(2025, 1, 1, 0, 0, 0)
 
-# Bump when corpus CONTENT changes so stale /tmp caches regenerate.
+# Bump when corpus CONTENT changes so stale cached corpora regenerate.
 CORPUS_VERSION = 2
 
 PAGES_SCHEMA = pa.schema(
@@ -375,7 +377,9 @@ def write_corpus(
     return out_dir
 
 
-def corpus_cache_dir(root: str, H: int, P: int, show: int = 3, xlink: int = 1) -> str:
-    return os.path.join(
-        root, f"scrupyst_corpus_v{CORPUS_VERSION}_H{H}_P{P}_s{show}_x{xlink}"
+def corpus_cache_dir(H: int, P: int, show: int = 3, xlink: int = 1) -> str:
+    """Where the shared (H, P) corpus lives in the cache root; callers fill
+    it with :func:`write_corpus`, which resumes by part file."""
+    return cache.path(
+        f"scrupyst_corpus_v{CORPUS_VERSION}_H{H}_P{P}_s{show}_x{xlink}"
     )

@@ -248,7 +248,7 @@ class TestSha256Oracle:
 
         from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
 
-        corpus = corpus_cache_dir("/tmp", 8, 50)
+        corpus = corpus_cache_dir(8, 50)
         write_corpus(corpus, H=8, P=50)
         urls: list[str] = []
         for f in sorted(glob.glob(os.path.join(corpus, "pages", "*.parquet"))):

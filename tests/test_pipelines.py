@@ -137,52 +137,13 @@ class TestANN:
         only its cells' files."""
         import os
 
-        from scrupyst_ray.pipelines.ann import _ivf_root, build_ivf_index
+        from scrupyst_ray.pipelines.ann import build_ivf_index
 
         cells_dir, centroids = build_ivf_index(SF, 16)
-        assert os.path.exists(os.path.join(_ivf_root(SF, 16), "_COMPLETE"))
+        assert os.path.exists(os.path.join(os.path.dirname(cells_dir), "_COMPLETE"))
         assert centroids.shape[1] == 64
         cells = [d for d in os.listdir(cells_dir) if d.startswith("cell=")]
         assert 2 <= len(cells) <= 16
-
-    def test_publish_store_atomicity(self, tmp_path):
-        """The staged-publish commit protocol (round-5 ADVICE): winner
-        renames into place; a loser whose root already carries _COMPLETE
-        silently discards its staging copy; a loser facing an INVALID root
-        (no marker) re-raises instead of hiding the conflict."""
-        import os
-
-        import pytest
-
-        from scrupyst_ray.pipelines.ann import _publish_store
-
-        # winner path
-        stage = tmp_path / "stage1"
-        stage.mkdir()
-        (stage / "_COMPLETE").write_text("x")
-        root = tmp_path / "root"
-        _publish_store(str(stage), str(root))
-        assert (root / "_COMPLETE").exists() and not stage.exists()
-
-        # race-loser path: root complete → staging discarded, no error
-        stage2 = tmp_path / "stage2"
-        stage2.mkdir()
-        (stage2 / "_COMPLETE").write_text("y")
-        (stage2 / "data").write_text("loser")
-        _publish_store(str(stage2), str(root))
-        assert not stage2.exists()
-        assert (root / "_COMPLETE").read_text() == "x"  # winner untouched
-
-        # invalid-root path: existing dir WITHOUT a marker re-raises
-        bad_root = tmp_path / "bad"
-        bad_root.mkdir()
-        (bad_root / "junk").write_text("z")
-        stage3 = tmp_path / "stage3"
-        stage3.mkdir()
-        (stage3 / "_COMPLETE").write_text("w")
-        with pytest.raises(OSError):
-            _publish_store(str(stage3), str(bad_root))
-        assert stage3.exists()  # preserved for diagnosis
 
 
 @pytest.mark.usefixtures("ray_session")

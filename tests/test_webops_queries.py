@@ -106,7 +106,7 @@ def test_crawl_resume_equivalence_query(ray_session):
     t = crawl_resume_equivalence("/root/testdata/sf0.001")
     got = list(zip(t["round"].to_pylist(), t["url"].to_pylist()))
 
-    corpus = corpus_cache_dir("/tmp", 8, 50)  # written by the query above
+    corpus = corpus_cache_dir(8, 50)  # written by the query above
     seeds = (
         pq.read_table(os.path.join(corpus, "seeds.parquet"))
         .sort_by("seq")["url"]

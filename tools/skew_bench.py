@@ -20,7 +20,8 @@ leg when the bounds are on.
     python tools/skew_bench.py            # full run (~5-10 min), one JSON line
     python tools/skew_bench.py --small    # smoke sizing (~1 min)
 
-Writes nothing outside /tmp; the caller records the JSON (SKEW_r4.json).
+Writes nothing outside the cache root (``scrupyst_ray.cache.ROOT``); the
+caller records the JSON (SKEW_r4.json).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
+
+from scrupyst_ray import cache
 
 
 def _steal_ticks() -> tuple[int, int]:
@@ -172,9 +175,9 @@ def run_leg(
         max_round_candidates=4_000_000,
         map_side_host_cap=host_cap,
     )
-    wd = f"/tmp/scrupyst_skew_wd_{tag}"
+    wd = cache.path(f"scrupyst_skew_wd_{tag}")
     shutil.rmtree(wd, ignore_errors=True)
-    store = os.path.join("/tmp", "skew_store_" + os.path.basename(corpus))
+    store = cache.path("skew_store_" + os.path.basename(corpus))
     eng = CrawlEngine.for_corpus(
         os.path.join(corpus, "pages"), wd, cfg, store_dir=store
     )
@@ -231,9 +234,9 @@ def main() -> None:
         )
     from scrupyst_ray.sources.corpus import corpus_cache_dir, write_corpus
 
-    uni = corpus_cache_dir("/tmp", H, P, show=20)
+    uni = corpus_cache_dir(H, P, show=20)
     write_corpus(uni, H=H, P=P, show=20, hosts_per_file=max(1, H // 32))
-    skew = f"/tmp/scrupyst_skew_corpus_H{H}_P{P}_hot{P_hot}"
+    skew = cache.path(f"scrupyst_skew_corpus_H{H}_P{P}_hot{P_hot}")
     build_skew_corpus(skew, H=H, P=P, P_hot=P_hot)
 
     out = {
