@@ -67,12 +67,9 @@ class CrawlConfig:
     # inside this config, so they must be picklable.
     middlewares: dict = field(default_factory=dict)
     # scale knobs
-    seen_shards: int = 16  # URL-seen / politeness state shards (>= cluster cores)
-    # URL-seen negative-path sketch: "bloom" (smallest memory) or "cuckoo"
-    # (state/cuckoo.py — supports delete, so SeenState.forget keeps the
-    # sketch tight under recrawl churn).  Results are identical either way:
-    # sketch positives are always confirmed against the exact shard dict.
-    seen_sketch: str = "bloom"
+    # URL-seen / politeness state shards (>= cluster cores); each holds a
+    # bloom + exact sorted fingerprint lanes (state/seen.py)
+    seen_shards: int = 16
     max_round_candidates: int = 1_000_000  # frontier cap per round (shuffle bound)
     # hot-host skew bound (SURVEY §7.4 salting, the "two-phase top-k"): each
     # PRODUCER (the fetched pages of one fetch_key) keeps only its local
@@ -89,8 +86,6 @@ class CrawlConfig:
     # boundedness knob, not a free lunch.
     map_side_host_cap: int | None = None
     fetch_buckets: int = 16  # hash(url) buckets for the fetch join
-    parse_batch_size: int = 256  # html-heavy stage batch size
-    parse_concurrency: int | None = None  # None = let Ray size the task pool
 
     @classmethod
     def from_settings(cls, settings: dict) -> "CrawlConfig":

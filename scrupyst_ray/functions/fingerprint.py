@@ -10,9 +10,10 @@ Golden vectors: reference ``tests/test_utils_request.py:65-141`` (copied into
 ``tests/test_fingerprint.py`` verbatim as byte literals).
 
 Batch kernel: :func:`fingerprint_batch` adds ``fp`` (20-byte binary) and
-``fp64`` (first 8 bytes as uint64 — the bloom/cuckoo pre-filter key mandated
-by BASELINE.json) columns to an Arrow table, vectorized over rows with
-hashlib in a tight loop (SHA-1 of ~100-byte payloads; ~1M rows/s/core).
+``fp64`` (first 8 bytes as uint64 — the URL-seen bloom's key and the sort
+key of the exact seen lanes, ``state/seen.py``) columns to an Arrow table,
+vectorized over rows with hashlib in a tight loop (SHA-1 of ~100-byte
+payloads; ~1M rows/s/core).
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def fingerprint(
 
 def fp_to_u64(fp: bytes) -> int:
     """First 8 bytes of the fingerprint as an unsigned 64-bit int (big-endian)
-    — the approximate-membership key for the bloom/cuckoo pre-filter."""
+    — the approximate-membership key for the URL-seen bloom."""
     return int.from_bytes(fp[:8], "big")
 
 

@@ -706,7 +706,6 @@ class CrawlEngine:
                     download_delay=cfg.download_delay,
                     round_seconds=cfg.round_seconds,
                     robotstxt_obey=cfg.robotstxt_obey,
-                    seen_sketch=cfg.seen_sketch,
                     robots_path=os.path.join(
                         self.robots_dir, f"shard={k:05d}.parquet"
                     ),

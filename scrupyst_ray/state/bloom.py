@@ -3,16 +3,18 @@
 The URL-seen pre-filter mandated by BASELINE.json ("partitioned bloom/cuckoo
 URL-seen filter ... canonicalized + 64-bit hashed URLs").  The bloom answers
 the fast NEGATIVE path only — a positive is always confirmed against the
-shard's exact fingerprint set, so the seen set stays exact / bit-for-bit
-reproducible (SURVEY.md §2.5: "the sketch is only a fast negative path";
-reference keeps an exact ``set`` — ``scrapy/dupefilters.py:71,94-101``).
+shard's exact fingerprint lanes (``state/seen.py``), so the seen set stays
+exact / bit-for-bit reproducible (SURVEY.md §2.5: "the sketch is only a fast
+negative path"; reference keeps an exact ``set`` —
+``scrapy/dupefilters.py:71,94-101``).
 
-Design scale: 10^10 URLs over S shards ⇒ ~10^10/S keys per shard.  At
-S=1024 shards and 12 bits/key the per-shard bloom is ~14 GiB... so real
-deployments size shards so each bloom fits its node (bits_per_key=10 and
-S=4096 ⇒ ~3 GiB/shard).  ``Bloom`` takes an explicit capacity so the driver
-can size it from config; it degrades gracefully (higher FP rate ⇒ more exact
-lookups, never wrong answers).
+Design scale: 10^10 URLs over S shards ⇒ ~10^10/S keys per shard.  The
+exact lanes hold 25 B per fingerprint (20 fingerprint bytes, a 4-byte first
+round, a 1-byte pending flag) plus up to 25% spare capacity, so they — not
+this filter — size the shard: ~250 GB in all, ~61 MB per shard at S=4096.
+The bloom is fixed at 2 MiB per shard (2^24 bits, sized for 2^20 keys); at
+S=4096's 2.4M keys per shard its false-positive rate is ~4%, which costs
+exact-lane lookups, never wrong answers.
 
 k hash functions are derived from the single 64-bit key with odd-constant
 multiply-xor mixing (Dietzfelbinger-style universal hashing over a
@@ -40,15 +42,18 @@ _MIX = np.array(
 )
 
 
+BITS_PER_KEY = 12
+NUM_HASHES = 7  # at most len(_MIX)
+
+
 class Bloom:
     """Fixed-size bloom filter for uint64 keys; vectorized add/contains."""
 
-    def __init__(self, capacity: int, bits_per_key: int = 12, num_hashes: int = 7):
+    def __init__(self, capacity: int):
         capacity = max(1024, int(capacity))
-        num_bits = 1 << int(np.ceil(np.log2(capacity * bits_per_key)))
+        num_bits = 1 << int(np.ceil(np.log2(capacity * BITS_PER_KEY)))
         self._log2_bits = int(np.log2(num_bits))
         self._bits = np.zeros(num_bits >> 3, dtype=np.uint8)
-        self._k = min(num_hashes, len(_MIX))
         self._n = 0
 
     def _positions(self, keys: np.ndarray) -> np.ndarray:
@@ -56,7 +61,7 @@ class Bloom:
         keys = keys.astype(np.uint64, copy=False)
         shift = np.uint64(64 - self._log2_bits)
         with np.errstate(over="ignore"):
-            mixed = keys[None, :] * _MIX[: self._k, None]
+            mixed = keys[None, :] * _MIX[:NUM_HASHES, None]
             mixed ^= mixed >> np.uint64(33)
             mixed = mixed * np.uint64(0xFF51AFD7ED558CCD)
         return (mixed >> shift).astype(np.int64)
@@ -65,7 +70,13 @@ class Bloom:
         if len(keys) == 0:
             return
         pos = self._positions(np.asarray(keys)).ravel()
-        np.bitwise_or.at(self._bits, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        byte, bit = pos >> 3, (1 << (pos & 7)).astype(np.uint8)
+        # a fancy |= keeps one write per repeated byte: redo the lost bits
+        # (about twice as fast as np.bitwise_or.at)
+        while len(byte):
+            self._bits[byte] |= bit
+            lost = (self._bits[byte] & bit) == 0
+            byte, bit = byte[lost], bit[lost]
         self._n += len(keys)
 
     def contains_many(self, keys: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ per-shard states (they share the same routing key, so one shuffle + one RPC
 per round serves the dupefilter AND the politeness gate):
 
 - :class:`~scrupyst_ray.state.seen.SeenState` — URL-seen fingerprints
-  (bloom negative path + exact dict; reference ``scrapy/dupefilters.py``),
+  (bloom negative path + exact sorted numpy lanes; reference
+  ``scrapy/dupefilters.py``),
 - :class:`~scrupyst_ray.state.politeness.PolitenessState` — robots.txt cache
   + per-host per-round budgets (reference downloader slots + robots
   middleware).
@@ -56,16 +57,12 @@ class _StateShard:
         download_delay: float = 0.0,
         round_seconds: float = 8.0,
         robotstxt_obey: bool = True,
-        bloom_capacity: int = 1 << 20,
-        seen_sketch: str = "bloom",
         robots_path: str | None = None,
         download_slots: dict | None = None,
         throttle_config: dict | None = None,
     ):
         self.shard_id = shard_id
-        self.seen = SeenState(
-            shard_id, bloom_capacity=bloom_capacity, sketch=seen_sketch
-        )
+        self.seen = SeenState(shard_id)
         # AutoThrottle (ST5): enabled by passing {"start_delay", "max_delay",
         # "target_concurrency"}; min delay is the static download_delay
         # (reference extensions/throttle.py:50-56)
@@ -135,9 +132,11 @@ class _StateShard:
         fresh = np.ones(n, dtype=bool)
         check_idx = np.flatnonzero(~skip_seen)
         if len(check_idx):
-            sub_fps = [fps[i] for i in check_idx]
-            sub64 = np.asarray(fp64, dtype=np.uint64)[check_idx]
-            fresh[check_idx] = self.seen.check_and_add(round_id, sub_fps, sub64)
+            fresh[check_idx] = self.seen.check_and_add(
+                round_id,
+                np.asarray(fps)[check_idx],
+                np.asarray(fp64, dtype=np.uint64)[check_idx],
+            )
         robots = self.politeness.robots_ok(hosts, urls)
         self.politeness.stats["robots_forbidden"] += int(
             (fresh & ~robots).sum()
@@ -205,7 +204,7 @@ class _StateShard:
 
 
 # Ray actor: near-zero CPU reservation — these are index servers, not compute
-# stages (per-round work is dict lookups over frontier-sized metadata).  A
+# stages (per-round work is array lookups over frontier-sized metadata).  A
 # real reservation would eat the task-pool CPU budget: num_shards ≥ cores is
 # the normal config, so shards × anything ≥ 0.1 CPU would starve the Ray Data
 # tasks that feed them (observed as a full stall at num_cpus=4 with 16

@@ -6,10 +6,18 @@ see FIXTURES.md §4-5) — no Ray needed (plain classes)."""
 
 from __future__ import annotations
 
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scrupyst_ray.state import seen
 from scrupyst_ray.state.bloom import Bloom
 from scrupyst_ray.state.politeness import (
     ADMITTED,
@@ -92,6 +100,17 @@ class TestBloom:
         fp_rate = b.contains_many(absent).mean()
         assert fp_rate < 0.01
 
+    def test_add_sets_every_bit(self):
+        """A small filter makes one batch repeat bytes many times over; every
+        bit must still land (reference: np.bitwise_or.at)."""
+        b = Bloom(capacity=1024)
+        keys = np.arange(5_000, dtype=np.uint64)
+        b.add_many(keys)
+        pos = b._positions(keys).ravel()
+        want = np.zeros_like(b._bits)
+        np.bitwise_or.at(want, pos >> 3, (1 << (pos & 7)).astype(np.uint8))
+        assert np.array_equal(b._bits, want)
+
     def test_empty(self):
         b = Bloom(capacity=1000)
         assert b.contains_many(np.array([], dtype=np.uint64)).shape == (0,)
@@ -130,6 +149,80 @@ class TestSeenState:
         assert s2.check_and_add(1, fps, _fp64(fps)).tolist() == [False] * 10
         # flushing again writes an empty delta (already flushed)
         assert s.flush_delta(str(tmp_path / "d2.parquet")) == 0
+
+    def test_load_delta_keeps_earliest_round(self, tmp_path):
+        """A fingerprint in several delta files keeps the earliest round,
+        whatever order the files load in."""
+        fps = [_fp(1)]
+        for rnd in (1, 2):
+            s = SeenState(0)
+            s.check_and_add(rnd, fps, _fp64(fps))
+            s.flush_delta(str(tmp_path / f"round={rnd}.parquet"))
+        s = SeenState(0)
+        s.load_delta(str(tmp_path / "round=2.parquet"), 2)
+        s.load_delta(str(tmp_path / "round=1.parquet"), 1)
+        assert len(s) == 1
+        assert s.check_and_add(2, fps, _fp64(fps)).tolist() == [False]
+
+
+# Few 8-byte prefixes, so fp64 collides across distinct fingerprints, and
+# tails that end in NUL bytes (numpy's S dtype strips those in tolist()).
+_FINGERPRINTS = st.builds(
+    bytes.__add__,
+    st.sampled_from([bytes(8), b"\x01" * 8, b"shared-8"])
+    | st.binary(min_size=8, max_size=8),
+    st.sampled_from([bytes(12), b"t" + bytes(11), bytes(11) + b"\x01"])
+    | st.binary(min_size=12, max_size=12),
+)
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 6),  # round (any order)
+        st.lists(_FINGERPRINTS, unique=True, max_size=12),  # deduped batch
+        st.booleans(),  # re-deliver the batch in the same round (task retry)
+        st.booleans(),  # flush the delta, restore every delta into a new state
+    ),
+    max_size=12,
+)
+
+
+@pytest.mark.parametrize("chunk", [4, seen._CHUNK])
+@settings(max_examples=300, deadline=None)
+@given(steps=_STEPS)
+def test_seen_state_matches_dict_model(chunk, steps):
+    """SeenState against a plain dict of fingerprint -> first round.  A
+    4-entry merge chunk makes the in-place merge shift many chunks."""
+    model: dict[bytes, int] = {}
+    pending: set[bytes] = set()
+    deltas: list[tuple[str, int]] = []
+    state = SeenState(0)
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        mock.patch.object(seen, "_CHUNK", chunk),
+    ):
+        for i, (rnd, batch, retry, restart) in enumerate(steps):
+            want = [model.get(fp, rnd) == rnd for fp in batch]
+            for fp in batch:
+                if fp not in model:
+                    model[fp] = rnd
+                    pending.add(fp)
+            for _ in range(1 + retry):
+                assert state.check_and_add(rnd, batch, _fp64(batch)).tolist() == want
+            assert len(state) == len(model)
+            if restart:
+                path = os.path.join(tmp, f"round={i}.parquet")
+                assert state.flush_delta(path) == len(pending)
+                table = pq.read_table(path)
+                fps = table["fp"].to_pylist()
+                assert sorted(fps) == sorted(pending)
+                assert table["fp64"].to_pylist() == _fp64(fps).tolist()
+                deltas.append((path, rnd))
+                # restored at the delta's round
+                model.update(dict.fromkeys(pending, rnd))
+                pending.clear()
+                state = SeenState(0)
+                for path, r in deltas:
+                    state.load_delta(path, r)
+                assert len(state) == len(model)
 
 
 ROBOTS = b"User-agent: *\nDisallow: /private\nCrawl-delay: 2\n"
@@ -234,6 +327,28 @@ class TestStateShard:
         assert fresh.restore(seen_dir, upto_round=0) == 4
         out = _shard_round(fresh, 1, fps, np.zeros(4, bool), hosts, urls)
         assert out == [SEEN_DUP] * 4
+
+    def test_restore_upto_round(self, tmp_path):
+        """After restore(upto): exactly the deltas up to *upto* are seen in
+        round upto+1, a later delta's fingerprints are fresh, and a retried
+        round upto+1 answers the same."""
+        seen_dir = str(tmp_path / "seen")
+        sh = _StateShard(2, user_agent="ua")
+        batches = [[_fp(i) for i in range(r * 3, r * 3 + 4)] for r in range(4)]
+        for rnd, fps in enumerate(batches):
+            sh.seen.check_and_add(rnd, fps, _fp64(fps))
+            sh.checkpoint(seen_dir, rnd)
+        upto = 2
+        restored = set().union(*batches[: upto + 1])
+        later = sorted(set(batches[upto + 1]) - restored)
+        fresh = _StateShard(2, user_agent="ua")
+        fresh.restore(seen_dir, upto_round=upto)
+        assert len(fresh.seen) == len(restored)
+        fps = sorted(restored) + later
+        want = [False] * len(restored) + [True] * len(later)
+        for _ in range(2):  # the round, then its retry
+            out = fresh.seen.check_and_add(upto + 1, fps, _fp64(fps))
+            assert out.tolist() == want
 
     def test_dont_filter_bypasses_seen(self):
         sh = _StateShard(0, user_agent="ua", per_domain_budget=8)
