@@ -164,6 +164,62 @@ class TestSeenState:
         assert len(s) == 1
         assert s.check_and_add(2, fps, _fp64(fps)).tolist() == [False]
 
+    def test_rejects_fingerprints_of_wrong_width(self):
+        s = SeenState(0)
+        assert s.check_and_add(0, [], _fp64([])).tolist() == []
+        fps = [b"short-fingerprint"]
+        with pytest.raises(ValueError):
+            s.check_and_add(0, fps, _fp64(fps))
+        assert len(s) == 0
+
+    def test_stats_count_bloom_negatives_and_filtered(self):
+        """An empty state answers every key from the bloom; a retry of the
+        recording round filters nothing, a later round filters them all."""
+        s = SeenState(0)
+        fps = [_fp(i) for i in range(3)]
+        s.check_and_add(0, fps, _fp64(fps))
+        assert s.stats == {"checked": 3, "filtered": 0, "bloom_negatives": 3}
+        s.check_and_add(0, fps, _fp64(fps))
+        assert s.stats == {"checked": 6, "filtered": 0, "bloom_negatives": 3}
+        s.check_and_add(1, fps, _fp64(fps))
+        assert s.stats == {"checked": 9, "filtered": 3, "bloom_negatives": 3}
+
+    def test_shared_prefix_stays_exact(self):
+        """Fingerprints that share their first 8 bytes share fp64, so the
+        bloom cannot tell them apart; the exact lanes must."""
+        prefix = b"samehead"
+        fps = [prefix + bytes([i]) * 12 for i in (0, 1, 2)]
+        s = SeenState(0)
+        assert s.check_and_add(0, fps[:2], _fp64(fps[:2])).tolist() == [True] * 2
+        out = s.check_and_add(1, fps, _fp64(fps))
+        assert out.tolist() == [False, False, True]
+        assert len(s) == 3
+
+    def test_merge_across_many_chunks(self, tmp_path):
+        """Batches larger than the merge chunk, each half seen before, land
+        interleaved through the lanes: answers match a set, the lanes stay
+        sorted, and a flush writes every fingerprint once."""
+        rng = np.random.default_rng(7)
+        s = SeenState(0)
+        model: set[bytes] = set()
+        old = np.empty((0, 20), np.uint8)
+        for rnd in range(3):
+            new = rng.integers(0, 256, (seen._CHUNK, 20), dtype=np.uint8)
+            rows = np.concatenate([new, old[: seen._CHUNK // 2]])
+            keys = [r.tobytes() for r in rows]
+            want = [k not in model for k in keys]
+            fp64 = rows[:, :8].copy().view(">u8").ravel().astype(np.uint64)
+            out = s.check_and_add(rnd, rows.view("S20").ravel(), fp64)
+            assert out.tolist() == want
+            model.update(keys)
+            old = new
+        assert len(s) == len(model)
+        hi = s._hi[: len(s)]
+        assert (hi[1:] >= hi[:-1]).all()
+        path = str(tmp_path / "round=2.parquet")
+        assert s.flush_delta(path) == len(model)
+        assert set(pq.read_table(path)["fp"].to_pylist()) == model
+
 
 # Few 8-byte prefixes, so fp64 collides across distinct fingerprints, and
 # tails that end in NUL bytes (numpy's S dtype strips those in tolist()).
