@@ -128,9 +128,11 @@ def hll_estimate(idx: np.ndarray, rho: np.ndarray) -> int:
 #
 # The heavy-hitters scale path: exact per-key counts need a key-wide shuffle
 # (fine for bounded vocabularies, the default top_terms path); a Count-Min
-# sketch bounds the state at d·w counters per group with ADDITIVE merge, and
-# estimates each candidate's count as the min over its d cells (always an
-# OVERestimate — ε ≈ e/w of the group's total mass, δ ≈ e^-d).
+# sketch bounds the state at one dense d×w counter grid per group, whatever
+# the corpus size.  Grids of disjoint streams merge by plain addition, so
+# per-block grids are summed as they stream to the driver (no shuffle), and
+# each candidate's count is estimated as the min over its d cells (always
+# an OVERestimate — ε ≈ e/w of the group's total mass, δ ≈ e^-d).
 
 CMS_W = 2048
 CMS_D = 4
@@ -154,10 +156,17 @@ def cms_cells(token_hashes: np.ndarray) -> np.ndarray:
     return cols
 
 
-def cms_estimate(
-    cells: dict[tuple[int, int], int], token_hash: int
-) -> int:
-    """Min-over-rows count estimate for one key from merged sparse cells
-    ((row, col) → count); absent cells are 0."""
+def cms_grid(token_hashes: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Dense (CMS_D, CMS_W) int64 sketch of weighted pre-hashed keys."""
+    grid = np.zeros((CMS_D, CMS_W), np.int64)
+    cols = cms_cells(token_hashes)
+    for r in range(CMS_D):
+        np.add.at(grid[r], cols[:, r], counts)
+    return grid
+
+
+def cms_estimate(grid: np.ndarray, token_hash: int) -> int:
+    """Min-over-rows count estimate for one key from a merged dense
+    (CMS_D, CMS_W) grid."""
     cols = cms_cells(np.array([token_hash], dtype=np.uint64))[0]
-    return min(cells.get((r, int(c)), 0) for r, c in enumerate(cols))
+    return int(grid[np.arange(CMS_D), cols].min())

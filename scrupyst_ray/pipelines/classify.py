@@ -27,13 +27,13 @@ label      = keep iff Σ weight(f) > 0   (integer compare — no float edge)
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 
 import numpy as np
 import pyarrow as pa
-import ray.data
 from ray.data.aggregate import Count
+
+from scrupyst_ray.pipelines.textstats import _docs
 
 
 def _weight(feat: str) -> int:
@@ -87,11 +87,7 @@ class HashedLinearClassifier:
 
 
 def _scored(sf_dir: str):
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "source"],
-    )
-    return ds.map_batches(
+    return _docs(sf_dir, ["doc_id", "text", "source"]).map_batches(
         HashedLinearClassifier,
         batch_format="pyarrow",
         concurrency=(1, 8),

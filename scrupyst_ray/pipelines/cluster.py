@@ -31,21 +31,12 @@ oracle reproduces the whole query bit-for-bit (see ``__ray_entry__``).
 
 from __future__ import annotations
 
-import os
-
 import pyarrow as pa
-import ray
-import ray.data
 from ray.data.aggregate import Count, Sum
 
 from scrupyst_ray.pipelines.dedup import jaccard_pairs_by_source
 from scrupyst_ray.pipelines.joins import attach_by_key, rename
-
-
-def _docs(sf_dir: str, columns=None):
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
+from scrupyst_ray.pipelines.textstats import _docs
 
 
 def _label_sum(labels) -> int:

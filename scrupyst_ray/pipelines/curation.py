@@ -39,13 +39,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-import ray.data
 from ray.data.aggregate import Count, Min, Sum
 
 from scrupyst_ray.functions.textstats import (
@@ -58,6 +56,7 @@ from scrupyst_ray.pipelines.joins import (
     join_partitions as _parts,
     rename,
 )
+from scrupyst_ray.pipelines.textstats import _docs
 
 # segments per document bound for the packed (doc_id, seg_idx) position key;
 # 2^20 five-word segments = 5M-token documents, far past web-page sizes.
@@ -67,12 +66,6 @@ _POS_STRIDE = 1 << 20
 # it they aggregate per doc and LEFT-join distributed (joins.py's size-selected
 # strategy — a dup-heavy corpus must not land its drop set on the driver)
 BROADCAST_DROPS_MAX = 200_000
-
-
-def _docs(sf_dir: str, columns=None):
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
 
 
 # ---------------------------------------------------------------------------

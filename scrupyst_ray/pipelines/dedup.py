@@ -20,12 +20,9 @@ All outputs are deterministic (fixed seeds, tie-breaks by id).
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
-import ray
-import ray.data
 
 from scrupyst_ray.functions.dedup import (
     MinHasher,
@@ -36,13 +33,7 @@ from scrupyst_ray.functions.dedup import (
     simhash64_md5,
     simhash_band_keys,
 )
-
-
-def _docs(sf_dir: str, columns: list[str] | None = None):
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
-
+from scrupyst_ray.pipelines.textstats import _docs
 
 # Distributed-join helpers shared across pipelines (see joins.py for the
 # deadlock note on aggregator CPU sizing).  These replace round 1's

@@ -11,7 +11,7 @@ keep when building pretraining data that matches the target domain.
 Instantiation here (everything deterministic and DuckDB-recomputable):
 
 - features = whitespace unigrams AND space-joined bigrams, hashed with
-  ``int(md5(gram)[:8], 16) % n_buckets`` — md5 so the SQL oracle can
+  ``int(md5(gram)[:8], 16) % N_BUCKETS`` — md5 so the SQL oracle can
   reproduce the bucket ids exactly (DuckDB ``md5()`` matches hashlib).
 - target = documents with ``lang == target_lang`` ('en' by default);
   raw = every other document.  (The paper's target is a quality domain
@@ -19,135 +19,103 @@ Instantiation here (everything deterministic and DuckDB-recomputable):
 - add-one (Laplace) smoothing on both sides:
   ``λ_b = ln((t_b + 1)/(T + B)) − ln((r_b + 1)/(R + B))`` with ``t_b``/
   ``r_b`` the per-bucket gram counts, ``T``/``R`` the side totals and
-  ``B = n_buckets`` — same convention as the bigram LM (`lm.py`).
+  ``B = N_BUCKETS`` — same convention as the bigram LM (`lm.py`).
 
-Scale shape (100 TB story): the exploded gram-count rows are the corpus
-token stream, produced and reduced entirely inside map_batches/groupby
-stages.  The only driver-side table is the per-bucket count table, whose
-size is FIXED at ``n_buckets`` rows (10k) regardless of corpus size; the
-λ vector ships to workers once via ``ray.put`` (broadcast-small-side).
-Nothing per-document ever reaches the driver.
+Scale shape (100 TB story): two streaming passes, no shuffle.  Pass 1
+reduces each block's gram stream to two ``np.bincount`` vectors (target and
+raw, ``N_BUCKETS`` = 10k counts each, whatever the block or corpus size);
+the driver sums them as the blocks finish and computes λ, which ships to
+workers once via ``ray.put``.  Pass 2 re-tokenizes and scores every
+document inside the batch that holds it — a document's grams never leave
+its batch, so nothing is re-keyed.  Nothing per-document reaches the
+driver; the only key exchanges left shape the outputs (the ``sort``, and
+``dsir_by_lang``'s per-language aggregate).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from hashlib import md5
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Mean, Sum
+from ray.data.aggregate import Count, Mean
 
 from scrupyst_ray.functions.textstats import ws_tokens
+from scrupyst_ray.pipelines.joins import stream_blocks
 from scrupyst_ray.pipelines.textstats import _docs
 
 N_BUCKETS = 10_000  # the paper's hashed-feature dimensionality
 
 
-def _bucket(gram: str, n_buckets: int) -> int:
-    """md5-based feature hash — first 8 hex chars as int, mod n_buckets.
+def _bucket(gram: str) -> int:
+    """md5-based feature hash — first 8 hex chars as int, mod N_BUCKETS.
     DuckDB equivalent: CAST(('0x' || substr(md5(g),1,8)) AS BIGINT) % B."""
-    return int(md5(gram.encode()).hexdigest()[:8], 16) % n_buckets
+    return int.from_bytes(md5(gram.encode()).digest()[:4], "big") % N_BUCKETS
 
 
-def _gram_rows(b: pa.Table, target_lang: str, n_buckets: int) -> pa.Table:
-    """(doc_id, bucket, n, n_t, n_r) — per-document hashed-gram counts.
-    n_t/n_r split the count by whether the OWNING doc is target/raw, so one
-    groupby(bucket) later yields both sides' distributions."""
-    ids, buckets, ns, nts, nrs = [], [], [], [], []
-    for d, lang, t in zip(
-        b["doc_id"].to_pylist(), b["lang"].to_pylist(), b["text"].to_pylist()
-    ):
+def _grams(texts: list) -> tuple[np.ndarray, np.ndarray]:
+    """(buckets, n_feats): every document's uni+bigram bucket ids,
+    concatenated in document order, and each document's gram count
+    (2·len − 1; 0 for a featureless document)."""
+    buckets: list[int] = []
+    n_feats = np.zeros(len(texts), np.int64)
+    for i, t in enumerate(texts):
         toks = ws_tokens(t)
-        if not toks:
-            continue  # featureless doc: absent from output (oracle mirrors)
-        c: Counter = Counter(_bucket(w, n_buckets) for w in toks)
-        c.update(
-            _bucket(a + " " + bb, n_buckets) for a, bb in zip(toks, toks[1:])
-        )
-        is_t = lang == target_lang
-        for bk, n in c.items():
-            ids.append(d)
-            buckets.append(bk)
-            ns.append(n)
-            nts.append(n if is_t else 0)
-            nrs.append(0 if is_t else n)
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            "bucket": pa.array(buckets, pa.int64()),
-            "n": pa.array(ns, pa.int64()),
-            "n_t": pa.array(nts, pa.int64()),
-            "n_r": pa.array(nrs, pa.int64()),
-        }
-    )
+        grams = toks + [a + " " + b for a, b in zip(toks, toks[1:])]
+        buckets.extend(_bucket(g) for g in grams)
+        n_feats[i] = len(grams)
+    return np.array(buckets, np.int64), n_feats
 
 
-def _lambda_vector(feats, n_buckets: int) -> np.ndarray:
-    """λ_b = ln p̂_b − ln q̂_b as a dense float64[n_buckets] vector.
-
-    The bucket-count table is ≤ n_buckets rows BY CONSTRUCTION (fixed 10k,
-    corpus-size-independent), so collecting it driver-side is the legal
-    small-side broadcast, not a scale leak."""
-    from scrupyst_ray.pipelines.joins import collect_table
-
-    bc = collect_table(
-        feats.groupby("bucket").aggregate(Sum("n_t"), Sum("n_r"))
-    )
-    t = np.zeros(n_buckets, np.float64)
-    r = np.zeros(n_buckets, np.float64)
-    if bc.num_rows:
-        idx = bc["bucket"].to_numpy(zero_copy_only=False)
-        t[idx] = bc["sum(n_t)"].to_numpy(zero_copy_only=False)
-        r[idx] = bc["sum(n_r)"].to_numpy(zero_copy_only=False)
-    tt, rr = t.sum(), r.sum()
-    return np.log((t + 1.0) / (tt + n_buckets)) - np.log(
-        (r + 1.0) / (rr + n_buckets)
-    )
-
-
-def doc_logweights(
-    sf_dir: str, target_lang: str = "en", n_buckets: int = N_BUCKETS
-):
-    """Dataset (doc_id, n_feats:int64, logw_f:float64) — per-document DSIR
-    log importance weight.  n_feats = total gram occurrences (2·len − 1)."""
+def doc_logweights(sf_dir: str, target_lang: str = "en"):
+    """Dataset (doc_id, lang, n_feats:int64, logw_f:float64) — per-document
+    DSIR log importance weight.  n_feats = total gram occurrences
+    (2·len − 1); featureless documents are absent (the oracle mirrors)."""
     docs = _docs(sf_dir, ["doc_id", "text", "lang"])
-    feats = docs.map_batches(
-        lambda b: _gram_rows(b, target_lang, n_buckets),
-        batch_format="pyarrow",
-    ).materialize()
-    lam_ref = ray.put(_lambda_vector(feats, n_buckets))
 
-    def contrib(b: pa.Table) -> pa.Table:
-        lam = ray.get(lam_ref)
-        n = b["n"].to_numpy(zero_copy_only=False).astype(np.float64)
-        bk = b["bucket"].to_numpy(zero_copy_only=False)
+    def bucket_counts(b: pa.Table) -> pa.Table:
+        buckets, n_feats = _grams(b["text"].to_pylist())
+        is_t = np.repeat(
+            [lang == target_lang for lang in b["lang"].to_pylist()], n_feats
+        )
         return pa.table(
             {
-                "doc_id": b["doc_id"],
-                "n": b["n"],
-                "lp": pa.array(n * lam[bk], pa.float64()),
+                "t": [np.bincount(buckets[is_t], minlength=N_BUCKETS)],
+                "r": [np.bincount(buckets[~is_t], minlength=N_BUCKETS)],
             }
         )
 
-    per_doc = (
-        feats.map_batches(contrib, batch_format="pyarrow")
-        .groupby("doc_id")
-        .aggregate(Sum("n"), Sum("lp"))
+    t = np.zeros(N_BUCKETS, np.int64)
+    r = np.zeros(N_BUCKETS, np.int64)
+    parts = docs.map_batches(bucket_counts, batch_format="pyarrow")
+    for b in stream_blocks(parts):
+        t += pc.list_flatten(b["t"]).to_numpy().reshape(-1, N_BUCKETS).sum(0)
+        r += pc.list_flatten(b["r"]).to_numpy().reshape(-1, N_BUCKETS).sum(0)
+    lam_ref = ray.put(
+        np.log((t + 1.0) / (t.sum() + N_BUCKETS))
+        - np.log((r + 1.0) / (r.sum() + N_BUCKETS))
     )
 
-    def finish(b: pa.Table) -> pa.Table:
+    def score(b: pa.Table) -> pa.Table:
+        lam = ray.get(lam_ref)
+        buckets, n_feats = _grams(b["text"].to_pylist())
+        logw = np.bincount(
+            np.repeat(np.arange(b.num_rows), n_feats),
+            weights=lam[buckets],
+            minlength=b.num_rows,
+        )
         return pa.table(
             {
                 "doc_id": b["doc_id"],
-                "n_feats": pc.cast(b["sum(n)"], pa.int64()),
-                "logw_f": pc.cast(b["sum(lp)"], pa.float64()),
+                "lang": b["lang"],
+                "n_feats": n_feats,
+                "logw_f": logw,
             }
-        )
+        ).filter(pa.array(n_feats > 0))
 
-    return per_doc.map_batches(finish, batch_format="pyarrow")
+    return docs.map_batches(score, batch_format="pyarrow")
 
 
 def dsir_logweights(sf_dir: str, target_lang: str = "en"):
@@ -175,13 +143,11 @@ def dsir_logweights(sf_dir: str, target_lang: str = "en"):
 def dsir_by_lang(sf_dir: str, target_lang: str = "en"):
     """(lang, n_docs, avg_logw) — mean DSIR weight per language.  The
     target language should dominate: its docs ARE the target distribution."""
-    from scrupyst_ray.pipelines.joins import attach_by_key
-
-    langs = _docs(sf_dir, ["doc_id", "lang"])
-    per_doc = attach_by_key(
-        doc_logweights(sf_dir, target_lang), langs, "doc_id", "lang"
+    agg = (
+        doc_logweights(sf_dir, target_lang)
+        .groupby("lang")
+        .aggregate(Count(), Mean("logw_f"))
     )
-    agg = per_doc.groupby("lang").aggregate(Count(), Mean("logw_f"))
 
     def fmt(b: pa.Table) -> pa.Table:
         return pa.table(

@@ -62,6 +62,15 @@ def collect_table(ds) -> pa.Table:
     )
 
 
+def stream_blocks(ds):
+    """Yield the non-empty blocks of *ds* as Arrow tables, one at a time,
+    as they finish — for folding fixed-size per-block partials into driver
+    state without a groupby or a list of all partials."""
+    for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+        if b.num_rows:
+            yield b
+
+
 # Broadcast-vs-shuffle selection threshold: a side at or below this many
 # rows ships once via ray.put and is read zero-copy in every task (the
 # brief's "broadcast small sides" pattern); above it, both sides shuffle

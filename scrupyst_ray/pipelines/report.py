@@ -7,22 +7,21 @@ report a 100 TB curation job prints at the end.
 
 Scale shape: ONE streaming pass over the corpus emits per-batch partial
 rows — 4 stage-count rows per batch plus one 32-byte digest row per final-
-stage survivor (text never leaves the task) — then a stage-keyed sum and a
-digest-keyed distinct count; the driver assembles five rows.
+stage survivor (text never leaves the task).  The driver sums the stage
+rows as the blocks stream in (fixed-size state, no groupby); the digests
+take the one real key shuffle, a digest-keyed distinct count.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
-from ray.data.aggregate import Sum
 
 from scrupyst_ray.functions.textstats import ws_tokens
-from scrupyst_ray.pipelines.textstats import _repetition_row
+from scrupyst_ray.pipelines.joins import stream_blocks
+from scrupyst_ray.pipelines.textstats import _docs, _repetition_row
 
 STAGES = (
     "0_total",
@@ -42,12 +41,10 @@ def curation_funnel(
     min_alpha: float = 0.5,
 ):
     """(stage, n_docs) — cumulative survivors through the curation gates;
-    stage 4 is COUNT(DISTINCT md5(text)) over stage-3 survivors (what exact
-    dedup would keep)."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text", "n_chars"],
-    )
+    stages 0-3 are sums of per-batch counts folded on the driver as the
+    blocks stream in; stage 4 is COUNT(DISTINCT md5(text)) over stage-3
+    survivors (what exact dedup would keep), a digest-keyed groupby."""
+    ds = _docs(sf_dir, ["doc_id", "text", "n_chars"])
 
     def partials(b: pa.Table) -> pa.Table:
         n0 = b.num_rows
@@ -84,17 +81,14 @@ def curation_funnel(
         )
 
     parts = ds.map_batches(partials, batch_format="pyarrow").materialize()
-    counts = {
-        r["stage"]: r["sum(n)"]
-        for r in parts.filter(expr="stage != ''")
-        .groupby("stage")
-        .aggregate(Sum("n"))
-        .take_all()
-    }
+    counts = dict.fromkeys(STAGES[:4], 0)
+    for b in stream_blocks(parts.filter(expr="stage != ''")):
+        for s, n in zip(b["stage"].to_pylist(), b["n"].to_pylist()):
+            counts[s] += n
     n_distinct = (
         parts.filter(expr="digest != ''").groupby("digest").count()
     ).count()
-    rows = [counts.get(s, 0) for s in STAGES[:4]] + [n_distinct]
+    rows = list(counts.values()) + [n_distinct]
     return pa.table(
         {
             "stage": pa.array(list(STAGES), pa.string()),

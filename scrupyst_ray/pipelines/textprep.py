@@ -17,13 +17,13 @@ keep-set with no Python in the loop on either side.
 
 from __future__ import annotations
 
-import os
 import unicodedata
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray.data
+
+from scrupyst_ray.pipelines.textstats import _docs
 
 # RE2-compatible (no backreferences/lookaround) — identical engines in
 # pyarrow and DuckDB
@@ -38,12 +38,6 @@ _MOD = 1 << 32
 # per-language sampling rates (fraction of 2^32 kept)
 SAMPLE_RATES = {"en": 0.5}
 SAMPLE_RATE_DEFAULT = 0.2
-
-
-def _docs(sf_dir: str, columns: list[str]):
-    return ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=columns
-    )
 
 
 def text_normalize(sf_dir: str):

@@ -674,87 +674,65 @@ def quantile_sketch_gate(sf_dir: str, rel: float = 0.032):
 def top_terms_by_lang_cms(sf_dir: str, k: int = 10, candidates_per_batch: int = 64):
     """(lang, token, n_est) — the SKETCH variant of :func:`top_terms_by_lang`
     for vocabularies too large to shuffle exactly: each batch contributes
-    (a) additive Count-Min cell partials (``functions/sketches.py``, d·w
-    counters per lang — constant state) and (b) its LOCAL top candidates
-    (bounded per batch).  Cells merge by groupby-sum; the driver sees only
-    the two bounded tables (cells ≤ langs·d·w rows, candidates ≤
-    batches·langs·candidates_per_batch rows) and ranks candidates by their
-    min-over-rows estimate.  CMS never underestimates, so any true top-k
-    token that any batch surfaced locally ranks correctly."""
+    (a) one dense Count-Min grid per lang (``functions/sketches.py``, d·w
+    counters — constant state) and (b) its LOCAL top candidates (bounded
+    per batch).  The driver sums the grids as the blocks stream in (no
+    groupby), keeps each candidate's max local count through a
+    ``(lang, token)`` groupby, and ranks candidates by their min-over-rows
+    estimate.  CMS never underestimates, so any true top-k token that any
+    batch surfaced locally ranks correctly."""
     from collections import Counter
 
     from scrupyst_ray.functions.hashing import stable_hash64
-    from scrupyst_ray.functions.sketches import CMS_D, cms_cells, cms_estimate
-    from scrupyst_ray.pipelines.joins import collect_table
+    from scrupyst_ray.functions.sketches import (
+        CMS_D,
+        CMS_W,
+        cms_estimate,
+        cms_grid,
+    )
+    from scrupyst_ray.pipelines.joins import collect_table, stream_blocks
 
     ds = _docs(sf_dir, ["lang", "text"])
 
     def partials(b: pa.Table) -> pa.Table:
+        """One grid row per lang (token "") plus the lang's candidates."""
         per_lang: dict[str, Counter] = {}
         for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
             per_lang.setdefault(lang, Counter()).update(_tokens(t))
-        langs, kinds, rows_, cols_, toks, ns = [], [], [], [], [], []
+        langs, toks, ns, grids = [], [], [], []
         for lang, c in per_lang.items():
-            items = list(c.items())
             hs = np.fromiter(
-                (stable_hash64(t) for t, _ in items),
-                dtype=np.uint64,
-                count=len(items),
+                (stable_hash64(t) for t in c), dtype=np.uint64, count=len(c)
             )
-            counts = np.fromiter(
-                (n for _, n in items), dtype=np.int64, count=len(items)
-            )
-            cells = cms_cells(hs)
-            for r in range(CMS_D):
-                flat = cells[:, r] * CMS_D + r  # (col, row) packed
-                agg: Counter = Counter()
-                for f, n in zip(flat, counts):
-                    agg[int(f)] += int(n)
-                for f, n in agg.items():
-                    langs.append(lang)
-                    kinds.append(0)
-                    rows_.append(f % CMS_D)
-                    cols_.append(f // CMS_D)
-                    toks.append("")
-                    ns.append(n)
-            for tok, n in c.most_common(candidates_per_batch):
-                langs.append(lang)
-                kinds.append(1)
-                rows_.append(0)
-                cols_.append(0)
-                toks.append(tok)
-                ns.append(n)
+            counts = np.fromiter(c.values(), dtype=np.int64, count=len(c))
+            top = c.most_common(candidates_per_batch)
+            langs += [lang] * (1 + len(top))
+            toks += [""] + [tok for tok, _ in top]
+            ns += [0] + [n for _, n in top]
+            grids += [cms_grid(hs, counts).ravel()] + [None] * len(top)
         return pa.table(
             {
                 "lang": pa.array(langs, pa.string()),
-                "kind": pa.array(kinds, pa.int8()),
-                "row": pa.array(rows_, pa.int64()),
-                "col": pa.array(cols_, pa.int64()),
                 "token": pa.array(toks, pa.string()),
                 "n": pa.array(ns, pa.int64()),
+                "grid": pa.array(grids, pa.list_(pa.int64())),
             }
         )
 
-    parts = ds.map_batches(partials, batch_format="pyarrow")
-    cells_t = collect_table(
-        parts.filter(expr="kind == 0")
-        .groupby(["lang", "row", "col"])
-        .sum("n")
-    )
+    parts = ds.map_batches(partials, batch_format="pyarrow").materialize()
+    grids: dict[str, np.ndarray] = {}
+    for b in stream_blocks(parts.filter(expr="token == ''")):
+        flat = pc.list_flatten(b["grid"]).to_numpy()
+        for lang, g in zip(
+            b["lang"].to_pylist(), flat.reshape(-1, CMS_D, CMS_W)
+        ):
+            grids[lang] = grids.get(lang, 0) + g
     cand_t = collect_table(
-        parts.filter(expr="kind == 1")
+        parts.filter(expr="token != ''")
+        .select_columns(["lang", "token", "n"])
         .groupby(["lang", "token"])
         .max("n")
     )
-
-    cells: dict[str, dict[tuple[int, int], int]] = {}
-    for lang, r, c, n in zip(
-        cells_t["lang"].to_pylist(),
-        cells_t["row"].to_pylist(),
-        cells_t["col"].to_pylist(),
-        cells_t["sum(n)"].to_pylist(),
-    ):
-        cells.setdefault(lang, {})[(r, c)] = n
 
     out_lang, out_tok, out_n = [], [], []
     by_lang: dict[str, list[str]] = {}
@@ -764,7 +742,7 @@ def top_terms_by_lang_cms(sf_dir: str, k: int = 10, candidates_per_batch: int = 
         by_lang.setdefault(lang, []).append(tok)
     for lang in sorted(by_lang):
         ests = [
-            (cms_estimate(cells[lang], stable_hash64(t)), t)
+            (cms_estimate(grids[lang], stable_hash64(t)), t)
             for t in by_lang[lang]
         ]
         ests.sort(key=lambda x: (-x[0], x[1]))

@@ -17,6 +17,7 @@ import pyarrow as pa
 import ray.data
 
 from scrupyst_ray import cache
+from scrupyst_ray.pipelines.textstats import _docs
 from scrupyst_ray.sources.corpus import (
     corpus_cache_dir,
     host_name,
@@ -857,9 +858,7 @@ def middleware_quality_gate(sf_dir: str):
             )
 
     mw = MiddlewarePipeline({LengthGate(200): 100, Projector(): 200})
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "lang", "text"]
-    )
+    ds = _docs(sf_dir, ["doc_id", "lang", "text"])
     return ds.map_batches(
         lambda b: mw.run("process_items", b), batch_format="pyarrow"
     ).sort("doc_id")
@@ -913,10 +912,7 @@ def warc_store(sf_dir: str) -> str:
         )
 
     def build(staging: str) -> None:
-        docs = ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "text", "lang"],
-        )
+        docs = _docs(sf_dir, ["doc_id", "text", "lang"])
         write_warc(
             docs.map_batches(to_pages, batch_format="pyarrow"),
             staging,
@@ -1014,10 +1010,7 @@ def _export_store(sf_dir: str, fmt: str) -> str:
     from scrupyst_ray.stages.export import export_dataset
 
     def build(staging: str) -> None:
-        docs = ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"),
-            columns=["doc_id", "source", "n_chars"],
-        )
+        docs = _docs(sf_dir, ["doc_id", "source", "n_chars"])
         export_dataset(
             docs,
             staging,
@@ -1263,9 +1256,7 @@ def httpcache_decisions(sf_dir: str):
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    )
+    ds = _docs(sf_dir, ["doc_id"])
     return (
         ds.map_batches(synth, batch_format="pyarrow")
         .map_batches(
@@ -1290,10 +1281,7 @@ def partitioned_export_roundtrip(sf_dir: str):
 
     from scrupyst_ray.stages.export import read_partitioned, write_partitioned
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "n_chars"],
-    )
+    docs = _docs(sf_dir, ["doc_id", "source", "n_chars"])
     # keyed on the source's content, so a regenerated table with an equal
     # row count never resume-skips into stale partitions
     out_dir = cache.path(_docs_store_name("partsink_v2", sf_dir))

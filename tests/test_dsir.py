@@ -24,15 +24,36 @@ DOCS = [
     (7, "", "en"),  # empty: featureless, absent from output
 ]
 
+# featureless documents in the MIDDLE of a block, between scored ones.  Ray
+# splits a small file into several read blocks, so the pattern repeats
+# through the file and every block holds featureless documents.
+_GAPPY = [
+    ("the cat sat on the mat", "en"),
+    ("", "en"),
+    ("der hund lief", "de"),
+    ("  \t ", "fr"),
+    ("", "de"),
+    ("le chat noir dort", "fr"),
+    (" ", "en"),
+    ("the dog ran fast", "en"),
+]
+GAPPY_DOCS = [
+    (10 * k + i, t, lang)
+    for k in range(8)
+    for i, (t, lang) in enumerate(_GAPPY)
+]
+
 
 def _bucket(g: str) -> int:
     return int(md5(g.encode()).hexdigest()[:8], 16) % B
 
 
-def ref_weights(target: str = "en") -> dict[int, tuple[int, float]]:
+def ref_weights(
+    target: str = "en", docs: list = DOCS
+) -> dict[int, tuple[int, float]]:
     """doc_id -> (n_feats, logw) per the docstring contract in dsir.py."""
     feats: dict[int, Counter] = {}
-    for d, t, _ in DOCS:
+    for d, t, _ in docs:
         toks = t.split()
         if not toks:
             continue
@@ -41,7 +62,7 @@ def ref_weights(target: str = "en") -> dict[int, tuple[int, float]]:
         feats[d] = c
     tcnt: Counter = Counter()
     rcnt: Counter = Counter()
-    for d, _, lang in DOCS:
+    for d, _, lang in docs:
         if d not in feats:
             continue
         (tcnt if lang == target else rcnt).update(feats[d])
@@ -60,20 +81,28 @@ def ref_weights(target: str = "en") -> dict[int, tuple[int, float]]:
     return out
 
 
-@pytest.fixture(scope="module")
-def dsir_dir(tmp_path_factory):
-    d = tmp_path_factory.mktemp("dsirdocs")
+def _write(d, docs: list) -> str:
     pq.write_table(
         pa.table(
             {
-                "doc_id": pa.array([x[0] for x in DOCS], pa.int64()),
-                "text": pa.array([x[1] for x in DOCS], pa.string()),
-                "lang": pa.array([x[2] for x in DOCS], pa.string()),
+                "doc_id": pa.array([x[0] for x in docs], pa.int64()),
+                "text": pa.array([x[1] for x in docs], pa.string()),
+                "lang": pa.array([x[2] for x in docs], pa.string()),
             }
         ),
         os.path.join(str(d), "documents.parquet"),
     )
     return str(d)
+
+
+@pytest.fixture(scope="module")
+def dsir_dir(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("dsirdocs"), DOCS)
+
+
+@pytest.fixture(scope="module")
+def gappy_dir(tmp_path_factory):
+    return _write(tmp_path_factory.mktemp("gappydocs"), GAPPY_DOCS)
 
 
 def test_logweights_match_reference(ray_session, dsir_dir):
@@ -117,3 +146,18 @@ def test_single_token_doc_has_one_feature(ray_session, dsir_dir):
 
     got = {r["doc_id"]: r["n_feats"] for r in dsir_logweights(dsir_dir).take_all()}
     assert got[6] == 1  # one unigram, zero bigrams
+
+
+def test_featureless_docs_inside_a_block(ray_session, gappy_dir):
+    """Empty and whitespace-only documents between scored ones are absent,
+    and every scored document after them keeps its own grams."""
+    from scrupyst_ray.pipelines.dsir import dsir_logweights
+
+    got = {
+        r["doc_id"]: (r["n_feats"], r["logw"])
+        for r in dsir_logweights(gappy_dir).take_all()
+    }
+    want = ref_weights(docs=GAPPY_DOCS)
+    assert set(got) == {d for d, t, _ in GAPPY_DOCS if t.strip()} == set(want)
+    for d, (n, lw) in want.items():
+        assert got[d] == (n, f"{lw:.4f}")

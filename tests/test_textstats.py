@@ -246,6 +246,7 @@ class TestCountMin:
         from scrupyst_ray.functions.hashing import stable_hash64
         from scrupyst_ray.functions.sketches import (
             CMS_D,
+            CMS_W,
             cms_cells,
             cms_estimate,
         )
@@ -257,11 +258,10 @@ class TestCountMin:
         hs = np.array([stable_hash64(t) for t, _ in items], dtype=np.uint64)
         ns = np.array([n for _, n in items], dtype=np.int64)
         cells_idx = cms_cells(hs)
-        cells: dict = {}
+        cells = np.zeros((CMS_D, CMS_W), np.int64)
         for (tok, n), row in zip(items, cells_idx):
             for r in range(CMS_D):
-                k = (r, int(row[r]))
-                cells[k] = cells.get(k, 0) + n
+                cells[r, row[r]] += n
         total = int(ns.sum())
         for tok, n in items:
             est = cms_estimate(cells, stable_hash64(tok))

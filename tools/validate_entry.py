@@ -9,11 +9,15 @@ the graft driver applies.  Usage:
 from __future__ import annotations
 
 import hashlib
+import os
 import sys
 import time
 
 import duckdb
 import pandas as pd
+
+# the checkout this file belongs to: its __ray_entry__ is the one validated
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def to_pandas(obj) -> pd.DataFrame:
@@ -37,6 +41,14 @@ def value_hash(df: pd.DataFrame) -> str:
     return hashlib.md5(repr(rows).encode()).hexdigest()[:12]
 
 
+def load_entry():
+    """This checkout's ``__ray_entry__`` module, whatever the cwd."""
+    sys.path.insert(0, ROOT)
+    import __ray_entry__
+
+    return __ray_entry__
+
+
 def main() -> None:
     import ray
 
@@ -45,8 +57,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as e
+    e = load_entry()
 
     con = duckdb.connect()
     for t in (
