@@ -1345,7 +1345,7 @@ def oracle_sql() -> dict[str, str]:
         # verified output EQUALS the exact uncapped pair set and DuckDB
         # recomputes it from the texts; minhash_recall independently
         # guards the recall assumption this equality rests on
-        "ngram_jaccard_pairs": """
+        "ngram_jaccard_pairs": r"""
             WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS words
                        FROM documents),
             sh0 AS (
@@ -1376,7 +1376,7 @@ def oracle_sql() -> dict[str, str]:
         # banding knee and the est≈j gap at 0.5 (min true j = 0.9), so the
         # kept set equals the exact uncapped anti-join; the signature and
         # recall gates guard that assumption independently
-        "minhash_dedup_keep": """
+        "minhash_dedup_keep": r"""
             WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS words
                        FROM documents),
             sh0 AS (
@@ -2298,7 +2298,7 @@ def oracle_sql() -> dict[str, str]:
         # re-derives the full sketch output, not just a bound on it
         # (functions/sketches.py; zero-token docs carry no length signal
         # and are excluded, matching hist_partials)
-        "doc_length_quantiles_sketch": """
+        "doc_length_quantiles_sketch": r"""
             WITH t AS (SELECT source,
                               len(regexp_extract_all(text, '\S+')) AS n
                        FROM documents),

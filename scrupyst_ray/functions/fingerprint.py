@@ -10,10 +10,13 @@ Golden vectors: reference ``tests/test_utils_request.py:65-141`` (copied into
 ``tests/test_fingerprint.py`` verbatim as byte literals).
 
 Batch kernel: :func:`fingerprint_batch` adds ``fp`` (20-byte binary) and
-``fp64`` (first 8 bytes as uint64 — the URL-seen bloom's key and the sort
-key of the exact seen lanes, ``state/seen.py``) columns to an Arrow table,
-vectorized over rows with hashlib in a tight loop (SHA-1 of ~100-byte
-payloads; ~1M rows/s/core).
+``fp64`` (:func:`fp_to_u64`, the first 8 bytes as uint64 — the URL-seen
+bloom's key and the sort key of the exact seen lanes, ``state/seen.py``)
+columns to an Arrow table, vectorized over rows with hashlib in a tight
+loop over :func:`fingerprint_payload` (SHA-1 of ~100-byte payloads; ~1M
+rows/s/core).  It fingerprints every frontier row: eagerly for seeds and
+follow-ups (``stages/frontier.py``), after within-round dedup for link
+candidates (the crawl gate).
 """
 
 from __future__ import annotations
@@ -113,17 +116,12 @@ def fingerprint_batch(
     for i, u in enumerate(urls):
         if not urls_are_safe:
             u = _safe(u)
-        cu = _canon(u)
-        payload = (
-            '{"body": "", "headers": {}, "method": "GET", "url": '
-            + json.dumps(cu)
-            + "}"
-        )
-        d = _sha1(payload.encode()).digest()  # noqa: S324
+        payload = fingerprint_payload(_canon(u)).encode()
+        d = _sha1(payload).digest()  # noqa: S324
         fps[i] = d
-        fp64[i] = int.from_bytes(d[:8], "big")
+        fp64[i] = fp_to_u64(d)
         if with_sha256:
-            fp256[i] = _sha256(payload.encode()).hexdigest()
+            fp256[i] = _sha256(payload).hexdigest()
     out = batch
     for col in ("fp", "fp64", "fp256"):
         if col in out.column_names:

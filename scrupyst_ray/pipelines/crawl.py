@@ -34,7 +34,11 @@ Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
 
     workdir/
-      robots/shard=K.parquet          robots side-table, built once
+      robots/shard=K.parquet          robots side-table, built once: one
+                                      row per host, from the page at
+                                      http://{host}/robots.txt (else
+                                      https://), host = parse_host(url);
+                                      _COMPLETE records seen_shards
       seen/shard=K/round=N.parquet    per-round fingerprint deltas
       rounds/round-N/frontier/candidates/  new-candidate rows (shuffled)
       rounds/round-N/frontier/deferred/    per-shard deferred rows (read
@@ -87,20 +91,24 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import ray
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.functions.fingerprint import fingerprint
-from scrupyst_ray.functions.hashing import hash_mod_batch, stable_hash64
+from scrupyst_ray.functions.fingerprint import fingerprint_batch
+from scrupyst_ray.functions.hashing import shard_of
+from scrupyst_ray.functions.urlnorm import parse_host
 from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
+    built_for,
     exchange_files,
     exchange_rows,
     key_cuts,
     read_exchange_dir,
     read_exchange_file,
     write_exchange,
+    write_marker,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
@@ -300,20 +308,24 @@ def _shard_gate_fn(
             mark_dups(enc.indices.to_numpy(zero_copy_only=False).astype(np.int64))
 
             # -- lazy fingerprints: only pass-1 survivors missing fp (new
-            # candidate rows arrive with fp=b""), once per unique URL
-            fp_empty = (
-                pc.equal(group["fp"], b"")
-                .to_numpy(zero_copy_only=False)
-                .astype(bool)
+            # candidate rows arrive with fp=b""), once per unique URL,
+            # written into the group's fp / fp64 columns
+            miss = ~local_dup & pc.equal(group["fp"], b"").to_numpy(
+                zero_copy_only=False
             )
-            computed: dict[int, bytes] = {}
-            miss_idx = np.flatnonzero(~local_dup & fp_empty)
-            if miss_idx.size:
-                miss_urls = group["url"].take(pa.array(miss_idx)).to_pylist()
-                for i, u in zip(miss_idx, miss_urls):
-                    fpb = fingerprint(u, url_is_safe=True)
-                    computed[int(i)] = fpb
-                    fp64[i] = int.from_bytes(fpb[:8], "big")
+            if miss.any():
+                miss_pa = pa.array(miss)
+                fps = fingerprint_batch(group.select(["url"]).filter(miss_pa))
+                fp64[miss] = fps["fp64"].to_numpy()
+                fp = pc.replace_with_mask(
+                    group["fp"].combine_chunks(), miss_pa, fps["fp"].combine_chunks()
+                )
+                i_fp = group.schema.get_field_index("fp")
+                group = group.set_column(i_fp, "fp", fp).set_column(
+                    group.schema.get_field_index("fp64"),
+                    "fp64",
+                    pa.array(fp64, pa.uint64()),
+                )
 
             # -- pass 2: fingerprint dedup (canonically-equivalent spellings).
             # fp64 (first 8 fp bytes) is the vectorized key; rows that share
@@ -330,8 +342,7 @@ def _shard_gate_fn(
                     rows = order[np.isin(c64, uniq[counts > 1])]  # rank order
                     fps_exact = group["fp"].take(pa.array(rows)).to_pylist()
                     winner: dict[bytes, int] = {}
-                    for pos, i in enumerate(rows):
-                        k = computed.get(int(i)) or fps_exact[pos]
+                    for k, i in zip(fps_exact, rows):
                         if k in winner:
                             local_dup[int(i)] = True
                         else:
@@ -340,11 +351,6 @@ def _shard_gate_fn(
             live = np.flatnonzero(~local_dup)
             live_pa = pa.array(live)
             fps_live = group["fp"].take(live_pa).to_pylist()
-            if computed:
-                for j, i in enumerate(live):
-                    fpb = computed.get(int(i))
-                    if fpb is not None:
-                        fps_live[j] = fpb
             hosts_live = group["host"].take(live_pa).to_pylist()
             urls_live = group["url"].take(live_pa).to_pylist()
             # hosts(live) == hosts(all candidates): a local dup always shares
@@ -368,19 +374,7 @@ def _shard_gate_fn(
         fresh, robots = res["fresh"], res["robots_ok"]
         status[live[fresh & ~robots]] = ROBOTS_FORBIDDEN
         status[live[fresh & robots]] = ADMITTED  # passed gate → budget draw
-        keep_pos = np.flatnonzero(fresh & robots)
-        sel = live[keep_pos]
-        new_surv = group.take(pa.array(sel))
-        i_fp = new_surv.column_names.index("fp")
-        new_surv = new_surv.set_column(
-            i_fp,
-            "fp",
-            pa.array([fps_live[j] for j in keep_pos], pa.binary()),
-        )
-        i64 = new_surv.column_names.index("fp64")
-        new_surv = new_surv.set_column(
-            i64, "fp64", pa.array(fp64[sel], pa.uint64())
-        )
+        new_surv = group.take(pa.array(live[fresh & robots]))
 
         # -- budget draw over deferred ∪ surviving new rows: pure and
         # deterministic, so task retries replay to identical decisions.
@@ -637,28 +631,40 @@ class CrawlEngine:
         return eng
 
     def _build_robots_side_table(self, pages_path: str) -> None:
-        """robots side-table: pages where path == /robots.txt, partitioned by
+        """robots side-table: one robots.txt body per host, partitioned by
         state shard so each StateShard lazily loads only its hosts
-        (broadcast-small-side pattern, SURVEY.md §2.4)."""
-        done = os.path.join(self.robots_dir, "_COMPLETE")
-        if os.path.exists(done):
-            return
-        os.makedirs(self.robots_dir, exist_ok=True)
+        (broadcast-small-side pattern, SURVEY.md §2.4).
+
+        A host's robots row is the page at ``http://{host}/robots.txt``, or
+        failing that ``https://{host}/robots.txt``, where ``host =
+        parse_host(url)`` (the frontier's host key).  Other pages named
+        robots.txt (nested paths, ports, userinfo) are not robots rows.
+        ``_COMPLETE`` records ``seen_shards``; reusing a table built for
+        another shard count raises ``ValueError``."""
         num_shards = self.cfg.seen_shards
+        done = os.path.join(self.robots_dir, "_COMPLETE")
+        routing = f"seen_shards={num_shards}"
+        if built_for(done, routing):
+            return
+        shutil.rmtree(self.robots_dir, ignore_errors=True)
+        os.makedirs(self.robots_dir)
         ds = ray.data.read_parquet(pages_path, columns=["url", "html"])
 
         def to_robots(batch: pa.Table) -> pa.Table:
-            mask = pc.ends_with(batch["url"], pattern="/robots.txt")
-            sub = batch.filter(mask)
+            sub = batch.filter(pc.ends_with(batch["url"], pattern="/robots.txt"))
             urls = sub["url"].to_pylist()
-            hosts = [u.split("://", 1)[-1].split("/", 1)[0].lower() for u in urls]
+            hosts = [parse_host(u) for u in urls]
+            https = [u == f"https://{h}/robots.txt" for u, h in zip(urls, hosts)]
+            http = [u == f"http://{h}/robots.txt" for u, h in zip(urls, hosts)]
+            root = [a or b for a, b in zip(http, https)]
             out = pa.table(
                 {
                     "host": pa.array(hosts, pa.string()),
                     "body": sub["html"],
-                    "shard": pa.array(hash_mod_batch(hosts, num_shards), pa.int32()),
+                    "https": pa.array(https, pa.bool_()),
+                    "shard": pa.array(shard_of(hosts, num_shards), pa.int32()),
                 }
-            )
+            ).filter(pa.array(root, pa.bool_()))
             # one host == "" placeholder per shard: no shard's block is empty
             return pa.concat_tables(
                 [out, _blank_rows(out.schema, shard=list(range(num_shards)))]
@@ -675,8 +681,14 @@ class CrawlEngine:
                     {"shard": pa.array([], pa.int32()), "n": pa.array([], pa.int64())}
                 )
             shard_id = group["shard"][0].as_py()
+            # one row per host, http before https
+            group = group.sort_by([("host", "ascending"), ("https", "ascending")])
+            hosts = group["host"].to_numpy(zero_copy_only=False)
+            first = np.ones(len(hosts), bool)
+            first[1:] = hosts[1:] != hosts[:-1]
+            group = group.filter(pa.array(first)).select(["host", "body"])
             path = os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
-            pq.write_table(group.drop_columns(["shard"]), path + ".tmp")
+            pq.write_table(group, path + ".tmp")
             os.replace(path + ".tmp", path)
             return pa.table(
                 {
@@ -691,9 +703,7 @@ class CrawlEngine:
             .map_batches(write_shard, batch_size=None, batch_format="pyarrow")
             .materialize()
         )
-        with open(done + ".tmp", "w") as f:
-            f.write("ok\n")
-        os.replace(done + ".tmp", done)
+        write_marker(done, routing)
 
     def _start_actors(self) -> list:
         if self._actors is None:
@@ -785,7 +795,15 @@ class CrawlEngine:
         if os.path.isdir(fdir) and os.listdir(fdir):
             return
         cfg = self.cfg
-        seeds = ray.data.read_parquet(seeds_path)
+        # Ray cuts each seed file evenly into read blocks, and an empty cut
+        # is a schema-less block: size the read from the footers' row counts
+        # (at most the smallest file's rows, ~GATE_ROWS seeds per block)
+        rows = [
+            f.metadata.num_rows
+            for f in pads.dataset(seeds_path, format="parquet").get_fragments()
+        ]
+        blocks = min(min(rows, default=1), -(-sum(rows) // GATE_ROWS))
+        seeds = ray.data.read_parquet(seeds_path, override_num_blocks=max(1, blocks))
         frontier = seeds.map_batches(
             lambda b: seeds_to_frontier(b, cfg), batch_format="pyarrow"
         )
@@ -797,8 +815,22 @@ class CrawlEngine:
         """Run rounds until the frontier drains or a stop condition fires.
         Safe to call on a fresh OR previously-killed workdir (resume)."""
         cfg = self.cfg
-        actors = self._start_actors()
+        # the page store and a resumed workdir's files are laid out by the
+        # routing they were written with; reading them under another would
+        # miss every page / hand every shard other shards' rows
+        store_marker = os.path.join(self.store_dir, "_STORE_COMPLETE")
+        built_for(store_marker, f"num_buckets={cfg.fetch_buckets}")  # raises
         start_round = self.last_complete_round() + 1
+        if start_round > 0:
+            with open(self._manifest_path(start_round - 1)) as f:
+                recorded = json.load(f)["config"]
+            for key in ("seen_shards", "fetch_buckets"):
+                if recorded[key] != getattr(cfg, key):
+                    raise ValueError(
+                        f"{self.workdir} was crawled with {key}="
+                        f"{recorded[key]}, not {getattr(cfg, key)}"
+                    )
+        actors = self._start_actors()
         if start_round > 0:
             # resume: replay committed seen deltas into fresh actors
             ray.get(
@@ -1055,9 +1087,9 @@ class CrawlEngine:
             # committed state (kill-resume identity)
             bw = cfg.autothrottle_sim_bandwidth
             per_shard: dict[int, list] = {}
-            for host in sorted(host_obs):
+            hosts = sorted(host_obs)
+            for host, k in zip(hosts, shard_of(hosts, cfg.seen_shards).tolist()):
                 sum_bytes, n_fetch, n_ok = host_obs[host]
-                k = stable_hash64(host) % cfg.seen_shards
                 dest = per_shard.setdefault(k, [[], [], []])
                 dest[0].append(host)
                 dest[1].append(sum_bytes / (n_fetch * bw))

@@ -13,6 +13,8 @@ tmp+rename and keyed by a stable tag, so task retries are idempotent.
 
 ``key_cuts`` gives the fixed sort boundaries the crawl's keyed Ray Data
 exchanges use (fetch stage, candidate / robots / page-store writers).
+The robots and page-store markers record the modulus their rows were
+routed by (:func:`write_marker`, :func:`built_for`).
 """
 
 from __future__ import annotations
@@ -37,6 +39,31 @@ def key_cuts(parts: int, n_keys: int) -> list[int]:
     Ray, which then emits as many blocks as it received and can split one
     key across them."""
     return [n_keys * i // parts for i in range(1, parts)] or [n_keys]
+
+
+def write_marker(marker: str, record: str) -> None:
+    """Write a completion marker holding *record* (tmp+rename)."""
+    with open(marker + ".tmp", "w") as f:
+        f.write(record + "\n")
+    os.replace(marker + ".tmp", marker)
+
+
+def built_for(marker: str, record: str) -> bool:
+    """Whether the store with completion marker *marker* is complete and
+    routed by *record* (``"name=value"``); False when the marker is missing
+    or older than routing records (build it).  ``ValueError`` when it
+    records another value: every row of that store sits under another key."""
+    if not os.path.exists(marker):
+        return False
+    with open(marker) as f:
+        recorded = f.read().strip()
+    if recorded == record:
+        return True
+    if recorded.startswith(record.split("=", 1)[0] + "="):
+        raise ValueError(
+            f"{os.path.dirname(marker)} was built for {recorded}, not {record}"
+        )
+    return False
 
 
 def write_exchange(table: pa.Table, path: str) -> None:

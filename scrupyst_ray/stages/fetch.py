@@ -4,8 +4,8 @@ The reference's HTTP download handler (S1,
 ``scrapy/core/downloader/handlers/http11_aiohttp.py:42-339``) becomes a table
 lookup: the corpus *is* the network.  To make that lookup scale to a 100 TB
 page table WITHOUT re-scanning or re-shuffling the corpus every round, the
-pages are partitioned ONCE by ``bucket = stable_hash64(url) % B`` (same
-function the frontier uses).  Per round:
+pages are partitioned ONCE by ``bucket = bucket_of(url, B)`` (the function
+that routes every frontier row, ``functions/hashing.py``).  Per round:
 
     admitted.sort("fetch_key", boundaries=cuts)
             .map_batches(FetchParse, batch_size=None)
@@ -42,10 +42,16 @@ import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.functions.hashing import hash_mod_batch
+from scrupyst_ray.functions.hashing import bucket_of
 from scrupyst_ray.functions.links import LinkExtractorConfig, extract_links
 from scrupyst_ray.functions.textextract import detect_and_decode
-from scrupyst_ray.stages.exchange import EXCHANGE_EXT, key_cuts, write_exchange
+from scrupyst_ray.stages.exchange import (
+    EXCHANGE_EXT,
+    built_for,
+    key_cuts,
+    write_exchange,
+    write_marker,
+)
 from scrupyst_ray.stages.frontier import EDGE_META_SCHEMA
 from scrupyst_ray.stages.middleware import MiddlewareContext, MiddlewarePipeline
 
@@ -86,18 +92,23 @@ def build_page_store(
     pass IS the design-scale partitioning step); the payoff is one compact
     fragment per bucket instead of one per (input block × bucket), which
     makes the per-round bucket probes O(1) file opens.
+
+    ``_STORE_COMPLETE`` records ``num_buckets``; reusing a store built
+    with another bucket count raises ``ValueError`` (here and in
+    ``CrawlEngine.run``).
     """
     import ray
 
     done = os.path.join(store_dir, "_STORE_COMPLETE")
-    if os.path.exists(done):
+    routing = f"num_buckets={num_buckets}"
+    if built_for(done, routing):
         return store_dir
     ds = ray_dataset
     if ds is None:
         ds = ray.data.read_parquet(pages_path, columns=["url", "warc_ts", "html"])
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        buckets = hash_mod_batch(batch["url"].to_pylist(), num_buckets)
+        buckets = bucket_of(batch["url"], num_buckets)
         if "bucket" in batch.column_names:
             batch = batch.drop_columns(["bucket"])
         return batch.append_column("bucket", pa.array(buckets, pa.int32()))
@@ -134,9 +145,7 @@ def build_page_store(
         .map_batches(write_bucket, batch_size=None, batch_format="pyarrow")
         .materialize()
     )
-    with open(done + ".tmp", "w") as f:
-        f.write(f"num_buckets={num_buckets}\n")
-    os.replace(done + ".tmp", done)
+    write_marker(done, routing)
     return store_dir
 
 

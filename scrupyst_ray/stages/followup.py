@@ -24,8 +24,10 @@ become flat-map stages over a fetched table with synthetic ``status`` /
   redirects win because process_response runs highest-priority-first and
   RedirectMiddleware (600) precedes MetaRefreshMiddleware (580).
 
-Both emit rows in the frontier schema (plus retry/redirect counters) that the
-driver unions into the next round.
+All three emit ``FOLLOWUP_SCHEMA`` rows: frontier rows built by
+``stages.frontier.frontier_rows`` (eager fingerprints, the same shard and
+bucket routing as seeds and link candidates) plus the retry/redirect
+counters, which the driver unions into the next round.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ import numpy as np
 import pyarrow as pa
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.functions.fingerprint import fingerprint
-from scrupyst_ray.functions.hashing import stable_hash64
 from scrupyst_ray.functions.metarefresh import meta_refresh_target
 from scrupyst_ray.functions.urlnorm import parse_host, safe_url_string
-from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA
+from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, frontier_rows
 
 # reference default_settings.py:454-472
 RETRY_HTTP_CODES = frozenset([500, 502, 503, 504, 522, 524, 408, 429])
@@ -56,31 +56,11 @@ FOLLOWUP_SCHEMA = pa.schema(
 )
 
 
-def _mk_row(
-    url: str,
-    depth: int,
-    priority: int,
-    order_key: bytes,
-    dont_filter: bool,
-    cfg: CrawlConfig,
-) -> dict:
-    url = safe_url_string(url)
-    fp = fingerprint(url, url_is_safe=True)
-    host = parse_host(url)
-    return {
-        "url": url,
-        "host": host,
-        "depth": depth,
-        "priority": priority,
-        "order_key": order_key,
-        "dont_filter": dont_filter,
-        "already_enqueued": False,
-        "is_start": False,
-        "fp": fp,
-        "fp64": int.from_bytes(fp[:8], "big"),
-        "shard": stable_hash64(host) % cfg.seen_shards,
-        "bucket": stable_hash64(url) % cfg.fetch_buckets,
-    }
+# per follow-up kind: (priority adjust, order-key marker suffix,
+# dont_filter, retry_times step, redirect_times step)
+_REDIRECT = (REDIRECT_PRIORITY_ADJUST, b"\xff\xfd", False, 0, 1)
+_RETRY = (RETRY_PRIORITY_ADJUST, b"\xff\xfe", True, 1, 0)  # retry.py: dont_filter
+_META_REFRESH = (REDIRECT_PRIORITY_ADJUST, b"\xff\xfc", False, 0, 1)
 
 
 def followups_batch(batch: pa.Table, cfg: CrawlConfig | None = None) -> pa.Table:
@@ -88,37 +68,25 @@ def followups_batch(batch: pa.Table, cfg: CrawlConfig | None = None) -> pa.Table
     retry_times, redirect_times]) → follow-up frontier rows."""
     cfg = cfg or CrawlConfig()
     n = batch.num_rows
-    statuses = batch["status"].to_pylist()
-    urls = batch["url"].to_pylist()
-    depths = batch["depth"].to_pylist() if "depth" in batch.column_names else [0] * n
-    prios = batch["priority"].to_pylist() if "priority" in batch.column_names else [0] * n
+
+    def col(name: str, default) -> list:
+        if name in batch.column_names:
+            return batch[name].to_pylist()
+        return [default] * n
+
+    statuses, urls = col("status", None), col("url", None)
+    depths, prios = col("depth", 0), col("priority", 0)
     keys = (
         batch["order_key"].to_pylist()
         if "order_key" in batch.column_names
         else [i.to_bytes(8, "big") for i in range(n)]
     )
-    redirect_to = (
-        batch["redirect_to"].to_pylist()
-        if "redirect_to" in batch.column_names
-        else [None] * n
-    )
-    retry_times = (
-        batch["retry_times"].to_pylist()
-        if "retry_times" in batch.column_names
-        else [0] * n
-    )
-    redirect_times = (
-        batch["redirect_times"].to_pylist()
-        if "redirect_times" in batch.column_names
-        else [0] * n
-    )
-    texts = (
-        batch["text"].to_pylist() if "text" in batch.column_names else [None] * n
-    )
+    redirect_to, texts = col("redirect_to", None), col("text", None)
+    retry_times, redirect_times = col("retry_times", 0), col("redirect_times", 0)
 
-    rows: list[dict] = []
-    rt_out: list[int] = []
-    rd_out: list[int] = []
+    # (url, depth, priority, order_key, dont_filter, retry_times,
+    # redirect_times) per follow-up row
+    out = []
     for i in range(n):
         s = statuses[i]
         if s in REDIRECT_STATUSES and redirect_to[i]:
@@ -131,60 +99,30 @@ def followups_batch(batch: pa.Table, cfg: CrawlConfig | None = None) -> pa.Table
             target = urljoin(urls[i], loc)
             if urlsplit(target).scheme not in ("http", "https"):
                 continue  # non-http(s) target: no redirect (redirect.py:175)
-            rows.append(
-                _mk_row(
-                    target,
-                    depths[i],
-                    prios[i] + REDIRECT_PRIORITY_ADJUST,
-                    keys[i] + b"\xff\xfd",  # redirect marker suffix
-                    dont_filter=False,
-                    cfg=cfg,
-                )
-            )
-            rt_out.append(retry_times[i])
-            rd_out.append(redirect_times[i] + 1)
+            kind = _REDIRECT
         elif s in RETRY_HTTP_CODES:
             if retry_times[i] >= RETRY_TIMES:
                 continue  # gave up (stats: retry/max_reached)
-            rows.append(
-                _mk_row(
-                    urls[i],
-                    depths[i],
-                    prios[i] + RETRY_PRIORITY_ADJUST,
-                    keys[i] + b"\xff\xfe",  # retry marker suffix
-                    dont_filter=True,  # retry.py: dont_filter=True
-                    cfg=cfg,
-                )
-            )
-            rt_out.append(retry_times[i] + 1)
-            rd_out.append(redirect_times[i])
+            target, kind = urls[i], _RETRY
         elif texts[i]:
             target = meta_refresh_target(texts[i], urls[i])
             if target is None or redirect_times[i] >= REDIRECT_MAX_TIMES:
                 continue
-            rows.append(
-                _mk_row(
-                    target,
-                    depths[i],
-                    prios[i] + REDIRECT_PRIORITY_ADJUST,
-                    keys[i] + b"\xff\xfc",  # meta-refresh marker suffix
-                    dont_filter=False,
-                    cfg=cfg,
-                )
-            )
-            rt_out.append(retry_times[i])
-            rd_out.append(redirect_times[i] + 1)
+            kind = _META_REFRESH
+        else:
+            continue
+        adjust, marker, dont_filter, d_retry, d_redirect = kind
+        out.append((
+            safe_url_string(target), depths[i], prios[i] + adjust, keys[i] + marker,
+            dont_filter, retry_times[i] + d_retry, redirect_times[i] + d_redirect,
+        ))
 
-    cols: dict[str, list] = {name: [] for name in FRONTIER_SCHEMA.names}
-    for r in rows:
-        for k in cols:
-            cols[k].append(r[k])
-    out = pa.table(
-        {
-            **{k: pa.array(cols[k], FRONTIER_SCHEMA.field(k).type) for k in cols},
-            "retry_times": pa.array(np.array(rt_out, np.int8), pa.int8()),
-            "redirect_times": pa.array(np.array(rd_out, np.int8), pa.int8()),
-        },
-        schema=FOLLOWUP_SCHEMA,
+    columns = zip(*out) if out else [()] * 7
+    url, depth, priority, order_key, dont_filter, rt, rd = columns
+    rows = frontier_rows(
+        cfg, url, [parse_host(u) for u in url], depth, priority, order_key,
+        np.array(dont_filter, bool),
     )
-    return out
+    return rows.append_column(
+        "retry_times", pa.array(rt, pa.int8())
+    ).append_column("redirect_times", pa.array(rd, pa.int8()))

@@ -31,8 +31,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.functions.fingerprint import fingerprint
-from scrupyst_ray.functions.hashing import hash_mod_batch, stable_hash64
+from scrupyst_ray.functions.fingerprint import fingerprint_batch
+from scrupyst_ray.functions.hashing import bucket_of, shard_of
 from scrupyst_ray.functions.urlnorm import (
     parse_host,
     safe_url_string,
@@ -74,49 +74,52 @@ DROP_REASON_NAMES = {
 }
 
 
-def _frontier_columns(
-    urls: list[str],
-    hosts: list[str],
-    depths: np.ndarray,
-    priorities: np.ndarray,
-    order_keys: list[bytes],
-    dont_filter: np.ndarray,
-    already_enqueued: np.ndarray,
-    is_start: np.ndarray,
+def frontier_rows(
     cfg: CrawlConfig,
-    compute_keys: bool = True,
-    compute_fp: bool = True,
+    url,
+    host,
+    depth,
+    priority,
+    order_key,
+    dont_filter,
+    *,
+    is_start: bool = False,
+    fingerprints: bool = True,
 ) -> pa.Table:
-    n = len(urls)
-    fps: list[bytes] = [b""] * n
-    fp64 = np.zeros(n, dtype=np.uint64)
-    shard = np.zeros(n, dtype=np.int32)
-    bucket = np.zeros(n, dtype=np.int32)
-    if compute_keys:  # skipped for dropped rows — they never reach a shard
-        for i in range(n):
-            if compute_fp:
-                # candidates skip this (compute_fp=False): the gate computes
-                # fingerprints AFTER within-round URL dedup, so the expensive
-                # canonicalize+SHA1 runs once per unique URL, not per edge
-                fp = fingerprint(urls[i], url_is_safe=True)
-                fps[i] = fp
-                fp64[i] = int.from_bytes(fp[:8], "big")
-            shard[i] = stable_hash64(hosts[i]) % cfg.seen_shards
-            bucket[i] = stable_hash64(urls[i]) % cfg.fetch_buckets
+    """``FRONTIER_SCHEMA`` rows: the one place they are assembled.
+
+    Each column argument holds one value per row (a list, numpy array or
+    Arrow array); *dont_filter* may also be one bool for all rows.  *url*
+    must already be safe (``safe_url_string``).  ``already_enqueued``
+    starts False (the gate sets it on the rows it defers), and ``shard`` /
+    ``bucket`` come from :func:`shard_of` / :func:`bucket_of`.  With
+    *fingerprints* (seeds, follow-ups) ``fp`` / ``fp64`` are computed here;
+    without (link candidates) they stay ``b""`` / 0 and the gate computes
+    them after its within-round URL dedup, once per unique URL instead of
+    once per edge."""
+    url = pa.array(url, pa.string())
+    host = pa.array(host, pa.string())
+    n = len(url)
+    if fingerprints:
+        fps = fingerprint_batch(pa.table({"url": url}))
+        fp, fp64 = fps["fp"], fps["fp64"]
+    else:
+        fp = pa.nulls(n, pa.binary()).fill_null(b"")
+        fp64 = np.zeros(n, np.uint64)
     return pa.table(
         {
-            "url": pa.array(urls, pa.string()),
-            "host": pa.array(hosts, pa.string()),
-            "depth": pa.array(depths, pa.int32()),
-            "priority": pa.array(priorities, pa.int64()),
-            "order_key": pa.array(order_keys, pa.binary()),
-            "dont_filter": pa.array(dont_filter, pa.bool_()),
-            "already_enqueued": pa.array(already_enqueued, pa.bool_()),
-            "is_start": pa.array(is_start, pa.bool_()),
-            "fp": pa.array(fps, pa.binary()),
+            "url": url,
+            "host": host,
+            "depth": pa.array(depth, pa.int32()),
+            "priority": pa.array(priority, pa.int64()),
+            "order_key": pa.array(order_key, pa.binary()),
+            "dont_filter": pa.array(np.broadcast_to(dont_filter, n), pa.bool_()),
+            "already_enqueued": pa.array(np.zeros(n, bool), pa.bool_()),
+            "is_start": pa.array(np.full(n, is_start), pa.bool_()),
+            "fp": fp,
             "fp64": pa.array(fp64, pa.uint64()),
-            "shard": pa.array(shard, pa.int32()),
-            "bucket": pa.array(bucket, pa.int32()),
+            "shard": pa.array(shard_of(host, cfg.seen_shards), pa.int32()),
+            "bucket": pa.array(bucket_of(url, cfg.fetch_buckets), pa.int32()),
         },
         schema=FRONTIER_SCHEMA,
     )
@@ -126,21 +129,17 @@ def seeds_to_frontier(batch: pa.Table, cfg: CrawlConfig) -> pa.Table:
     """Seed rows ``(url, seq)`` → round-0 frontier (depth 0, priority 0,
     ``dont_filter=True`` — reference start requests,
     ``scrapy/spiders/__init__.py:136-154``)."""
-    raw_urls = batch["url"].to_pylist()
-    seqs = batch["seq"].to_pylist()
-    urls = [safe_url_string(u) for u in raw_urls]
-    hosts = [parse_host(u) for u in urls]
+    urls = [safe_url_string(u) for u in batch["url"].to_pylist()]
     n = len(urls)
-    return _frontier_columns(
+    return frontier_rows(
+        cfg,
         urls,
-        hosts,
-        depths=np.zeros(n, np.int32),
-        priorities=np.zeros(n, np.int64),
-        order_keys=[int(s).to_bytes(8, "big") for s in seqs],
-        dont_filter=np.ones(n, bool),
-        already_enqueued=np.zeros(n, bool),
-        is_start=np.ones(n, bool),
-        cfg=cfg,
+        [parse_host(u) for u in urls],
+        depth=np.zeros(n, np.int32),
+        priority=np.zeros(n, np.int64),
+        order_key=[int(s).to_bytes(8, "big") for s in batch["seq"].to_pylist()],
+        dont_filter=True,
+        is_start=True,
     )
 
 
@@ -246,17 +245,11 @@ def edges_to_candidates(
     order (nofollow → urllength → badurl → offsite → depth), the order key
     is an element-wise binary join, hosts come from one RE2 extraction with
     a per-row ``parse_host`` fallback only for the rows the fast pattern
-    rejects, and the shard/bucket routing hashes run once per DICTIONARY
-    value instead of once per row (hosts repeat heavily across edges).
+    rejects, and the rows are assembled by :func:`frontier_rows`, whose
+    routing hashes run once per distinct host / url (hosts repeat heavily
+    across edges).
     """
     n = batch.num_rows
-    if n == 0:
-        kept = pa.table(
-            {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
-        )
-        for name in carry:
-            kept = kept.append_column(name, batch[name])
-        return kept, {}
     dst = batch["dst"]
     if isinstance(dst, pa.ChunkedArray):
         dst = dst.combine_chunks()
@@ -277,42 +270,16 @@ def edges_to_candidates(
 
     keep = reason == KEEP
     keep_pa = pa.array(keep)
-    k = int(keep.sum())
-    kept_urls = dst.filter(keep_pa)
-    kept_hosts = hosts_arr.filter(keep_pa)
     kept_depths = depths[keep]
-
-    def _dict_hash_mod(arr: pa.Array, mod: int) -> np.ndarray:
-        enc = pc.dictionary_encode(arr)
-        if isinstance(enc, pa.ChunkedArray):
-            enc = enc.combine_chunks()
-        per_value = hash_mod_batch(enc.dictionary.to_pylist(), mod)
-        return per_value[enc.indices.to_numpy(zero_copy_only=False)]
-
-    kept = pa.table(
-        {
-            "url": kept_urls,
-            "host": kept_hosts,
-            "depth": pa.array(kept_depths, pa.int32()),
-            "priority": pa.array(
-                -kept_depths.astype(np.int64) * cfg.depth_priority, pa.int64()
-            ),
-            "order_key": order_key.filter(keep_pa),
-            "dont_filter": pa.array(np.zeros(k, bool), pa.bool_()),
-            "already_enqueued": pa.array(np.zeros(k, bool), pa.bool_()),
-            "is_start": pa.array(np.zeros(k, bool), pa.bool_()),
-            # fingerprints stay lazy (b""): the gate computes them AFTER
-            # within-round URL dedup — once per unique URL, not per edge
-            "fp": pa.nulls(k, pa.binary()).fill_null(b""),
-            "fp64": pa.array(np.zeros(k, np.uint64), pa.uint64()),
-            "shard": pa.array(
-                _dict_hash_mod(kept_hosts, cfg.seen_shards), pa.int32()
-            ),
-            "bucket": pa.array(
-                _dict_hash_mod(kept_urls, cfg.fetch_buckets), pa.int32()
-            ),
-        },
-        schema=FRONTIER_SCHEMA,
+    kept = frontier_rows(
+        cfg,
+        dst.filter(keep_pa),
+        hosts_arr.filter(keep_pa),
+        depth=kept_depths,
+        priority=-kept_depths.astype(np.int64) * cfg.depth_priority,
+        order_key=order_key.filter(keep_pa),
+        dont_filter=False,
+        fingerprints=False,
     )
     for name in carry:
         kept = kept.append_column(name, batch[name].filter(keep_pa))

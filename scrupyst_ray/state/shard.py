@@ -1,6 +1,6 @@
 """StateShard — the host-sharded stateful actor of the crawl engine.
 
-One actor owns shard ``k = stable_hash64(host) % num_shards`` and holds BOTH
+One actor owns shard ``k = shard_of(host, num_shards)`` and holds BOTH
 per-shard states (they share the same routing key, so one shuffle + one RPC
 per round serves the dupefilter AND the politeness gate):
 

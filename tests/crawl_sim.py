@@ -54,7 +54,11 @@ def simulate_crawl(
     def rules_for(host: str):
         r = robots_cache.get(host)
         if r is None:
-            r = parse_robots(pages.get(f"http://{host}/robots.txt"))
+            # the host's root robots.txt; https only when http has none
+            url = f"http://{host}/robots.txt"
+            if url not in pages:
+                url = f"https://{host}/robots.txt"
+            r = parse_robots(pages.get(url))
             robots_cache[host] = r
         return r
 

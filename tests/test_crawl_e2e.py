@@ -260,6 +260,52 @@ class TestCrawlE2E:
         assert "host001.test" not in fetched_hosts
         _assert_phase_schema(str(tmp_path / "wd2"), len(res.rounds))
 
+    def test_robots_row_is_the_root_robots_txt(self, smoke_corpus, tmp_path):
+        """A host's robots rules come from ``http://{host}/robots.txt``,
+        else ``https://{host}/robots.txt``: a nested robots.txt page is an
+        ordinary page, and http wins over https."""
+        import pyarrow as pa
+
+        from scrupyst_ray.sources.corpus import PAGES_SCHEMA
+
+        pages = tmp_path / "pages"
+        shutil.copytree(os.path.join(smoke_corpus, "pages"), pages)
+        block_all = b"User-agent: *\nDisallow: /\n"
+        extra = {
+            # nested: not host000's robots row (its root one stays in force)
+            "http://host000.test/docs/robots.txt": block_all,
+            # host001's http robots.txt blocks our agent; https allows all
+            "https://host001.test/robots.txt": b"User-agent: *\nDisallow:\n",
+            # host003 has no http robots.txt, so https applies
+            "https://host003.test/robots.txt": block_all,
+        }
+        pq.write_table(
+            pa.table(
+                {
+                    "url": list(extra),
+                    "warc_ts": pa.array([0] * len(extra), pa.timestamp("us")),
+                    "html": list(extra.values()),
+                    "text": [b.decode() for b in extra.values()],
+                    "lang": ["en"] * len(extra),
+                },
+                schema=PAGES_SCHEMA,
+            ),
+            pages / "part-zz-extra.parquet",
+        )
+        cfg = _cfg()
+        sim = simulate_crawl(
+            load_pages_dict(str(tmp_path)), _seed_urls(smoke_corpus), cfg, max_rounds=4
+        )
+        eng = CrawlEngine.for_corpus(str(pages), str(tmp_path / "wd"), cfg)
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        res = eng.run(max_rounds=4)
+        eng.shutdown_actors()
+
+        hosts = {u.split("/")[2] for _, u in sim.fetch_order}
+        assert "host000.test" in hosts and "host003.test" not in hosts
+        assert _engine_order(res) == sim.fetch_order
+        assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
+
     def test_candidate_cap_bounds_frontier(self, smoke_corpus, tmp_path):
         """max_round_candidates: the per-round top-k keeps the next shuffle
         bounded, preserves (priority desc, order_key) crawl-order winners,
@@ -527,8 +573,8 @@ class TestFixedCutExchanges:
         """Rounds that admit fewer rows than there are fetch ranges, and
         capped rounds that leave a shard without candidates, log no Ray
         Data "different schema" warning; nor does building the page store
-        and the robots side-table.  (Not checked: ``init_frontier``, whose
-        read of the five-row seed file yields empty read blocks.)"""
+        and the robots side-table, nor ``init_frontier`` over the five-row
+        seed file (more read blocks than rows would leave empty ones)."""
         import contextlib
         import logging
 
@@ -562,8 +608,7 @@ class TestFixedCutExchanges:
             eng = CrawlEngine.for_corpus(
                 os.path.join(smoke_corpus, "pages"), str(tmp_path / "wd"), cfg
             )
-        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
-        with captured():
+            eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
             res = eng.run(max_rounds=4)
         eng.shutdown_actors()
 
