@@ -23,11 +23,10 @@ execution is the only shuffle: the sort of the ADMITTED set's METADATA
 (~100 B/row) by url-bucket sub-key, cut at fixed, even ``fetch_key``
 ranges (one per fetch task), so it runs no sampling pass and needs no
 repartition in front of it, and block ids are a pure function of
-(fetch_key, fetch_parts).  The driver adds one ``url == ""`` placeholder
-row per range to its input, so no range is ever empty (an empty range
-would come out of the sort as a schema-less block).  A round that admits
-nothing runs no fetch execution.  The gate reads its shards' frontier
-files task-side, and the page corpus itself is never shuffled or
+(fetch_key, fetch_parts).  How that sort is cut and padded, and how the
+frontier files are named, is ``stages/exchange.py``'s alone.  A round that
+admits nothing runs no fetch execution.  The gate reads its shards'
+frontier files task-side, and the page corpus itself is never shuffled or
 re-scanned (see ``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
@@ -40,10 +39,10 @@ Checkpoint layout (resume = reference JOBDIR contract,
                                       https://), host = parse_host(url);
                                       _COMPLETE records seen_shards
       seen/shard=K/round=N.parquet    per-round fingerprint deltas
-      rounds/round-N/frontier/candidates/  new-candidate rows (shuffled)
-      rounds/round-N/frontier/deferred/    per-shard deferred rows (read
-                                           directly by the owning shard's
-                                           gate task — never re-shuffled)
+      rounds/round-N/frontier/        round N's input rows per seen shard,
+                                      read by the shard's gate task (layout:
+                                      ``stages/exchange.py``); round 0's
+                                      _COMPLETE follows the last seed file
       rounds/round-N/fetched/         crawl artifact (part-K.parquet, one
                                       per fetch block, + part-K.stats.json)
       rounds/round-N/MANIFEST.json    commit record — written LAST (atomic
@@ -82,6 +81,7 @@ Skew story (SURVEY §7.4 "hot-domain skew"):
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -100,14 +100,16 @@ from scrupyst_ray.functions.fingerprint import fingerprint_batch
 from scrupyst_ray.functions.hashing import shard_of
 from scrupyst_ray.functions.urlnorm import parse_host
 from scrupyst_ray.stages.exchange import (
-    EXCHANGE_EXT,
     built_for,
+    candidates_dir,
     exchange_files,
-    exchange_rows,
-    key_cuts,
-    read_exchange_dir,
+    for_each_range,
+    frontier_row_counts,
+    frontier_shards,
     read_exchange_file,
-    write_exchange,
+    read_shard,
+    write_candidates,
+    write_deferred,
     write_marker,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
@@ -127,6 +129,11 @@ FETCH_SPLIT = 8
 
 # what every gate task returns: the frontier row plus its fetch sort key
 ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
+
+# robots side-table rows before the per-host pick (http wins over https)
+_ROBOTS_ROWS = pa.schema(
+    {"host": pa.string(), "body": pa.binary(), "https": pa.bool_(), "shard": pa.int32()}
+)
 
 # frontier rows per gate task: the gate's dedup costs ~10 µs/row, so this
 # many rows roughly equal one Ray task's ~15-20 ms fixed cost.  Smaller
@@ -162,54 +169,29 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     )
 
 
-def _blank_rows(schema: pa.Schema, **columns: list) -> pa.Table:
-    """Placeholder rows of *schema* (gate ticklers, exchange placeholders):
-    the given *columns*, every other column zero / empty / false, so an
-    empty ``url`` (or ``host``) marks them."""
-    n = len(next(iter(columns.values())))
-
-    def blank(t: pa.DataType):
-        if pa.types.is_string(t):
-            return ""
-        if pa.types.is_binary(t):
-            return b""
-        return False if pa.types.is_boolean(t) else 0
-
-    return pa.table(
-        {
-            f.name: pa.array(columns.get(f.name, [blank(f.type)] * n), f.type)
-            for f in schema
-        },
-        schema=schema,
-    )
-
-
 def _shard_gate_fn(
     actors: list,
     round_id: int,
-    stats_dir: str | None = None,
-    deferred_dir: str | None = None,
-    deferred_in_dir: str | None = None,
-    candidates_in_dir: str | None = None,
-    order_mode: str = "bfo",
+    frontier_dir: str,
+    next_frontier_dir: str,
+    stats_dir: str,
+    order_mode: str,
 ):
     """Build the per-shard-group gate function: within-round dedup (global
     winner by (priority desc, order_key) — deterministic), lazy fingerprint
     of the deduped survivors, then ONE StateShard RPC carrying only the small
     columns.  Returns ADMITTED rows; DEFERRED rows are side-written straight
-    into next round's frontier directory (tmp+rename per stable shard id, so
-    both the sidecar stats and the deferred file are idempotent on task
-    retry).  The gate stage is the round's first Ray Data execution; the
-    driver materializes it and sizes the fetch execution from its exact
-    admitted count.
+    into *next_frontier_dir* (``exchange.write_deferred``, tmp+rename per
+    stable shard id, so both the ``stats_dir/shard=K.json`` sidecar and the
+    deferred file are idempotent on task retry).  The gate stage is the
+    round's first Ray Data execution; the driver materializes it and sizes
+    the fetch execution from its exact admitted count.
 
-    Deferred rows NEVER re-enter a shuffle: they were written per shard, and
-    the owning shard's gate call reads its file straight from
-    *deferred_in_dir* (task-side read, no exchange).  New candidates are
-    read the same way from the per-shard files the previous round's fetch
-    tasks wrote.  The driver's tickler rows (``url == ""``, one per shard
-    with work) only say which shards a gate task serves; they are dropped
-    here.
+    The driver's tickler blocks hold only ``shard`` ids, one row per shard
+    with work; the gate reads each shard's rows from *frontier_dir*
+    (``exchange.read_shard``, task-side, no exchange): the new candidates
+    the previous round's fetch tasks wrote per shard, and the shard's
+    deferred rows, which never re-enter a shuffle.
 
     Every call returns ``ADMITTED_SCHEMA`` rows (zero rows when nothing is
     admitted), so the materialized gate output has one schema throughout.
@@ -227,31 +209,15 @@ def _shard_gate_fn(
     SORT_KEYS = draw_order(order_mode)
     empty = ADMITTED_SCHEMA.empty_table()
 
-    def gate(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return empty
+    def gate(shard_id: int) -> pa.Table:
         t_start = time.monotonic()
-        shard_id = group["shard"][0].as_py()
-        mask = pc.not_equal(group["url"], "")
-        if not pc.all(mask).as_py():
-            group = group.filter(mask)  # drop driver ticklers
-        # this shard's NEW candidate files (map-side partitioned by the
-        # previous round's fetch tasks — no shuffle brought them here)
-        if candidates_in_dir is not None:
-            cdir = os.path.join(candidates_in_dir, f"shard-{shard_id:05d}")
-            if os.path.isdir(cdir):
-                cands = read_exchange_dir(cdir)
-                if cands is not None and cands.num_rows:
-                    group = pa.concat_tables(
-                        [group, cands], promote_options="default"
-                    ).combine_chunks()
-        deferred_in = None
-        if deferred_in_dir is not None:
-            dpath = os.path.join(
-                deferred_in_dir, f"deferred-shard-{shard_id:05d}{EXCHANGE_EXT}"
-            )
-            if os.path.exists(dpath):
-                deferred_in = read_exchange_file(dpath)
+        # this shard's NEW candidates (map-side partitioned by the previous
+        # round's fetch tasks — no shuffle brought them here) and deferred
+        # rows
+        cands, deferred_in = read_shard(frontier_dir, shard_id)
+        group = (
+            FRONTIER_SCHEMA.empty_table() if cands is None else cands.combine_chunks()
+        )
         n = group.num_rows
         n_def = deferred_in.num_rows if deferred_in is not None else 0
         t_read = time.monotonic()
@@ -404,37 +370,29 @@ def _shard_gate_fn(
                     "already_enqueued",
                     pa.array(np.ones(deferred.num_rows, bool), pa.bool_()),
                 )
-                os.makedirs(deferred_dir, exist_ok=True)
-                write_exchange(
-                    deferred,
-                    os.path.join(
-                        deferred_dir,
-                        f"deferred-shard-{shard_id:05d}{EXCHANGE_EXT}",
-                    ),
-                )
+                write_deferred(deferred, next_frontier_dir, shard_id)
 
-        if stats_dir is not None:
-            os.makedirs(stats_dir, exist_ok=True)
-            counts = {
-                "shard": int(shard_id),
-                "total": int(n + n_def),
-                "admitted": int(n_admit),
-                "deferred": int(n_defer_out),
-                "robots_forbidden": int((status == ROBOTS_FORBIDDEN).sum()),
-                "dupefilter_filtered": int((status == SEEN_DUP).sum()),
-                # per-phase wall (s): candidate/deferred file read / local
-                # dedup+fingerprint / StateShard RPC / budget draw+defer write
-                "phase_s": {
-                    "read": round(t_read - t_start, 3),
-                    "dedup": round(t_dedup - t_read, 3),
-                    "rpc": round(t_rpc - t_dedup, 3),
-                    "draw": round(time.monotonic() - t_rpc, 3),
-                },
-            }
-            path = os.path.join(stats_dir, f"shard={shard_id:05d}.json")
-            with open(path + ".tmp", "w") as f:
-                json.dump(counts, f)
-            os.replace(path + ".tmp", path)
+        os.makedirs(stats_dir, exist_ok=True)
+        counts = {
+            "shard": int(shard_id),
+            "total": int(n + n_def),
+            "admitted": int(n_admit),
+            "deferred": int(n_defer_out),
+            "robots_forbidden": int((status == ROBOTS_FORBIDDEN).sum()),
+            "dupefilter_filtered": int((status == SEEN_DUP).sum()),
+            # per-phase wall (s): candidate/deferred file read / local
+            # dedup+fingerprint / StateShard RPC / budget draw+defer write
+            "phase_s": {
+                "read": round(t_read - t_start, 3),
+                "dedup": round(t_dedup - t_read, 3),
+                "rpc": round(t_rpc - t_dedup, 3),
+                "draw": round(time.monotonic() - t_rpc, 3),
+            },
+        }
+        path = os.path.join(stats_dir, f"shard={shard_id:05d}.json")
+        with open(path + ".tmp", "w") as f:
+            json.dump(counts, f)
+        os.replace(path + ".tmp", path)
         if admitted is None:
             return empty
         # fetch sort key: sub-split each store bucket FETCH_SPLIT ways
@@ -456,56 +414,24 @@ def _shard_gate_fn(
 
     def gate_blocks(batch: pa.Table) -> pa.Table:
         """map_batches adapter: the tickler table is built as contiguous
-        BLOCKS of shards (one per gate task, see ``_run_round``), so with
+        BLOCKS of shard ids (one per gate task, see ``_run_round``), so with
         ``batch_size=None`` each call is one block and no groupby("shard")
         AllToAll exchange (pure barrier cost, measured ~0.3-0.5 s/round of
-        the headline bench) is needed.  A block spanning several shards is
-        split and each shard's gate runs in turn."""
-        shards = pc.unique(batch["shard"]).to_pylist()
-        if len(shards) <= 1:
-            return gate(batch)
-        return pa.concat_tables(
-            [
-                gate(batch.filter(pc.equal(batch["shard"], sid)))
-                for sid in sorted(shards)
-            ]
-        )
+        the headline bench) is needed.  Each shard's gate runs in turn."""
+        tables = [gate(shard_id) for shard_id in batch["shard"].to_pylist()]
+        return tables[0] if len(tables) == 1 else pa.concat_tables([empty, *tables])
 
     return gate_blocks
 
 
-def _write_sharded_candidates(ds, out_dir: str, num_shards: int, tag: str) -> None:
-    """Write a frontier dataset as per-shard candidate files
-    (``out_dir/shard-K/from-<tag>.feather``) — the same map-side-partitioned
-    layout the fetch stage emits, so the gate can always read its shard's
-    rows without a shuffle.  The sort cuts one block per shard whatever the
-    input block count (``key_cuts``), so each shard's file is written by
-    exactly one call.  Each input block gains one ``url == ""`` placeholder
-    per shard, so no shard's block is empty (see
-    ``CrawlEngine._run_round``)."""
-    blanks = _blank_rows(FRONTIER_SCHEMA, shard=list(range(num_shards)))
-
-    def write_shard(group: pa.Table) -> pa.Table:
-        group = group.filter(pc.not_equal(group["url"], ""))
-        if group.num_rows == 0:
-            return pa.table({"shard": pa.array([], pa.int32())})
-        shard_id = group["shard"][0].as_py()
-        sdir = os.path.join(out_dir, f"shard-{shard_id:05d}")
-        os.makedirs(sdir, exist_ok=True)
-        write_exchange(group, os.path.join(sdir, f"from-{tag}{EXCHANGE_EXT}"))
-        return pa.table({"shard": pa.array([shard_id], pa.int32())})
-
-    os.makedirs(out_dir, exist_ok=True)
-    (
-        ds.map_batches(
-            lambda b: pa.concat_tables([b, blanks]),
-            batch_size=None,
-            batch_format="pyarrow",
-        )
-        .sort("shard", boundaries=key_cuts(num_shards, num_shards))
-        .map_batches(write_shard, batch_size=None, batch_format="pyarrow")
-        .materialize()
-    )
+def _write_sharded_candidates(ds, cand_dir: str, num_shards: int, tag: str) -> None:
+    """Write a frontier dataset as per-shard candidate files tagged *tag*,
+    the layout the fetch stage emits, so the gate can always read its
+    shard's rows without a shuffle.  One range per shard, so each shard's
+    file is written by exactly one call and its name is the same under
+    task retry."""
+    write = functools.partial(write_candidates, cand_dir=cand_dir, tags=tag)
+    for_each_range(ds, "shard", num_shards, num_shards, FRONTIER_SCHEMA, write)
 
 
 @dataclass
@@ -657,51 +583,33 @@ class CrawlEngine:
             https = [u == f"https://{h}/robots.txt" for u, h in zip(urls, hosts)]
             http = [u == f"http://{h}/robots.txt" for u, h in zip(urls, hosts)]
             root = [a or b for a, b in zip(http, https)]
-            out = pa.table(
+            return pa.table(
                 {
-                    "host": pa.array(hosts, pa.string()),
+                    "host": hosts,
                     "body": sub["html"],
-                    "https": pa.array(https, pa.bool_()),
-                    "shard": pa.array(shard_of(hosts, num_shards), pa.int32()),
-                }
+                    "https": https,
+                    "shard": shard_of(hosts, num_shards),
+                },
+                schema=_ROBOTS_ROWS,
             ).filter(pa.array(root, pa.bool_()))
-            # one host == "" placeholder per shard: no shard's block is empty
-            return pa.concat_tables(
-                [out, _blank_rows(out.schema, shard=list(range(num_shards)))]
-            )
-
-        robots = ds.map_batches(to_robots, batch_format="pyarrow")
 
         robots_dir = self.robots_dir
 
-        def write_shard(group: pa.Table) -> pa.Table:
-            group = group.filter(pc.not_equal(group["host"], ""))
-            if group.num_rows == 0:
-                return pa.table(
-                    {"shard": pa.array([], pa.int32()), "n": pa.array([], pa.int64())}
-                )
-            shard_id = group["shard"][0].as_py()
+        def write_shard(rows: pa.Table) -> None:
+            shard_id = rows["shard"][0].as_py()
             # one row per host, http before https
-            group = group.sort_by([("host", "ascending"), ("https", "ascending")])
-            hosts = group["host"].to_numpy(zero_copy_only=False)
+            rows = rows.sort_by([("host", "ascending"), ("https", "ascending")])
+            hosts = rows["host"].to_numpy(zero_copy_only=False)
             first = np.ones(len(hosts), bool)
             first[1:] = hosts[1:] != hosts[:-1]
-            group = group.filter(pa.array(first)).select(["host", "body"])
+            rows = rows.filter(pa.array(first)).select(["host", "body"])
             path = os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
-            pq.write_table(group, path + ".tmp")
+            pq.write_table(rows, path + ".tmp")
             os.replace(path + ".tmp", path)
-            return pa.table(
-                {
-                    "shard": pa.array([shard_id], pa.int32()),
-                    "n": pa.array([group.num_rows], pa.int64()),
-                }
-            )
 
-        # one sorted block per shard (see key_cuts), one write_shard call each
-        (
-            robots.sort("shard", boundaries=key_cuts(num_shards, num_shards))
-            .map_batches(write_shard, batch_size=None, batch_format="pyarrow")
-            .materialize()
+        robots = ds.map_batches(to_robots, batch_format="pyarrow")
+        for_each_range(
+            robots, "shard", num_shards, num_shards, _ROBOTS_ROWS, write_shard
         )
         write_marker(done, routing)
 
@@ -753,27 +661,10 @@ class CrawlEngine:
     def _frontier_dir(self, n: int) -> str:
         return os.path.join(self._round_dir(n), "frontier")
 
-    def _candidates_dir(self, n: int) -> str:
-        """New-candidate rows — flow through the shard shuffle each round."""
-        return os.path.join(self._frontier_dir(n), "candidates")
-
-    def _deferred_dir(self, n: int) -> str:
-        """Per-shard deferred rows (over budget in round n-1) — read directly
-        by the owning shard's gate task, never shuffled again."""
-        return os.path.join(self._frontier_dir(n), "deferred")
-
     def _frontier_rows(self, n: int) -> tuple[int, int]:
-        cached = self._frontier_rows_cache.get(n)
-        if cached is not None:
-            return cached
-        cand = self._candidates_dir(n)
-        deferred = self._deferred_dir(n)
-        rows = (
-            exchange_rows(cand) if os.path.isdir(cand) else 0,
-            exchange_rows(deferred) if os.path.isdir(deferred) else 0,
-        )
-        self._frontier_rows_cache[n] = rows
-        return rows
+        if n not in self._frontier_rows_cache:
+            self._frontier_rows_cache[n] = frontier_row_counts(self._frontier_dir(n))
+        return self._frontier_rows_cache[n]
 
     def _manifest_path(self, n: int) -> str:
         return os.path.join(self._round_dir(n), "MANIFEST.json")
@@ -789,12 +680,18 @@ class CrawlEngine:
         return last
 
     def init_frontier(self, seeds_path: str) -> None:
-        """Round-0 frontier from the seed list (idempotent: skipped if round
-        0's frontier already exists)."""
-        fdir = self._candidates_dir(0)
-        if os.path.isdir(fdir) and os.listdir(fdir):
-            return
+        """Round-0 frontier from the seed list.  Idempotent: skipped once
+        round 0 is committed or its frontier is complete (``_COMPLETE``,
+        which records ``seen_shards``; another shard count raises
+        ``ValueError``).  A frontier without either may have been cut short
+        between two shard writes, so it is removed and written again."""
         cfg = self.cfg
+        fdir = self._frontier_dir(0)
+        marker = os.path.join(fdir, "_COMPLETE")
+        routing = f"seen_shards={cfg.seen_shards}"
+        if self.last_complete_round() >= 0 or built_for(marker, routing):
+            return
+        shutil.rmtree(fdir, ignore_errors=True)
         # Ray cuts each seed file evenly into read blocks, and an empty cut
         # is a schema-less block: size the read from the footers' row counts
         # (at most the smallest file's rows, ~GATE_ROWS seeds per block)
@@ -807,7 +704,11 @@ class CrawlEngine:
         frontier = seeds.map_batches(
             lambda b: seeds_to_frontier(b, cfg), batch_format="pyarrow"
         )
-        _write_sharded_candidates(frontier, fdir, cfg.seen_shards, "seeds")
+        _write_sharded_candidates(
+            frontier, candidates_dir(fdir), cfg.seen_shards, "seeds"
+        )
+        os.makedirs(fdir, exist_ok=True)
+        write_marker(marker, routing)
 
     # -- the superstep ---------------------------------------------------------
 
@@ -874,20 +775,21 @@ class CrawlEngine:
         """One superstep in TWO Ray Data executions, each sized by the rows
         it carries:
 
-            1. shard ticklers → gate, one task per block of shards, ~one
-               per ``GATE_ROWS`` frontier rows (reads its shards' candidate
-               + deferred files; dedup + lazy fingerprint + StateShard RPC +
+            1. blocks of shard ids (``exchange.frontier_shards``: the
+               shards with work) → gate, one task per block, ~one per
+               ``GATE_ROWS`` frontier rows (reads its shards' candidate +
+               deferred files; dedup + lazy fingerprint + StateShard RPC +
                vectorized budget draw; side-writes DEFERRED rows) →
                materialized admitted set.
-            2. (only if anything was admitted) admitted ∪ one placeholder
-               per fetch range → sort(fetch_key) at fixed cuts, as many
-               ranges as the exact admitted count calls for → fused
-               fetch+parse, one call per sorted block → per-shard
-               candidate files for round n+1.
+            2. (only if anything was admitted) ``exchange.for_each_range``
+               over ``fetch_key``, as many fixed ranges as the exact
+               admitted count calls for → fused fetch+parse, one call per
+               range that holds rows → per-shard candidate files for round
+               n+1.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
-        write ``candidates/shard-K/from-<block>.feather``) and each gate
+        write them through ``exchange.write_candidates``) and each gate
         task reads only its own shards' files — per-round shuffle volume is
         the ADMITTED set (politeness-bounded), not the candidate flood.
         All counters come from idempotent per-shard / per-block sidecar
@@ -910,24 +812,13 @@ class CrawlEngine:
             if os.path.isdir(d):
                 shutil.rmtree(d)
         cand_rows, def_rows = self._frontier_rows(n)
-        cand_dir = self._candidates_dir(n)
-        def_dir = self._deferred_dir(n)
-        # One tickler row per shard with work (candidate files and/or a
-        # deferred file) drives the gate stage; the actual rows are read
-        # task-side by the gate task that serves the shard.
-        work_shards: set[int] = set()
-        if os.path.isdir(cand_dir):
-            for d in os.listdir(cand_dir):
-                if d.startswith("shard-"):
-                    work_shards.add(int(d[len("shard-") :]))
-        if os.path.isdir(def_dir):
-            for fname in os.listdir(def_dir):
-                stem, ext = os.path.splitext(fname)
-                if stem.startswith("deferred-shard-") and ext == EXCHANGE_EXT:
-                    work_shards.add(int(stem[len("deferred-shard-") :]))
-        tickler_shards = sorted(work_shards)
-        k = len(tickler_shards)
-        ticklers = _blank_rows(FRONTIER_SCHEMA, shard=tickler_shards)
+        # One tickler row per shard with work drives the gate stage; the
+        # actual rows are read task-side by the gate task that serves the
+        # shard.
+        ticklers = pa.table(
+            {"shard": pa.array(frontier_shards(self._frontier_dir(n)), pa.int32())}
+        )
+        k = ticklers.num_rows
         # ONE BLOCK PER GATE TASK: map_batches(batch_size=None) runs one
         # call per block, so the tickler table is cut into contiguous
         # blocks of shards, about one per GATE_ROWS frontier rows and at
@@ -944,7 +835,7 @@ class CrawlEngine:
         stats.gate_tasks = gate_tasks
 
         store_dir = self.store_dir
-        next_cand_dir = os.path.join(nf_dir, "candidates")
+        next_cand_dir = candidates_dir(nf_dir)
         t_exec = time.monotonic()
         # execution 1, the gate stage: NO shuffle — each tickler block
         # names the shards its task serves
@@ -952,11 +843,10 @@ class CrawlEngine:
             _shard_gate_fn(
                 actors,
                 n,
+                self._frontier_dir(n),
+                nf_dir,
                 gate_stats_dir,
-                deferred_dir=os.path.join(nf_dir, "deferred"),
-                deferred_in_dir=def_dir if def_rows else None,
-                candidates_in_dir=cand_dir if cand_rows else None,
-                order_mode=cfg.order_mode,
+                cfg.order_mode,
             ),
             batch_size=None,
             batch_format="pyarrow",
@@ -966,31 +856,18 @@ class CrawlEngine:
             stats.fetch_parts = _fetch_parts(
                 cfg, admitted, int(ray.cluster_resources().get("CPU", 32))
             )
-            fetch_cuts = key_cuts(stats.fetch_parts, cfg.fetch_buckets * FETCH_SPLIT)
-            # one url == "" placeholder per fetch range (its lowest key),
-            # which FetchParse drops: Ray emits an empty range as a
-            # schema-less block, which makes Ray Data log "different
-            # schema" warnings on the sort and the fetch stage
-            placeholders = ray.data.from_arrow(
-                _blank_rows(ADMITTED_SCHEMA, fetch_key=[0, *fetch_cuts])
-            )
-            (
-                # execution 2, the only exchange: fixed cuts, so the sort
-                # neither samples nor depends on the gate's block count,
-                # and emits exactly fetch_parts blocks.  FetchParse only
-                # needs each bucket's rows co-located, not one call per
-                # key, so it runs once per sorted block (a groupby's
-                # map_groups would call it once per fetch_key).
-                gated.union(placeholders)
-                .sort("fetch_key", boundaries=fetch_cuts)
-                .map_batches(
-                    lambda b: FetchParse(
-                        store_dir, n, fetched_dir, cfg, candidates_dir=next_cand_dir
-                    )(b),
-                    batch_size=None,
-                    batch_format="pyarrow",
-                )
-                .materialize()
+            # execution 2, the only exchange: fixed cuts, so the sort
+            # neither samples nor depends on the gate's block count, and
+            # emits exactly fetch_parts blocks.  FetchParse only needs each
+            # bucket's rows co-located, not one call per key, so it runs
+            # once per sorted block (a groupby's map_groups would call it
+            # once per fetch_key).
+            def fetch(rows: pa.Table) -> None:
+                FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
+
+            n_keys = cfg.fetch_buckets * FETCH_SPLIT
+            for_each_range(
+                gated, "fetch_key", stats.fetch_parts, n_keys, ADMITTED_SCHEMA, fetch
             )
         stats.expand_s = round(time.monotonic() - t_exec, 2)
         for fname in os.listdir(gate_stats_dir) if os.path.isdir(gate_stats_dir) else []:
@@ -1047,8 +924,7 @@ class CrawlEngine:
             # SURVEY.md §4.2.  Deferred rows are never capped: their
             # fingerprints are already recorded in the seen set, so dropping
             # one would lose the URL forever.
-            nc_dir = self._candidates_dir(n + 1)
-            files = exchange_files(nc_dir)
+            files = exchange_files(next_cand_dir)
 
             def _load(batch: pa.Table) -> pa.Table:
                 return pa.concat_tables(
@@ -1066,11 +942,11 @@ class CrawlEngine:
                 )
                 .limit(cfg.max_round_candidates)
             )
-            tmp_dir = nc_dir + ".capped"
+            tmp_dir = next_cand_dir + ".capped"
             shutil.rmtree(tmp_dir, ignore_errors=True)
             _write_sharded_candidates(capped, tmp_dir, cfg.seen_shards, "cap")
-            shutil.rmtree(nc_dir)
-            os.replace(tmp_dir, nc_dir)
+            shutil.rmtree(next_cand_dir)
+            os.replace(tmp_dir, next_cand_dir)
             next_cand = cfg.max_round_candidates
             stats.cap_s = round(time.monotonic() - t_cap, 2)
         next_count = next_cand + next_def

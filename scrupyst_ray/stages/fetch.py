@@ -7,11 +7,11 @@ page table WITHOUT re-scanning or re-shuffling the corpus every round, the
 pages are partitioned ONCE by ``bucket = bucket_of(url, B)`` (the function
 that routes every frontier row, ``functions/hashing.py``).  Per round:
 
-    admitted.sort("fetch_key", boundaries=cuts)
-            .map_batches(FetchParse, batch_size=None)
+    exchange.for_each_range(admitted, "fetch_key", fetch_parts, ..., FetchParse)
 
-The cuts are fixed, even ranges of the ``fetch_key`` space (one block per
-fetch task, no sampling pass).  ``fetch_key`` is the bucket times
+The ranges are fixed, even cuts of the ``fetch_key`` space (one sorted
+block and one FetchParse call per fetch task, no sampling pass; see
+``stages/exchange.py``).  ``fetch_key`` is the bucket times
 FETCH_SPLIT plus a sub-split, so each sorted block holds a contiguous run
 of buckets, and its task reads ONLY those buckets' parquet fragments (one
 probe per bucket) with an ``url ∈ frontier`` scan filter — per-round I/O
@@ -26,7 +26,8 @@ so html never crosses a task boundary or enters a shuffle (SURVEY.md §7.4
 "drop html immediately after parse").  The task's side output — the fetched
 artifact (url, order, status, text) — is written straight to the round's
 checkpoint directory (tmp+rename per block file, so Ray task retries are
-idempotent); the dataset flow carries only edge metadata onward.
+idempotent), and the kept link candidates go to next round's frontier
+through ``exchange.write_candidates``; nothing flows back into the dataset.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.functions.hashing import bucket_of
 from scrupyst_ray.functions.links import LinkExtractorConfig, extract_links
 from scrupyst_ray.functions.textextract import detect_and_decode
+from scrupyst_ray.sources.corpus import PAGES_SCHEMA
 from scrupyst_ray.stages.exchange import (
-    EXCHANGE_EXT,
     built_for,
-    key_cuts,
-    write_exchange,
+    for_each_range,
+    write_candidates,
     write_marker,
 )
 from scrupyst_ray.stages.frontier import EDGE_META_SCHEMA
@@ -58,6 +59,12 @@ from scrupyst_ray.stages.middleware import MiddlewareContext, MiddlewarePipeline
 # the edge rows a fetch task builds: the filter chain's columns plus each
 # edge's parent fetch_key, which the map-side host cap ranks within
 _EDGE_SCHEMA = EDGE_META_SCHEMA.append(pa.field("parent_fetch_key", pa.int32()))
+
+# the rows the page store is sorted from: the corpus columns a fetch reads,
+# plus the url's bucket
+_STORE_ROWS = pa.schema(
+    [PAGES_SCHEMA.field(c) for c in ("url", "warc_ts", "html")]
+).append(pa.field("bucket", pa.int32()))
 
 FETCHED_SCHEMA = pa.schema(
     [
@@ -77,21 +84,20 @@ FETCHED_SCHEMA = pa.schema(
 
 
 def build_page_store(
-    pages_path: str | list[str],
-    store_dir: str,
-    num_buckets: int,
-    *,
-    ray_dataset=None,
+    pages_path: str | list[str], store_dir: str, num_buckets: int
 ) -> str:
     """One-time corpus partitioning by url-hash bucket (idempotent).
 
     Reads only the columns the crawl needs (url, warc_ts, html — column
-    pruning at the read, never the oracle ``text`` column), sorts by bucket
-    into one block per bucket and writes ``store_dir/bucket=K/*.parquet``.
-    The sort is a full corpus shuffle, but it runs ONCE per corpus (this
-    pass IS the design-scale partitioning step); the payoff is one compact
-    fragment per bucket instead of one per (input block × bucket), which
-    makes the per-round bucket probes O(1) file opens.
+    pruning at the read, never the oracle ``text`` column) and writes
+    ``store_dir/bucket=K/part-0.parquet`` through one ``for_each_range``
+    over the bucket key: one range per bucket, one write per bucket that
+    holds pages, and no empty sort block (so no schema warning) however
+    few of the buckets are filled.  The sort is a full corpus shuffle, but
+    it runs ONCE per corpus (this pass IS the design-scale partitioning
+    step); the payoff is one compact fragment per bucket instead of one per
+    (input block × bucket), which makes the per-round bucket probes O(1)
+    file opens.
 
     ``_STORE_COMPLETE`` records ``num_buckets``; reusing a store built
     with another bucket count raises ``ValueError`` (here and in
@@ -103,23 +109,15 @@ def build_page_store(
     routing = f"num_buckets={num_buckets}"
     if built_for(done, routing):
         return store_dir
-    ds = ray_dataset
-    if ds is None:
-        ds = ray.data.read_parquet(pages_path, columns=["url", "warc_ts", "html"])
+    ds = ray.data.read_parquet(pages_path, columns=["url", "warc_ts", "html"])
 
     def add_bucket(batch: pa.Table) -> pa.Table:
-        buckets = bucket_of(batch["url"], num_buckets)
-        if "bucket" in batch.column_names:
-            batch = batch.drop_columns(["bucket"])
-        return batch.append_column("bucket", pa.array(buckets, pa.int32()))
+        columns = {c: batch[c] for c in ("url", "warc_ts", "html")}
+        columns["bucket"] = bucket_of(batch["url"], num_buckets)
+        return pa.table(columns, schema=_STORE_ROWS)
 
-    def write_bucket(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return pa.table(
-                {"bucket": pa.array([], pa.int32()), "rows": pa.array([], pa.int64())}
-            )
-        bucket = group["bucket"][0].as_py()
-        bdir = os.path.join(store_dir, f"bucket={bucket}")
+    def write_bucket(rows: pa.Table) -> None:
+        bdir = os.path.join(store_dir, f"bucket={rows['bucket'][0].as_py()}")
         os.makedirs(bdir, exist_ok=True)
         path = os.path.join(bdir, "part-0.parquet")
         # url-sorted + small row groups: per-round probes filter by
@@ -128,23 +126,12 @@ def build_page_store(
         # buckets forced every probe to decode the WHOLE bucket (measured
         # as a 1.4× per-task time inflation at 32-way parallelism from
         # memory-bandwidth contention alone)
-        group = group.drop_columns(["bucket"]).sort_by("url")
-        pq.write_table(group, path + ".tmp", row_group_size=1024)
+        rows = rows.drop_columns(["bucket"]).sort_by("url")
+        pq.write_table(rows, path + ".tmp", row_group_size=1024)
         os.replace(path + ".tmp", path)
-        return pa.table(
-            {
-                "bucket": pa.array([bucket], pa.int32()),
-                "rows": pa.array([group.num_rows], pa.int64()),
-            }
-        )
 
-    # one sorted block per bucket (see key_cuts), one write_bucket call each
-    (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .sort("bucket", boundaries=key_cuts(num_buckets, num_buckets))
-        .map_batches(write_bucket, batch_size=None, batch_format="pyarrow")
-        .materialize()
-    )
+    pages = ds.map_batches(add_bucket, batch_format="pyarrow")
+    for_each_range(pages, "bucket", num_buckets, num_buckets, _STORE_ROWS, write_bucket)
     write_marker(done, routing)
     return store_dir
 
@@ -197,9 +184,7 @@ def _read_bucket_pages(store_dir: str, bucket: int, urls: list[str]) -> pa.Table
     """Scan one bucket's fragments with an ``url ∈ urls`` pushdown filter."""
     dataset = _bucket_dataset(store_dir, bucket)
     if dataset is None:
-        return pa.table(
-            {"url": pa.array([], pa.string()), "warc_ts": pa.array([], pa.timestamp("us")), "html": pa.array([], pa.binary())}
-        )
+        return _STORE_ROWS.empty_table().drop_columns(["bucket"])
     return dataset.to_table(
         columns=["url", "warc_ts", "html"],
         filter=pc.field("url").isin(urls),
@@ -229,13 +214,13 @@ class FetchParse:
       so a round re-run on another cluster may cut differently, which is why a re-run round first
       clears its ``fetched/`` directory.
 
-    The kept candidates go to one file per destination shard per block
-    (``candidates/shard-S/from-K``); with ``map_side_host_cap`` on, the cap
-    ranks within each parent ``fetch_key`` and the files are per (shard,
-    parent fetch_key), so the cap does not depend on the block cuts.
-
-    Returns the KEPT candidate frontier rows (html and dropped candidates
-    never leave the task).
+    The kept candidates go to *candidates_dir* through
+    ``exchange.write_candidates``, tagged with the block id: one file per
+    destination shard per block.  With ``map_side_host_cap`` on, the cap
+    ranks within each parent ``fetch_key`` and the rows are tagged with it
+    instead (one file per shard and parent fetch_key), so the cap does not
+    depend on the block cuts.  Html and dropped candidates never leave the
+    task; the call returns nothing.
     """
 
     def __init__(
@@ -243,13 +228,13 @@ class FetchParse:
         store_dir: str,
         round_id: int,
         fetched_dir: str,
-        cfg: CrawlConfig | None = None,
-        candidates_dir: str | None = None,
+        cfg: CrawlConfig,
+        candidates_dir: str,
     ):
         self.store_dir = store_dir
         self.round_id = round_id
         self.fetched_dir = fetched_dir
-        self.cfg = cfg or CrawlConfig()
+        self.cfg = cfg
         self.candidates_dir = candidates_dir
         self.extractor = LinkExtractorConfig()
         # user middleware chains (SURVEY §2.10) — built once per block
@@ -268,21 +253,12 @@ class FetchParse:
             json.dump(stats, f)
         os.replace(path + ".tmp", path)
 
-    def __call__(self, block: pa.Table) -> pa.Table:
+    def __call__(self, block: pa.Table) -> None:
         from scrupyst_ray.stages.frontier import (
             DROP_REASON_NAMES,
-            FRONTIER_SCHEMA,
             edges_to_candidates,
         )
 
-        empty = pa.table(
-            {k: [] for k in FRONTIER_SCHEMA.names}, schema=FRONTIER_SCHEMA
-        )
-        # drop the driver's url == "" placeholders (one per fetch range, see
-        # CrawlEngine._run_round); a block that held only those writes nothing
-        block = block.filter(pc.not_equal(block["url"], ""))
-        if block.num_rows == 0:
-            return empty
         t0 = time.monotonic()
         part_key = pc.min(block["fetch_key"]).as_py()
         mw_ctx = MiddlewareContext(round_id=self.round_id)
@@ -307,7 +283,7 @@ class FetchParse:
                 # whole block dropped pre-fetch: still emit a sidecar so the
                 # middleware counters reach the round stats
                 self._write_stats(part_key, stats, mw_ctx)
-                return empty
+                return
         stats["phase_s"]["read"] = time.monotonic() - t0
         # one bucket at a time, so the task holds one bucket's pages and
         # html, never the whole block's; every bucket's artifact rows go to
@@ -380,31 +356,15 @@ class FetchParse:
         # task reads its shard's files directly and the frontier NEVER rides
         # an all-to-all shuffle (the per-round sort of millions of candidate
         # rows was the dominant non-parallel cost — only the small admitted
-        # set is ever exchanged through Ray Data).  File per (shard, block)
-        # with tmp+rename keyed by part_key: a retried task gets the same
-        # block, so it is idempotent, and the files ARE the resume checkpoint.
-        # With the host cap on, the file is per (shard, parent fetch_key)
-        # instead, so each file is one unit of the cap.
-        if self.candidates_dir is not None and kept.num_rows:
-            file_keys = src_keys if cap else np.full(kept.num_rows, part_key)
-            shards_col = kept["shard"].to_numpy(zero_copy_only=False)
-            for shard_id, key in sorted(
-                set(zip(shards_col.tolist(), file_keys.tolist()))
-            ):
-                sub = kept.filter(
-                    pa.array((shards_col == shard_id) & (file_keys == key))
-                )
-                sdir = os.path.join(self.candidates_dir, f"shard-{shard_id:05d}")
-                os.makedirs(sdir, exist_ok=True)
-                write_exchange(
-                    sub, os.path.join(sdir, f"from-{key:06d}{EXCHANGE_EXT}")
-                )
+        # set is ever exchanged through Ray Data).  Tagged with part_key: a
+        # retried task gets the same block, so it is idempotent, and the
+        # files ARE the resume checkpoint.  With the host cap on, each row
+        # is tagged with its parent fetch_key, so each file is one unit of
+        # the cap.
+        write_candidates(kept, self.candidates_dir, src_keys if cap else part_key)
         stats["kept"] = int(kept.num_rows)
         stats["phase_s"]["write"] = time.monotonic() - t_write
         self._write_stats(part_key, stats, mw_ctx)
-        if self.candidates_dir is None:
-            return kept
-        return empty
 
     def _fetch_bucket(
         self, bucket: int, rows: pa.Table, mw_ctx: MiddlewareContext, stats: dict

@@ -136,6 +136,43 @@ class TestCrawlE2E:
         assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
         _assert_one_artifact_per_block(str(tmp_path / "wd"), cfg)
 
+    def test_half_written_round0_frontier_is_rewritten(self, smoke_corpus, tmp_path):
+        """A kill between two seed-shard writes leaves round 0's frontier
+        without its ``_COMPLETE`` marker and without some shards; the next
+        ``init_frontier`` writes it again, and the crawl matches the
+        oracle.  Once round 0 is committed, ``init_frontier`` is a no-op."""
+        cfg = _cfg()
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=4
+        )
+        seeds = os.path.join(smoke_corpus, "seeds.parquet")
+        wd = str(tmp_path / "wd")
+        eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
+        eng.init_frontier(seeds)
+        fdir = os.path.join(wd, "rounds", "round-000000", "frontier")
+        shard = os.path.join(fdir, "candidates", "shard-00003")
+        assert os.path.isdir(shard)
+        shutil.rmtree(shard)  # the kill: one shard never written ...
+        marker = os.path.join(fdir, "_COMPLETE")
+        if os.path.exists(marker):
+            os.remove(marker)  # ... so the marker never was either
+        eng.init_frontier(seeds)
+        res = eng.run(max_rounds=4)
+        eng.shutdown_actors()
+
+        assert _engine_order(res) == sim.fetch_order
+        assert _engine_seen_fps(wd) == sim.seen_fps
+
+        def frontier_files():
+            return sorted(
+                os.path.join(d, f) for d, _, fs in os.walk(fdir) for f in fs
+            )
+
+        before = frontier_files()
+        os.remove(marker)
+        CrawlEngine(eng.store_dir, wd, cfg).init_frontier(seeds)
+        assert frontier_files() == [f for f in before if f != marker]
+
     def test_kill_and_resume_identical(self, smoke_corpus, tmp_path):
         """A resumed crawl equals an uninterrupted one, even when the killed
         round left fetch outputs under a block id the re-run does not
@@ -573,14 +610,17 @@ class TestFixedCutExchanges:
         """Rounds that admit fewer rows than there are fetch ranges, and
         capped rounds that leave a shard without candidates, log no Ray
         Data "different schema" warning; nor does building the page store
-        and the robots side-table, nor ``init_frontier`` over the five-row
-        seed file (more read blocks than rows would leave empty ones)."""
+        and the robots side-table, nor a 64-bucket page store (most buckets
+        of the smoke corpus hold pages, a few do not), nor ``init_frontier``
+        over the five-row seed file (more read blocks than rows would leave
+        empty ones)."""
         import contextlib
         import logging
 
         import ray.data  # noqa: F401 — sets up Ray Data's loggers first
 
         from scrupyst_ray.pipelines import crawl
+        from scrupyst_ray.stages.fetch import build_page_store
 
         parts = 16
         monkeypatch.setattr(crawl, "_fetch_parts", lambda cfg, rows, n_cpus: parts)
@@ -610,6 +650,8 @@ class TestFixedCutExchanges:
             )
             eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
             res = eng.run(max_rounds=4)
+            pages = os.path.join(smoke_corpus, "pages")
+            build_page_store(pages, str(tmp_path / "store64"), 64)
         eng.shutdown_actors()
 
         assert min(r.admitted for r in res.rounds) < parts

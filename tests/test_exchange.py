@@ -1,20 +1,38 @@
-"""Exchange-file layer (stages/exchange.py): IPC round-trip, legacy lz4
-feather compatibility, row counting, atomicity."""
+"""The crawl exchange module (stages/exchange.py): exchange-file IPC
+round-trip, legacy lz4 feather compatibility, row counting, atomicity; the
+fixed-cut keyed sort; the frontier layout; and the rule that no other
+module cuts a keyed sort or spells a frontier file name."""
 
 from __future__ import annotations
 
+import ast
+import glob
+import json
 import os
+import re
+import uuid
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.feather as feather
+import pytest
 
+import scrupyst_ray
+from scrupyst_ray.stages import exchange
 from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
     exchange_files,
     exchange_rows,
+    for_each_range,
+    frontier_row_counts,
+    frontier_shards,
     key_cuts,
     read_exchange_dir,
     read_exchange_file,
+    read_shard,
+    write_candidates,
+    write_deferred,
     write_exchange,
 )
 
@@ -88,3 +106,209 @@ class TestKeyCuts:
         # an empty boundaries list would make Ray's sort sample instead
         assert key_cuts(1, 1) == [1]
         assert key_cuts(1, 64) == [64]
+
+
+ROWS = pa.schema([("url", pa.string()), ("k", pa.int32()), ("v", pa.int64())])
+
+
+def _keyed(keys: list[int]) -> pa.Table:
+    return pa.table(
+        {
+            "url": [f"http://h.test/{i}" for i in range(len(keys))],
+            "k": keys,
+            "v": range(len(keys)),
+        },
+        schema=ROWS,
+    )
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestForEachRange:
+    """``fn`` runs once per range that holds rows, never on a placeholder
+    and never for an empty range, however the input is cut into blocks."""
+
+    def _run(self, blocks: list[pa.Table], parts: int, n_keys: int, tmp_path):
+        import ray
+
+        calls = tmp_path / "calls"
+        calls.mkdir(parents=True)
+
+        def record(rows: pa.Table) -> None:
+            with open(calls / f"{uuid.uuid4().hex}.json", "w") as f:
+                json.dump(rows.to_pydict(), f)
+
+        out = for_each_range(
+            ray.data.from_arrow(blocks), "k", parts, n_keys, ROWS, record
+        )
+        seen = []
+        for f in sorted(os.listdir(calls)):
+            with open(calls / f) as fh:
+                seen.append(json.load(fh))
+        return seen, out.to_pandas()["rows"].tolist()
+
+    @pytest.mark.parametrize(
+        "sizes", [[40], [1, 17, 0, 5, 9]], ids=["one-block", "uneven-blocks"]
+    )
+    def test_one_call_per_filled_range(self, tmp_path, sizes):
+        parts, n_keys = 8, 64
+        # keys in ranges 1, 2, 5 and 7 only; the other four stay empty
+        pool = [8, 9, 15, 16, 23, 40, 47, 56, 63]
+        table = _keyed([pool[i % len(pool)] for i in range(sum(sizes))])
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        blocks = [table.slice(o, n) for o, n in zip(offsets, sizes)]
+
+        calls, per_range = self._run(blocks, parts, n_keys, tmp_path)
+
+        cuts = [0, *key_cuts(parts, n_keys), n_keys]
+        filled = {
+            i for i in range(parts) for k in pool if cuts[i] <= k < cuts[i + 1]
+        }
+        ranges = [
+            {i for i in range(parts) for k in c["k"] if cuts[i] <= k < cuts[i + 1]}
+            for c in calls
+        ]
+        assert all(len(r) == 1 for r in ranges)  # one range per call
+        assert sorted(r.pop() for r in ranges) == sorted(filled)  # once each
+        assert all(u != "" for c in calls for u in c["url"])  # no placeholder
+        got = sorted(u for c in calls for u in c["url"])
+        assert got == sorted(table["url"].to_pylist())
+        # one result row per range, in range order, counting real rows only
+        assert len(per_range) == parts
+        assert [i for i, n in enumerate(per_range) if n] == sorted(filled)
+        assert sum(per_range) == table.num_rows
+
+    def test_one_part_and_no_rows(self, tmp_path):
+        # one part is a cut past the last key: the phantom range above it
+        # holds only its placeholder and makes no call
+        calls, per_range = self._run([_keyed([0, 3, 3])], 1, 4, tmp_path)
+        assert [sorted(c["k"]) for c in calls] == [[0, 3, 3]]
+        assert per_range == [3, 0]
+        calls, per_range = self._run([_keyed([])], 4, 4, tmp_path / "empty")
+        assert calls == [] and per_range == [0, 0, 0, 0]
+
+
+def _frontier_table(shards: list[int]) -> pa.Table:
+    return pa.table(
+        {
+            "url": [f"http://h{s}.test/{i}" for i, s in enumerate(shards)],
+            "shard": pa.array(shards, pa.int32()),
+        }
+    )
+
+
+class TestFrontierLayout:
+    """The layout functions round-trip rows under the names the fetch and
+    crawl tests assert (``shard-SSSSS/from-TAG.feather``,
+    ``deferred-shard-SSSSS.feather``)."""
+
+    def _files(self, root) -> list[str]:
+        return sorted(
+            os.path.relpath(p, root)
+            for p in glob.glob(os.path.join(root, "**", "*"), recursive=True)
+            if os.path.isfile(p)
+        )
+
+    def test_one_tag_for_every_row(self, tmp_path):
+        rows = _frontier_table([2, 0, 2, 2])
+        write_candidates(rows, str(tmp_path / "seeds"), "seeds")
+        write_candidates(rows, str(tmp_path / "block"), 17)
+        assert self._files(tmp_path / "seeds") == [
+            f"shard-00000/from-seeds{EXCHANGE_EXT}",
+            f"shard-00002/from-seeds{EXCHANGE_EXT}",
+        ]
+        assert self._files(tmp_path / "block") == [
+            f"shard-00000/from-000017{EXCHANGE_EXT}",
+            f"shard-00002/from-000017{EXCHANGE_EXT}",
+        ]
+        back = read_exchange_dir(str(tmp_path / "seeds" / "shard-00002"))
+        assert back.equals(rows.filter(pc.equal(rows["shard"], 2)))
+
+    def test_a_tag_per_row(self, tmp_path):
+        rows = _frontier_table([1, 1, 1, 3])
+        write_candidates(rows, str(tmp_path), np.array([5, 3, 5, 5], np.int32))
+        assert self._files(tmp_path) == [
+            f"shard-00001/from-000003{EXCHANGE_EXT}",
+            f"shard-00001/from-000005{EXCHANGE_EXT}",
+            f"shard-00003/from-000005{EXCHANGE_EXT}",
+        ]
+        f = tmp_path / "shard-00001" / f"from-000005{EXCHANGE_EXT}"
+        assert read_exchange_file(str(f))["url"].to_pylist() == [
+            "http://h1.test/0",
+            "http://h1.test/2",
+        ]
+
+    def test_no_rows_no_files(self, tmp_path):
+        write_candidates(_frontier_table([]), str(tmp_path / "c"), "cap")
+        assert not os.path.exists(tmp_path / "c")
+
+    def test_shard_round_trip(self, tmp_path):
+        fdir = str(tmp_path)
+        cands, deferred = _frontier_table([4, 6, 4]), _frontier_table([4, 9])
+        write_candidates(cands, exchange.candidates_dir(fdir), 2)
+        write_deferred(deferred, fdir, 9)
+        # a killed writer's leftovers name no shard
+        leftover = f"deferred-shard-00007{EXCHANGE_EXT}.tmp"
+        open(os.path.join(fdir, "deferred", leftover), "w").close()
+
+        assert self._files(fdir) == [
+            f"candidates/shard-00004/from-000002{EXCHANGE_EXT}",
+            f"candidates/shard-00006/from-000002{EXCHANGE_EXT}",
+            f"deferred/{leftover}",
+            f"deferred/deferred-shard-00009{EXCHANGE_EXT}",
+        ]
+        assert frontier_shards(fdir) == [4, 6, 9]
+        assert frontier_row_counts(fdir) == (3, 2)
+        c4, d4 = read_shard(fdir, 4)
+        assert c4.equals(cands.filter(pc.equal(cands["shard"], 4))) and d4 is None
+        c9, d9 = read_shard(fdir, 9)
+        assert c9 is None and d9.equals(deferred)
+        assert read_shard(fdir, 5) == (None, None)
+        assert frontier_shards(str(tmp_path / "missing")) == []
+        assert frontier_row_counts(str(tmp_path / "missing")) == (0, 0)
+
+
+# what only stages/exchange.py may spell: a frontier file or directory name
+_EXCHANGE_NAME = re.compile(r"(?<![\w-])(deferred-shard-|shard-|from-)")
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            doc = node.body[0] if node.body else None
+            if isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant):
+                out.add(id(doc.value))
+    return out
+
+
+def test_one_exchange_module():
+    """Outside ``stages/exchange.py`` no module of the package calls
+    ``key_cuts``, passes ``boundaries=`` to a sort, or spells a frontier
+    file name (docstrings may describe the layout)."""
+    root = os.path.dirname(scrupyst_ray.__file__)
+    files = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
+    hits = []
+    for path in files:
+        if os.path.samefile(path, exchange.__file__):
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), path)
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            where = f"{os.path.relpath(path, root)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name == "key_cuts":
+                    hits.append(f"{where} calls key_cuts")
+                if any(kw.arg == "boundaries" for kw in node.keywords):
+                    hits.append(f"{where} passes boundaries=")
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docs
+                and _EXCHANGE_NAME.search(node.value)
+            ):
+                hits.append(f"{where} spells {node.value!r}")
+    assert len(files) > 30 and hits == []
