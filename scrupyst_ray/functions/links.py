@@ -120,21 +120,6 @@ def parse_region_selector(sel: str) -> tuple[str | None, str | None, str | None]
     return (tag.lower() if tag else None, id_, cls)
 
 
-def _element_matches(
-    sel: tuple[str | None, str | None, str | None],
-    tag: str,
-    attrs: dict[str, str | None],
-) -> bool:
-    stag, sid, scls = sel
-    if stag is not None and tag != stag:
-        return False
-    if sid is not None and attrs.get("id") != sid:
-        return False
-    if scls is not None and scls not in (attrs.get("class") or "").split():
-        return False
-    return True
-
-
 # one step of a region chain (7-tuple): tag/None, id, class-TOKEN (CSS
 # .class), class-EXACT ([@class='v']), class-SUBSTRING
 # ([contains(@class,'v')]), generic attribute predicates

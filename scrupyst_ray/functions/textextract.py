@@ -60,12 +60,6 @@ def extract_text(html: bytes) -> str:
     return detect_and_decode(html)[1]
 
 
-def extract_encoding(html: bytes) -> str:
-    """The resolved response encoding (feeds link extraction's
-    ``safe_url_string(encoding=...)``, ``lxmlhtml.py:126``)."""
-    return detect_and_decode(html)[0]
-
-
 def extract_text_batch(
     batch: pa.Table, html_col: str = "html", out_col: str = "text"
 ) -> pa.Table:

@@ -4,9 +4,9 @@ Replaces the reference's single-process asyncio event loop
 (``scrapy/core/engine.py:269-427``) with frontier-expansion rounds
 (SURVEY.md §7.0).  One round =
 
-    frontier_N ──per shard──▶ gate: within-round dedup → lazy
-               │              fingerprint → StateShard RPC (seen +
-               │              robots + per-host budget)
+    frontier_N ──per shard──▶ StateShard.gate, in the shard's actor:
+               │              within-round dedup → lazy fingerprint →
+               │              seen + robots lookup → per-host budget draw
                │                └─ side-write: deferred → frontier_{N+1}
                └─ admitted ──sort(fetch_key)──▶ fetch+parse, one task per
                                 sorted block (bucketed page store; each
@@ -14,20 +14,21 @@ Replaces the reference's single-process asyncio event loop
                       ├─ side-write: fetched artifact → checkpoint
                       └─ edges → candidate filters → frontier_{N+1}
 
-Two Ray Data executions per round, each sized by the rows it carries.
-The gate stage runs first and is materialized: about one gate task per
-``GATE_ROWS`` frontier rows (never more than one per shard with work).
-The driver then reads the exact admitted count from the block metadata
-and sizes the fetch fan-out from it (``_fetch_parts``).  The second
-execution is the only shuffle: the sort of the ADMITTED set's METADATA
-(~100 B/row) by url-bucket sub-key, cut at fixed, even ``fetch_key``
-ranges (one per fetch task), so it runs no sampling pass and needs no
-repartition in front of it, and block ids are a pure function of
-(fetch_key, fetch_parts).  How that sort is cut and padded, and how the
-frontier files are named, is ``stages/exchange.py``'s alone.  A round that
-admits nothing runs no fetch execution.  The gate reads its shards'
-frontier files task-side, and the page corpus itself is never shuffled or
-re-scanned (see ``stages/fetch.py``).
+One Ray Data execution per round, sized by the rows it carries.  The gate
+is not one: the driver makes one ``StateShard.gate`` call per shard with
+work, and the actor that owns the shard's seen set, robots rules and
+budgets reads the shard's frontier files itself and returns its admitted
+rows as an Arrow table, plus their count.  The driver sums the counts and
+sizes the fetch fan-out from them (``_fetch_parts``).  The fetch execution
+takes the admitted tables by reference (``ray.data.from_arrow_refs``) and
+is the only shuffle: the sort of the ADMITTED set's METADATA (~100 B/row)
+by url-bucket sub-key, cut at fixed, even ``fetch_key`` ranges (one per
+fetch task), so it runs no sampling pass and needs no repartition in front
+of it, and block ids are a pure function of (fetch_key, fetch_parts).  How
+that sort is cut and padded, and how the frontier files are named, is
+``stages/exchange.py``'s alone.  A round that admits nothing runs no fetch
+execution.  The page corpus itself is never shuffled or re-scanned (see
+``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
@@ -40,7 +41,7 @@ Checkpoint layout (resume = reference JOBDIR contract,
                                       _COMPLETE records seen_shards
       seen/shard=K/round=N.parquet    per-round fingerprint deltas
       rounds/round-N/frontier/        round N's input rows per seen shard,
-                                      read by the shard's gate task (layout:
+                                      read by the shard's gate (layout:
                                       ``stages/exchange.py``); round 0's
                                       _COMPLETE follows the last seed file
       rounds/round-N/fetched/         crawl artifact (part-K.parquet, one
@@ -55,13 +56,15 @@ Checkpoint layout (resume = reference JOBDIR contract,
 
 Every file write is tmp+rename, every actor method is idempotent per
 round, and a re-run round first clears the outputs of its killed attempt,
-so a kill at ANY point resumes bit-identically (FIXTURES.md §5).
+so a kill at ANY point resumes bit-identically (FIXTURES.md §5).  A round
+that loses a StateShard actor heals the same way: every shard restarts,
+restores the committed rounds and the round re-runs (``run``).
 
 Skew story (SURVEY §7.4 "hot-domain skew"):
 - The FETCH stage sorts on url-hash sub-splits — balanced range partitions
   even for a single-host crawl.
-- The GATE stage keys on host-shard, so one pathological host concentrates
-  its candidate volume in one task.  Three bounds keep that task finite:
+- The GATE keys on host-shard, so one pathological host concentrates its
+  candidate volume in one actor call.  Three bounds keep that task finite:
   per-page link dedup (M14) caps fan-out at unique links; the vectorized
   two-pass dedup costs ~10 µs/row even on the hot shard; and
   ``max_round_candidates`` caps the GLOBAL per-round candidate volume with
@@ -96,7 +99,6 @@ import pyarrow.parquet as pq
 import ray
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.functions.fingerprint import fingerprint_batch
 from scrupyst_ray.functions.hashing import shard_of
 from scrupyst_ray.functions.urlnorm import parse_host
 from scrupyst_ray.stages.exchange import (
@@ -107,45 +109,29 @@ from scrupyst_ray.stages.exchange import (
     frontier_row_counts,
     frontier_shards,
     read_exchange_file,
-    read_shard,
     write_candidates,
-    write_deferred,
     write_marker,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
-from scrupyst_ray.state.politeness import budget_draw, draw_order
-from scrupyst_ray.state.shard import (
-    ADMITTED,
-    ROBOTS_FORBIDDEN,
-    SEEN_DUP,
-    StateShard,
-)
-
-# sub-splits per store bucket for the fetch-stage sort key (see
-# _shard_gate_fn: balances the range partitions of the low-cardinality
-# bucket)
-FETCH_SPLIT = 8
-
-# what every gate task returns: the frontier row plus its fetch sort key
-ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
+from scrupyst_ray.state.shard import ADMITTED_SCHEMA, FETCH_SPLIT, StateShard
 
 # robots side-table rows before the per-host pick (http wins over https)
 _ROBOTS_ROWS = pa.schema(
     {"host": pa.string(), "body": pa.binary(), "https": pa.bool_(), "shard": pa.int32()}
 )
 
-# frontier rows per gate task: the gate's dedup costs ~10 µs/row, so this
-# many rows roughly equal one Ray task's ~15-20 ms fixed cost.  Smaller
-# rounds share a task between shards; at design scale every shard with
-# work has a task of its own.
-GATE_ROWS = 2048
+# seeds per read block of init_frontier (see there)
+SEED_ROWS = 2048
+
+# attempts at a round that loses a StateShard actor (see run)
+ROUND_ATTEMPTS = 2
 
 
 def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     """Fetch task count for a round that admitted *total_rows* rows: the
     sorted admitted set is cut into this many blocks, one task each.  The
-    count is exact (the materialized gate output's block metadata); the
+    count is exact (the sum of the gate calls' admitted counts); the
     frontier row count would overstate a polite crawl's fetch work by the
     inverse of its admit ratio (~20× when most rows are deferred).
 
@@ -167,261 +153,6 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
         4,
         min(cfg.fetch_buckets * FETCH_SPLIT // 2, total_rows // 64, 4 * n_cpus),
     )
-
-
-def _shard_gate_fn(
-    actors: list,
-    round_id: int,
-    frontier_dir: str,
-    next_frontier_dir: str,
-    stats_dir: str,
-    order_mode: str,
-):
-    """Build the per-shard-group gate function: within-round dedup (global
-    winner by (priority desc, order_key) — deterministic), lazy fingerprint
-    of the deduped survivors, then ONE StateShard RPC carrying only the small
-    columns.  Returns ADMITTED rows; DEFERRED rows are side-written straight
-    into *next_frontier_dir* (``exchange.write_deferred``, tmp+rename per
-    stable shard id, so both the ``stats_dir/shard=K.json`` sidecar and the
-    deferred file are idempotent on task retry).  The gate stage is the
-    round's first Ray Data execution; the driver materializes it and sizes
-    the fetch execution from its exact admitted count.
-
-    The driver's tickler blocks hold only ``shard`` ids, one row per shard
-    with work; the gate reads each shard's rows from *frontier_dir*
-    (``exchange.read_shard``, task-side, no exchange): the new candidates
-    the previous round's fetch tasks wrote per shard, and the shard's
-    deferred rows, which never re-enter a shuffle.
-
-    Every call returns ``ADMITTED_SCHEMA`` rows (zero rows when nothing is
-    admitted), so the materialized gate output has one schema throughout.
-
-    Dedup runs in two passes: by URL string first (cheap, catches the bulk),
-    then by fingerprint over the survivors (catches canonically-equivalent
-    spellings).  The combined winner equals pure-fingerprint dedup because
-    URL-groups are subsets of fingerprint-groups.  Candidate rows arrive with
-    fp=b"" (stages/frontier.py computes it lazily); the gate fingerprints
-    only pass-1 survivors — once per unique URL instead of once per edge.
-    """
-
-    # LIFO tie-break in DFO mode: every within-round ordering flips the
-    # order_key direction (matches the oracle simulator's composed sorts)
-    SORT_KEYS = draw_order(order_mode)
-    empty = ADMITTED_SCHEMA.empty_table()
-
-    def gate(shard_id: int) -> pa.Table:
-        t_start = time.monotonic()
-        # this shard's NEW candidates (map-side partitioned by the previous
-        # round's fetch tasks — no shuffle brought them here) and deferred
-        # rows
-        cands, deferred_in = read_shard(frontier_dir, shard_id)
-        group = (
-            FRONTIER_SCHEMA.empty_table() if cands is None else cands.combine_chunks()
-        )
-        n = group.num_rows
-        n_def = deferred_in.num_rows if deferred_in is not None else 0
-        t_read = time.monotonic()
-        if n == 0 and n_def == 0:
-            return empty
-
-        # -- NEW candidates only: dedup, lazy fingerprint, one gate RPC.
-        # Deferred rows were seen-recorded and robots-checked when first
-        # gated (forbidden rows are dropped, never deferred; robots rules
-        # are static), so the backlog never crosses the RPC — per-round
-        # actor payload and Python-loop work are O(new rows), not
-        # O(frontier backlog).  A deferred-only shard (n == 0) still makes
-        # the call, with empty columns, to fetch its hosts' budgets.
-        budget_hosts = set()
-        live = np.zeros(0, dtype=np.int64)
-        fp64 = np.zeros(0, dtype=np.uint64)
-        skip_seen = np.zeros(0, dtype=bool)
-        fps_live, hosts_live, urls_live = [], [], []
-        if n_def:
-            budget_hosts.update(pc.unique(deferred_in["host"]).to_pylist())
-        if n:
-            group = group.take(pc.sort_indices(group, sort_keys=SORT_KEYS))
-            fp64 = group["fp64"].to_numpy(zero_copy_only=False).copy()
-            skip_seen = (
-                pc.or_(group["dont_filter"], group["already_enqueued"])
-                .to_numpy(zero_copy_only=False)
-                .astype(bool)
-            )
-            order_rank = pc.sort_indices(
-                group, sort_keys=SORT_KEYS[1:]  # (priority, order_key)
-            ).to_numpy(zero_copy_only=False)
-            rank_of_row = np.empty(n, dtype=np.int64)
-            rank_of_row[order_rank] = np.arange(n)
-            local_dup = np.zeros(n, dtype=bool)
-
-            def mark_dups(codes: np.ndarray) -> None:
-                """Among active rows (not skip_seen, not already dup), keep
-                the lowest-rank row per key code; vectorized first-occurrence
-                over the rank-sorted active set (no Python row loop)."""
-                active = np.flatnonzero(~(skip_seen | local_dup))
-                if active.size == 0:
-                    return
-                order = active[np.argsort(rank_of_row[active], kind="stable")]
-                c = codes[order]
-                _, first = np.unique(c, return_index=True)
-                dupm = np.ones(c.size, dtype=bool)
-                dupm[first] = False
-                local_dup[order[dupm]] = True
-
-            # -- pass 1: exact-URL dedup via dictionary codes
-            enc = pc.dictionary_encode(group["url"])
-            if isinstance(enc, pa.ChunkedArray):
-                enc = enc.combine_chunks()
-            mark_dups(enc.indices.to_numpy(zero_copy_only=False).astype(np.int64))
-
-            # -- lazy fingerprints: only pass-1 survivors missing fp (new
-            # candidate rows arrive with fp=b""), once per unique URL,
-            # written into the group's fp / fp64 columns
-            miss = ~local_dup & pc.equal(group["fp"], b"").to_numpy(
-                zero_copy_only=False
-            )
-            if miss.any():
-                miss_pa = pa.array(miss)
-                fps = fingerprint_batch(group.select(["url"]).filter(miss_pa))
-                fp64[miss] = fps["fp64"].to_numpy()
-                fp = pc.replace_with_mask(
-                    group["fp"].combine_chunks(), miss_pa, fps["fp"].combine_chunks()
-                )
-                i_fp = group.schema.get_field_index("fp")
-                group = group.set_column(i_fp, "fp", fp).set_column(
-                    group.schema.get_field_index("fp64"),
-                    "fp64",
-                    pa.array(fp64, pa.uint64()),
-                )
-
-            # -- pass 2: fingerprint dedup (canonically-equivalent spellings).
-            # fp64 (first 8 fp bytes) is the vectorized key; rows that share
-            # an fp64 are confirmed against full fp bytes, so 64-bit
-            # collisions can never merge distinct fingerprints.
-            active = np.flatnonzero(~(skip_seen | local_dup))
-            if active.size:
-                order = active[np.argsort(rank_of_row[active], kind="stable")]
-                c64 = fp64[order]
-                uniq, first, counts = np.unique(
-                    c64, return_index=True, return_counts=True
-                )
-                if (counts > 1).any():
-                    rows = order[np.isin(c64, uniq[counts > 1])]  # rank order
-                    fps_exact = group["fp"].take(pa.array(rows)).to_pylist()
-                    winner: dict[bytes, int] = {}
-                    for k, i in zip(fps_exact, rows):
-                        if k in winner:
-                            local_dup[int(i)] = True
-                        else:
-                            winner[k] = int(i)
-
-            live = np.flatnonzero(~local_dup)
-            live_pa = pa.array(live)
-            fps_live = group["fp"].take(live_pa).to_pylist()
-            hosts_live = group["host"].take(live_pa).to_pylist()
-            urls_live = group["url"].take(live_pa).to_pylist()
-            # hosts(live) == hosts(all candidates): a local dup always shares
-            # its host with the surviving winner (same url / same canonical)
-            budget_hosts.update(hosts_live)
-        budget_hosts = sorted(budget_hosts)
-        t_dedup = time.monotonic()
-        res = ray.get(
-            actors[shard_id].gate_check.remote(
-                round_id,
-                fps_live,
-                fp64[live],
-                skip_seen[live],
-                hosts_live,
-                urls_live,
-                budget_hosts,
-            )
-        )
-        t_rpc = time.monotonic()
-        status = np.full(n, SEEN_DUP, dtype=np.int8)  # dups = filtered
-        fresh, robots = res["fresh"], res["robots_ok"]
-        status[live[fresh & ~robots]] = ROBOTS_FORBIDDEN
-        status[live[fresh & robots]] = ADMITTED  # passed gate → budget draw
-        new_surv = group.take(pa.array(live[fresh & robots]))
-
-        # -- budget draw over deferred ∪ surviving new rows: pure and
-        # deterministic, so task retries replay to identical decisions.
-        parts = [
-            t for t in (deferred_in, new_surv) if t is not None and t.num_rows
-        ]
-        n_admit = n_defer_out = 0
-        admitted = None
-        if parts:
-            combined = (
-                pa.concat_tables(parts, promote_options="default")
-                if len(parts) > 1
-                else parts[0]
-            )
-            order, admit_mask = budget_draw(
-                combined, budget_hosts, res["budgets"], order_mode
-            )
-            combined = combined.take(order)
-            admitted = combined.filter(pa.array(admit_mask))
-            n_admit = admitted.num_rows
-            n_defer_out = combined.num_rows - n_admit
-            if n_defer_out:
-                deferred = combined.filter(pa.array(~admit_mask))
-                i_enq = deferred.column_names.index("already_enqueued")
-                deferred = deferred.set_column(
-                    i_enq,
-                    "already_enqueued",
-                    pa.array(np.ones(deferred.num_rows, bool), pa.bool_()),
-                )
-                write_deferred(deferred, next_frontier_dir, shard_id)
-
-        os.makedirs(stats_dir, exist_ok=True)
-        counts = {
-            "shard": int(shard_id),
-            "total": int(n + n_def),
-            "admitted": int(n_admit),
-            "deferred": int(n_defer_out),
-            "robots_forbidden": int((status == ROBOTS_FORBIDDEN).sum()),
-            "dupefilter_filtered": int((status == SEEN_DUP).sum()),
-            # per-phase wall (s): candidate/deferred file read / local
-            # dedup+fingerprint / StateShard RPC / budget draw+defer write
-            "phase_s": {
-                "read": round(t_read - t_start, 3),
-                "dedup": round(t_dedup - t_read, 3),
-                "rpc": round(t_rpc - t_dedup, 3),
-                "draw": round(time.monotonic() - t_rpc, 3),
-            },
-        }
-        path = os.path.join(stats_dir, f"shard={shard_id:05d}.json")
-        with open(path + ".tmp", "w") as f:
-            json.dump(counts, f)
-        os.replace(path + ".tmp", path)
-        if admitted is None:
-            return empty
-        # fetch sort key: sub-split each store bucket FETCH_SPLIT ways
-        # (bucket is only 64-ary; range-partitioning so few distinct values
-        # across ~32 blocks is lumpy — measured 3.3s..10.9s fetch-task skew.
-        # 512 keys balance the sorted blocks; key // FETCH_SPLIT is still
-        # the store bucket, so a block holds a contiguous run of buckets
-        # and probes each of them once.)
-        fetch_key = pc.add(
-            pc.multiply(admitted["bucket"], FETCH_SPLIT),
-            pc.cast(
-                pc.bit_wise_and(
-                    admitted["fp64"], pa.scalar(FETCH_SPLIT - 1, pa.uint64())
-                ),
-                pa.int32(),
-            ),
-        )
-        return admitted.append_column("fetch_key", pc.cast(fetch_key, pa.int32()))
-
-    def gate_blocks(batch: pa.Table) -> pa.Table:
-        """map_batches adapter: the tickler table is built as contiguous
-        BLOCKS of shard ids (one per gate task, see ``_run_round``), so with
-        ``batch_size=None`` each call is one block and no groupby("shard")
-        AllToAll exchange (pure barrier cost, measured ~0.3-0.5 s/round of
-        the headline bench) is needed.  Each shard's gate runs in turn."""
-        tables = [gate(shard_id) for shard_id in batch["shard"].to_pylist()]
-        return tables[0] if len(tables) == 1 else pa.concat_tables([empty, *tables])
-
-    return gate_blocks
 
 
 def _write_sharded_candidates(ds, cand_dir: str, num_shards: int, tag: str) -> None:
@@ -447,7 +178,6 @@ class RoundStats:
     edges: int = 0
     candidates_kept: int = 0
     candidate_drops: dict = field(default_factory=dict)
-    gate_tasks: int = 0  # gate-stage Ray tasks
     fetch_parts: int = 0  # fetch tasks; 0 = the round ran no fetch execution
     fetch_phase_s: dict = field(default_factory=dict)  # cumulative task-sec
     mw_counts: dict = field(default_factory=dict)  # user-middleware counters
@@ -613,7 +343,10 @@ class CrawlEngine:
         )
         write_marker(done, routing)
 
-    def _start_actors(self) -> list:
+    def _start_actors(self, restore_upto: int) -> list:
+        """The StateShard actors, started if there are none, holding the
+        committed state of rounds ``0..restore_upto`` (seen deltas and
+        throttle snapshots; nothing for -1)."""
         if self._actors is None:
             cfg = self.cfg
             self._actors = [
@@ -640,11 +373,14 @@ class CrawlEngine:
                 )
                 for k in range(cfg.seen_shards)
             ]
-            # warm the pool in parallel: actor PROCESS start is ~0.3-0.5 s
-            # and first-parquet-read init another ~0.3 s per actor; the
-            # first gate task would otherwise pay them serially (one
-            # blocking RPC per shard group)
+            # warm the pool in parallel: actor PROCESS start is ~0.3-0.5 s,
+            # first-parquet-read init another ~0.3 s and the first Arrow
+            # return ~0.25 s per actor; round 0's gate calls would pay them
             ray.get([a.warm.remote() for a in self._actors])
+        if restore_upto >= 0:
+            ray.get(
+                [a.restore.remote(self.seen_dir, restore_upto) for a in self._actors]
+            )
         return self._actors
 
     def shutdown_actors(self) -> None:
@@ -694,12 +430,12 @@ class CrawlEngine:
         shutil.rmtree(fdir, ignore_errors=True)
         # Ray cuts each seed file evenly into read blocks, and an empty cut
         # is a schema-less block: size the read from the footers' row counts
-        # (at most the smallest file's rows, ~GATE_ROWS seeds per block)
+        # (at most the smallest file's rows, ~SEED_ROWS seeds per block)
         rows = [
             f.metadata.num_rows
             for f in pads.dataset(seeds_path, format="parquet").get_fragments()
         ]
-        blocks = min(min(rows, default=1), -(-sum(rows) // GATE_ROWS))
+        blocks = min(min(rows, default=1), -(-sum(rows) // SEED_ROWS))
         seeds = ray.data.read_parquet(seeds_path, override_num_blocks=max(1, blocks))
         frontier = seeds.map_batches(
             lambda b: seeds_to_frontier(b, cfg), batch_format="pyarrow"
@@ -714,7 +450,14 @@ class CrawlEngine:
 
     def run(self, max_rounds: int | None = None) -> CrawlResult:
         """Run rounds until the frontier drains or a stop condition fires.
-        Safe to call on a fresh OR previously-killed workdir (resume)."""
+        Safe to call on a fresh OR previously-killed workdir (resume).
+
+        A round that loses a StateShard actor (``RayActorError``) is re-run,
+        up to ``ROUND_ATTEMPTS`` attempts in all, in fresh actors restored
+        to the round before, as on resume.  Every shard restarts, not just
+        the lost one: the live shards already recorded this round's
+        fingerprints.  The re-run clears what the failed attempt wrote
+        (``_run_round``)."""
         cfg = self.cfg
         # the page store and a resumed workdir's files are laid out by the
         # routing they were written with; reading them under another would
@@ -731,15 +474,7 @@ class CrawlEngine:
                         f"{self.workdir} was crawled with {key}="
                         f"{recorded[key]}, not {getattr(cfg, key)}"
                     )
-        actors = self._start_actors()
-        if start_round > 0:
-            # resume: replay committed seen deltas into fresh actors
-            ray.get(
-                [
-                    a.restore.remote(self.seen_dir, start_round - 1)
-                    for a in actors
-                ]
-            )
+        actors = self._start_actors(start_round - 1)
         all_stats: list[RoundStats] = []
         total_fetched = self._committed_fetch_count(start_round)
         stopped = "frontier_empty"
@@ -755,7 +490,15 @@ class CrawlEngine:
             if sum(self._frontier_rows(n)) == 0:
                 stopped = "frontier_empty"
                 break
-            stats = self._run_round(n, actors)
+            for attempt in range(1, ROUND_ATTEMPTS + 1):
+                try:
+                    stats = self._run_round(n, actors)
+                    break
+                except ray.exceptions.RayActorError:
+                    if attempt == ROUND_ATTEMPTS:
+                        raise
+                    self.shutdown_actors()
+                    actors = self._start_actors(n - 1)
             all_stats.append(stats)
             total_fetched += stats.fetched
             n += 1
@@ -772,29 +515,28 @@ class CrawlEngine:
         return total
 
     def _run_round(self, n: int, actors: list) -> RoundStats:
-        """One superstep in TWO Ray Data executions, each sized by the rows
-        it carries:
+        """One superstep; ONE Ray Data execution, sized by the rows it
+        carries:
 
-            1. blocks of shard ids (``exchange.frontier_shards``: the
-               shards with work) → gate, one task per block, ~one per
-               ``GATE_ROWS`` frontier rows (reads its shards' candidate +
-               deferred files; dedup + lazy fingerprint + StateShard RPC +
-               vectorized budget draw; side-writes DEFERRED rows) →
-               materialized admitted set.
+            1. one ``StateShard.gate`` call per shard with work
+               (``exchange.frontier_shards``): the shard's actor reads its
+               candidate + deferred files, dedups, fingerprints, looks up
+               seen + robots + budgets, runs the vectorized budget draw,
+               side-writes DEFERRED rows and returns (admitted table,
+               count).
             2. (only if anything was admitted) ``exchange.for_each_range``
-               over ``fetch_key``, as many fixed ranges as the exact
-               admitted count calls for → fused fetch+parse, one call per
-               range that holds rows → per-shard candidate files for round
-               n+1.
+               over the admitted tables' refs by ``fetch_key``, as many
+               fixed ranges as the summed count calls for → fused
+               fetch+parse, one call per range that holds rows → per-shard
+               candidate files for round n+1.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
-        write them through ``exchange.write_candidates``) and each gate
-        task reads only its own shards' files — per-round shuffle volume is
-        the ADMITTED set (politeness-bounded), not the candidate flood.
-        All counters come from idempotent per-shard / per-block sidecar
-        files, parquet footers and block metadata — zero bookkeeping
-        executions.
+        write them through ``exchange.write_candidates``) and each shard's
+        gate reads only its own files — per-round shuffle volume is the
+        ADMITTED set (politeness-bounded), not the candidate flood.  All
+        counters come from idempotent per-shard / per-block sidecar files
+        and parquet footers — zero bookkeeping executions.
         """
         t0 = time.monotonic()
         cfg = self.cfg
@@ -803,65 +545,42 @@ class CrawlEngine:
         gate_stats_dir = os.path.join(rdir, "gate_stats")
         fetched_dir = os.path.join(rdir, "fetched")
         nf_dir = self._frontier_dir(n + 1)
-        # files from a killed attempt at this round (killed in either
-        # execution, or between them): fetch block ids follow the
-        # fetch_parts cuts, and fetch_parts follows the admitted count and
-        # the CPU count, so a re-run need not overwrite them.  Round n's
-        # own frontier/ is this round's input and stays.
+        # files from a killed or failed attempt at this round: fetch block
+        # ids follow the fetch_parts cuts, and fetch_parts follows the
+        # admitted count and the CPU count, so a re-run need not overwrite
+        # them.  Round n's own frontier/ is this round's input and stays.
         for d in (gate_stats_dir, fetched_dir, nf_dir):
             if os.path.isdir(d):
                 shutil.rmtree(d)
-        cand_rows, def_rows = self._frontier_rows(n)
-        # One tickler row per shard with work drives the gate stage; the
-        # actual rows are read task-side by the gate task that serves the
-        # shard.
-        ticklers = pa.table(
-            {"shard": pa.array(frontier_shards(self._frontier_dir(n)), pa.int32())}
-        )
-        k = ticklers.num_rows
-        # ONE BLOCK PER GATE TASK: map_batches(batch_size=None) runs one
-        # call per block, so the tickler table is cut into contiguous
-        # blocks of shards, about one per GATE_ROWS frontier rows and at
-        # most one per shard
-        gate_tasks = min(k, max(1, -(-(cand_rows + def_rows) // GATE_ROWS)))
-        frontier = ray.data.from_arrow(
-            [
-                ticklers.slice(int(idx[0]), len(idx))
-                for idx in np.array_split(np.arange(k), gate_tasks)
-            ]
-            if k
-            else ticklers
-        )
-        stats.gate_tasks = gate_tasks
 
         store_dir = self.store_dir
         next_cand_dir = candidates_dir(nf_dir)
         t_exec = time.monotonic()
-        # execution 1, the gate stage: NO shuffle — each tickler block
-        # names the shards its task serves
-        gated = frontier.map_batches(
-            _shard_gate_fn(
-                actors,
-                n,
-                self._frontier_dir(n),
-                nf_dir,
-                gate_stats_dir,
-                cfg.order_mode,
-            ),
-            batch_size=None,
-            batch_format="pyarrow",
-        ).materialize()
-        admitted = gated.count()  # block metadata: no task runs
+        gates = [
+            actors[k].gate.options(num_returns=2).remote(
+                n, self._frontier_dir(n), nf_dir, gate_stats_dir, cfg.order_mode
+            )
+            for k in frontier_shards(self._frontier_dir(n))
+        ]
+        count_refs = [c for _, c in gates]
+        # every call ends before a lost actor's error is raised, so no gate
+        # of this attempt still writes when the round re-runs
+        ray.wait(count_refs, num_returns=len(count_refs))
+        counts = ray.get(count_refs)
+        admitted = sum(counts)
         if admitted:
             stats.fetch_parts = _fetch_parts(
                 cfg, admitted, int(ray.cluster_resources().get("CPU", 32))
             )
-            # execution 2, the only exchange: fixed cuts, so the sort
-            # neither samples nor depends on the gate's block count, and
-            # emits exactly fetch_parts blocks.  FetchParse only needs each
-            # bucket's rows co-located, not one call per key, so it runs
-            # once per sorted block (a groupby's map_groups would call it
-            # once per fetch_key).
+            gated = ray.data.from_arrow_refs(
+                [t for (t, _), c in zip(gates, counts) if c]
+            )
+            # the round's one execution and only exchange: fixed cuts, so
+            # the sort neither samples nor depends on how many shards
+            # admitted rows, and emits exactly fetch_parts blocks.
+            # FetchParse only needs each bucket's rows co-located, not one
+            # call per key, so it runs once per sorted block (a groupby's
+            # map_groups would call it once per fetch_key).
             def fetch(rows: pa.Table) -> None:
                 FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
 

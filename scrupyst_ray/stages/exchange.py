@@ -19,7 +19,7 @@ A round's frontier directory holds::
 
 The tag is the fetch block's lowest ``fetch_key`` (under the map-side host
 cap, each row's parent ``fetch_key``), ``seeds`` or ``cap``.  Each shard's
-gate task reads its own files (:func:`read_shard`); the frontier never
+gate reads its own files (:func:`read_shard`); the frontier never
 rides a shuffle.  The files are Arrow IPC (feather v2), measured ~2.5×
 cheaper than parquet on both sides at the bench's file sizes; the crawl
 artifact, seen deltas and robots side-table stay parquet.  They double as

@@ -25,7 +25,7 @@ Reference semantics being reproduced:
 
 Retry idempotence: robots verdicts and budgets are pure per round, and
 :func:`budget_draw` is a pure function of the gate's rows and those budgets,
-so a retried gate task replays to identical decisions.
+so a re-run round replays to identical decisions.
 """
 
 from __future__ import annotations
@@ -102,11 +102,11 @@ class PolitenessState:
         return concurrency
 
     # -- gate helpers ---------------------------------------------------------
-    # The superstep gate keeps the deferred backlog OUT of the actor RPC:
+    # The superstep gate keeps the deferred backlog OUT of the lookup:
     # deferred rows were robots-checked and seen-recorded when first gated, so
-    # per round the actor only answers (a) robots verdicts for NEW rows and
+    # per round this state only answers (a) robots verdicts for NEW rows and
     # (b) per-host budgets; the draw itself (budget_draw below) is pure
-    # deterministic compute run inside the gate task (pipelines/crawl.py).
+    # deterministic compute (``StateShard.gate``, state/shard.py).
 
     def robots_ok(self, hosts: list[str], urls: list[str]) -> np.ndarray:
         """Per-row robots verdict (all-True when ROBOTSTXT_OBEY is off)."""

@@ -45,6 +45,17 @@ _BLOOM_CAPACITY = 1 << 20
 _CHUNK = 1 << 16
 
 
+def fp_array(fp) -> np.ndarray:
+    """An Arrow column of 20-byte fingerprints as an ``S20`` array over its
+    data buffer: no Python object per row."""
+    if len(fp) == 0:
+        return np.empty(0, _FP)
+    fp = pc.cast(fp, pa.binary(_FP_WIDTH))
+    if isinstance(fp, pa.ChunkedArray):
+        fp = fp.combine_chunks()
+    return np.frombuffer(fp.buffers()[1], _FP, len(fp), fp.offset * _FP_WIDTH)
+
+
 def _sorted_keys(rows: np.ndarray):
     """(n, 20) fingerprint bytes -> (order, hi, tail) sorted by hi: the first
     8 bytes as a big-endian uint64 (``fingerprint.fp64``) and the other 12."""
@@ -181,10 +192,7 @@ class SeenState:
         """Restore one delta file (resume path).  A fingerprint already
         restored from another delta keeps the earlier round."""
         table = pq.read_table(path)
-        fp = pc.cast(table["fp"].combine_chunks(), pa.binary(_FP_WIDTH))
-        rows = np.frombuffer(
-            fp.buffers()[1], np.uint8, len(fp) * _FP_WIDTH, fp.offset * _FP_WIDTH
-        ).reshape(-1, _FP_WIDTH)
+        rows = fp_array(table["fp"]).view(np.uint8).reshape(-1, _FP_WIDTH)
         _, hi, tail = _sorted_keys(rows)
         pos, at = self._lookup(hi, tail, np.arange(len(hi)))
         hit = at >= 0

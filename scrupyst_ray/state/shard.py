@@ -1,8 +1,8 @@
 """StateShard — the host-sharded stateful actor of the crawl engine.
 
 One actor owns shard ``k = shard_of(host, num_shards)`` and holds BOTH
-per-shard states (they share the same routing key, so one shuffle + one RPC
-per round serves the dupefilter AND the politeness gate):
+per-shard states (they share the same routing key, so one actor call per
+round serves the dupefilter AND the politeness gate):
 
 - :class:`~scrupyst_ray.state.seen.SeenState` — URL-seen fingerprints
   (bloom negative path + exact sorted numpy lanes; reference
@@ -11,38 +11,160 @@ per round serves the dupefilter AND the politeness gate):
   + per-host per-round budgets (reference downloader slots + robots
   middleware).
 
-Data flow per round (see ``pipelines/crawl.py``): each shard's gate task
-deduplicates its new rows and makes ONE ``gate_check()`` call carrying only
-the small columns (fp, host, url) — html never reaches these actors.  The
-call answers seen-checks, robots verdicts and per-host budgets; the gate
-task then runs :func:`~scrupyst_ray.state.politeness.budget_draw` itself.
+Data flow per round (see ``pipelines/crawl.py``): the driver makes ONE
+:meth:`_StateShard.gate` call per shard with work.  The actor reads its
+shard's frontier files itself, deduplicates the new rows, looks them up in
+its own seen set, robots rules and budgets (``gate_check``, in-process),
+runs :func:`~scrupyst_ray.state.politeness.budget_draw`, writes the
+deferred rows and returns the admitted rows as one Arrow table, which the
+round's fetch execution takes by reference.  html never reaches these
+actors.
 
 Status codes extend ``state.politeness``: ADMITTED / DEFERRED /
 ROBOTS_FORBIDDEN plus SEEN_DUP (filtered by the dupefilter).
 
 Actor state is not lineage-protected (SURVEY.md §4.2), so every method is
 idempotent per round and the seen set checkpoints per-round Parquet deltas
-(tmp+rename) that ``restore()`` replays on resume.
+(tmp+rename) that ``restore()`` replays on resume; the engine heals a lost
+actor the same way (restart every shard, restore, re-run the round).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import time
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 
+from scrupyst_ray.functions.fingerprint import fingerprint_batch
+from scrupyst_ray.stages.exchange import read_shard, write_deferred
+from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA
 from scrupyst_ray.state.politeness import (
     ADMITTED,
     DEFERRED,
     ROBOTS_FORBIDDEN,
     PolitenessState,
+    budget_draw,
+    draw_order,
 )
-from scrupyst_ray.state.seen import SeenState
+from scrupyst_ray.state.seen import SeenState, fp_array
 from scrupyst_ray.state.throttle import AutoThrottleState
 
 SEEN_DUP = 3  # status code for dupefilter-filtered rows
+
+# sub-splits per store bucket of the fetch stage's sort key (see _fetch_key)
+FETCH_SPLIT = 8
+
+# what the gate returns: the frontier row plus its fetch sort key
+ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
+
+
+def _dedup(group: pa.Table, sort_keys) -> tuple[pa.Table, np.ndarray, np.ndarray]:
+    """Within-round dedup of a shard's new candidates: returns (*group*
+    sorted by *sort_keys* with every surviving row fingerprinted, the
+    indices of the surviving rows, the skip-seen flag of every row).
+
+    The winner of each group of duplicates is the row first by the
+    (priority, order_key) keys of *sort_keys* — deterministic.  Two passes: by URL string first
+    (cheap, catches the bulk), then by fingerprint over the survivors
+    (catches canonically-equivalent spellings).  The combined winner equals
+    pure-fingerprint dedup because URL-groups are subsets of
+    fingerprint-groups.  Candidate rows arrive with fp=b""
+    (stages/frontier.py computes it lazily); only pass-1 survivors are
+    fingerprinted — once per unique URL instead of once per edge.  Rows
+    that skip the seen check (``dont_filter``, ``already_enqueued``) are
+    never deduplicated."""
+    n = group.num_rows
+    group = group.take(pc.sort_indices(group, sort_keys=sort_keys))
+    fp64 = group["fp64"].to_numpy(zero_copy_only=False).copy()
+    skip_seen = (
+        pc.or_(group["dont_filter"], group["already_enqueued"])
+        .to_numpy(zero_copy_only=False)
+        .astype(bool)
+    )
+    order_rank = pc.sort_indices(
+        group, sort_keys=sort_keys[1:]  # (priority, order_key)
+    ).to_numpy(zero_copy_only=False)
+    rank_of_row = np.empty(n, dtype=np.int64)
+    rank_of_row[order_rank] = np.arange(n)
+    local_dup = np.zeros(n, dtype=bool)
+
+    def mark_dups(codes: np.ndarray) -> None:
+        """Among active rows (not skip_seen, not already dup), keep the
+        lowest-rank row per key code; vectorized first-occurrence over the
+        rank-sorted active set (no Python row loop)."""
+        active = np.flatnonzero(~(skip_seen | local_dup))
+        if active.size == 0:
+            return
+        order = active[np.argsort(rank_of_row[active], kind="stable")]
+        c = codes[order]
+        _, first = np.unique(c, return_index=True)
+        dupm = np.ones(c.size, dtype=bool)
+        dupm[first] = False
+        local_dup[order[dupm]] = True
+
+    # -- pass 1: exact-URL dedup via dictionary codes
+    enc = pc.dictionary_encode(group["url"])
+    if isinstance(enc, pa.ChunkedArray):
+        enc = enc.combine_chunks()
+    mark_dups(enc.indices.to_numpy(zero_copy_only=False).astype(np.int64))
+
+    # -- lazy fingerprints: only pass-1 survivors missing fp (new candidate
+    # rows arrive with fp=b""), once per unique URL, written into the
+    # group's fp / fp64 columns
+    miss = ~local_dup & pc.equal(group["fp"], b"").to_numpy(zero_copy_only=False)
+    if miss.any():
+        miss_pa = pa.array(miss)
+        fps = fingerprint_batch(group.select(["url"]).filter(miss_pa))
+        fp64[miss] = fps["fp64"].to_numpy()
+        fp = pc.replace_with_mask(
+            group["fp"].combine_chunks(), miss_pa, fps["fp"].combine_chunks()
+        )
+        i_fp = group.schema.get_field_index("fp")
+        group = group.set_column(i_fp, "fp", fp).set_column(
+            group.schema.get_field_index("fp64"),
+            "fp64",
+            pa.array(fp64, pa.uint64()),
+        )
+
+    # -- pass 2: fingerprint dedup (canonically-equivalent spellings).
+    # fp64 (first 8 fp bytes) is the vectorized key; rows that share an
+    # fp64 are confirmed against full fp bytes, so 64-bit collisions can
+    # never merge distinct fingerprints.
+    active = np.flatnonzero(~(skip_seen | local_dup))
+    if active.size:
+        order = active[np.argsort(rank_of_row[active], kind="stable")]
+        c64 = fp64[order]
+        uniq, first, counts = np.unique(c64, return_index=True, return_counts=True)
+        if (counts > 1).any():
+            rows = order[np.isin(c64, uniq[counts > 1])]  # rank order
+            fps_exact = group["fp"].take(pa.array(rows)).to_pylist()
+            winner: dict[bytes, int] = {}
+            for k, i in zip(fps_exact, rows):
+                if k in winner:
+                    local_dup[int(i)] = True
+                else:
+                    winner[k] = int(i)
+    return group, np.flatnonzero(~local_dup), skip_seen
+
+
+def _fetch_key(admitted: pa.Table) -> pa.Array:
+    """The fetch stage's sort key: each store bucket sub-split FETCH_SPLIT
+    ways by fp64.  The bucket alone is only 64-ary, and range-partitioning
+    so few distinct values across ~32 blocks is lumpy (measured 3.3 s ..
+    10.9 s fetch-task skew); 512 keys balance the sorted blocks.
+    ``key // FETCH_SPLIT`` is still the store bucket, so a block holds a
+    contiguous run of buckets and probes each of them once."""
+    sub = pc.bit_wise_and(admitted["fp64"], pa.scalar(FETCH_SPLIT - 1, pa.uint64()))
+    key = pc.add(
+        pc.multiply(admitted["bucket"], FETCH_SPLIT), pc.cast(sub, pa.int32())
+    )
+    return pc.cast(key, pa.int32())
 
 
 class _StateShard:
@@ -84,14 +206,15 @@ class _StateShard:
         self._robots_path = robots_path
         self._robots_loaded = False
 
-    def warm(self) -> int:
+    def warm(self) -> pa.Table:
         """Force one-time per-process setup (pyarrow parquet reader init +
         robots side-table load, ~0.3 s) NOW.  The engine calls this in
         parallel across the pool at startup; paying it lazily instead would
-        serialize it behind the first round's one-RPC-per-shard gate chain
-        (measured 0.35 s × shards = 11.5 s of round-0 wall)."""
+        land on the first round's gate calls.  Returns a one-row Arrow table
+        because a fresh actor's first Arrow return costs ~0.25 s (1.1 s the
+        first time in a session), and round 0's gate call would pay it."""
         self._ensure_robots()
-        return self.shard_id
+        return pa.table({"shard": [self.shard_id]})
 
     def _ensure_robots(self) -> None:
         if self._robots_loaded:
@@ -104,6 +227,124 @@ class _StateShard:
                 table["host"].to_pylist(), table["body"].to_pylist()
             )
 
+    def gate(
+        self,
+        round_id: int,
+        frontier_dir: str,
+        next_frontier_dir: str,
+        stats_dir: str,
+        order_mode: str,
+    ) -> tuple[pa.Table, int]:
+        """The shard's gate for round *round_id*: returns (admitted rows of
+        ``ADMITTED_SCHEMA``, their count).
+
+        Reads the shard's rows from *frontier_dir* (``exchange.read_shard``:
+        the new candidates the previous round's fetch tasks wrote for this
+        shard, and its deferred rows, which never re-enter a shuffle),
+        deduplicates and fingerprints the new rows (:func:`_dedup`), looks
+        the survivors up (:meth:`gate_check`) and spends each host's round
+        budget over deferred ∪ surviving rows
+        (``politeness.budget_draw``).  DEFERRED rows are written straight
+        into *next_frontier_dir* (``exchange.write_deferred``) and the
+        counters into ``stats_dir/shard=K.json``; both are tmp+rename under
+        stable names, and a same-round repeat (after a restore to the
+        round before) returns an equal table and writes equal files.
+
+        The sidecar's ``phase_s`` is the wall of each phase: file read /
+        dedup + fingerprint / the seen, robots and budget lookup
+        (``rpc``: since the gate runs in this actor, an in-process call) /
+        budget draw + deferred write.  A shard without rows returns an
+        empty table and writes nothing."""
+        t_start = time.monotonic()
+        cands, deferred_in = read_shard(frontier_dir, self.shard_id)
+        group = (
+            FRONTIER_SCHEMA.empty_table() if cands is None else cands.combine_chunks()
+        )
+        n = group.num_rows
+        n_def = deferred_in.num_rows if deferred_in is not None else 0
+        t_read = time.monotonic()
+        if n == 0 and n_def == 0:
+            return ADMITTED_SCHEMA.empty_table(), 0
+
+        # -- NEW candidates only are deduplicated and looked up.  Deferred
+        # rows were seen-recorded and robots-checked when first gated
+        # (forbidden rows are dropped, never deferred; robots rules are
+        # static), so per-round lookup work is O(new rows), not O(frontier
+        # backlog).  A deferred-only shard (n == 0) still looks up its
+        # hosts' budgets.
+        group, live, skip_seen = _dedup(group, draw_order(order_mode))
+        live_rows = group.take(pa.array(live))
+        hosts_live = live_rows["host"].to_pylist()
+        # hosts(live) == hosts(all candidates): a local dup always shares
+        # its host with the surviving winner (same url / same canonical)
+        budget_hosts = set(hosts_live)
+        if n_def:
+            budget_hosts.update(pc.unique(deferred_in["host"]).to_pylist())
+        budget_hosts = sorted(budget_hosts)
+        t_dedup = time.monotonic()
+        res = self.gate_check(
+            round_id,
+            fp_array(live_rows["fp"]),
+            live_rows["fp64"].to_numpy(zero_copy_only=False),
+            skip_seen[live],
+            hosts_live,
+            live_rows["url"].to_pylist(),
+            budget_hosts,
+        )
+        t_rpc = time.monotonic()
+        fresh, robots = res["fresh"], res["robots_ok"]
+        new_surv = live_rows.filter(pa.array(fresh & robots))
+
+        # -- budget draw over deferred ∪ surviving new rows: pure and
+        # deterministic, so a repeated round replays identical decisions.
+        parts = [t for t in (deferred_in, new_surv) if t is not None and t.num_rows]
+        admitted = ADMITTED_SCHEMA.empty_table()
+        n_defer_out = 0
+        if parts:
+            combined = (
+                pa.concat_tables(parts, promote_options="default")
+                if len(parts) > 1
+                else parts[0]
+            )
+            order, admit_mask = budget_draw(
+                combined, budget_hosts, res["budgets"], order_mode
+            )
+            combined = combined.take(order)
+            admitted = combined.filter(pa.array(admit_mask))
+            admitted = admitted.append_column("fetch_key", _fetch_key(admitted))
+            n_defer_out = combined.num_rows - admitted.num_rows
+            if n_defer_out:
+                deferred = combined.filter(pa.array(~admit_mask))
+                i_enq = deferred.column_names.index("already_enqueued")
+                deferred = deferred.set_column(
+                    i_enq,
+                    "already_enqueued",
+                    pa.array(np.ones(deferred.num_rows, bool), pa.bool_()),
+                )
+                write_deferred(deferred, next_frontier_dir, self.shard_id)
+
+        os.makedirs(stats_dir, exist_ok=True)
+        counts = {
+            "shard": int(self.shard_id),
+            "total": int(n + n_def),
+            "admitted": int(admitted.num_rows),
+            "deferred": int(n_defer_out),
+            "robots_forbidden": int((fresh & ~robots).sum()),
+            # local dups and seen-set hits
+            "dupefilter_filtered": int(n - fresh.sum()),
+            "phase_s": {
+                "read": round(t_read - t_start, 3),
+                "dedup": round(t_dedup - t_read, 3),
+                "rpc": round(t_rpc - t_dedup, 3),
+                "draw": round(time.monotonic() - t_rpc, 3),
+            },
+        }
+        path = os.path.join(stats_dir, f"shard={self.shard_id:05d}.json")
+        with open(path + ".tmp", "w") as f:
+            json.dump(counts, f)
+        os.replace(path + ".tmp", path)
+        return admitted, admitted.num_rows
+
     def gate_check(
         self,
         round_id: int,
@@ -114,13 +355,12 @@ class _StateShard:
         urls: list[str],
         budget_hosts: list[str],
     ) -> dict:
-        """Gate RPC: seen-check + robots verdicts for the round's NEW rows
-        only, plus per-host budgets for *budget_hosts* (the union of new and
-        deferred hosts).  The budget draw itself happens in the gate task
-        (``politeness.budget_draw``: pure, retry-safe) — the deferred backlog
-        never crosses this RPC, so per-round actor payload is O(new rows), not
-        O(frontier).  Idempotent per round: ``check_and_add`` replays round-
-        *r* re-deliveries, robots verdicts and budgets are pure per round.
+        """The gate's lookup: seen-check + robots verdicts for the round's
+        NEW rows only, plus per-host budgets for *budget_hosts* (the union
+        of new and deferred hosts); :meth:`gate` then runs the budget draw
+        (``politeness.budget_draw``: pure).  Idempotent per round:
+        ``check_and_add`` replays round-*r* re-deliveries, robots verdicts
+        and budgets are pure per round.
 
         Rows must be pre-deduplicated by fp.  ``skip_seen`` marks rows that
         bypass the dupefilter: ``dont_filter`` requests (reference
@@ -213,7 +453,9 @@ StateShard = ray.remote(num_cpus=0.01)(_StateShard)
 
 __all__ = [
     "ADMITTED",
+    "ADMITTED_SCHEMA",
     "DEFERRED",
+    "FETCH_SPLIT",
     "ROBOTS_FORBIDDEN",
     "SEEN_DUP",
     "StateShard",

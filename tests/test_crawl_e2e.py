@@ -13,6 +13,7 @@ import pytest
 
 from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.pipelines.crawl import CrawlEngine, _fetch_parts
+from scrupyst_ray.stages.exchange import frontier_shards
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
 
@@ -67,15 +68,17 @@ def _committed_manifests(workdir: str) -> dict[str, dict]:
 
 
 def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
-    """Pin the per-round record the benchmark reads: every gate sidecar
-    carries the counters and phase seconds, and every manifest folds them
-    into ``stats.fetch_phase_s`` as gate_<phase>."""
+    """Pin the per-round record the benchmark reads: one gate sidecar per
+    shard with work, each carrying the counters and phase seconds, and
+    every manifest folds them into ``stats.fetch_phase_s`` as
+    gate_<phase>."""
     manifests = _committed_manifests(workdir)
     assert len(manifests) == n_rounds
     for d, manifest in manifests.items():
         gdir = os.path.join(workdir, "rounds", d, "gate_stats")
-        sidecars = [f for f in os.listdir(gdir) if f.startswith("shard=")]
-        assert sidecars, d
+        sidecars = sorted(f for f in os.listdir(gdir) if f.startswith("shard="))
+        with_work = frontier_shards(os.path.join(workdir, "rounds", d, "frontier"))
+        assert sidecars == [f"shard={k:05d}.json" for k in with_work], d
         for f in sidecars:
             with open(os.path.join(gdir, f)) as fh:
                 c = json.load(fh)
@@ -83,11 +86,9 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
             assert set(c["phase_s"]) == GATE_PHASES, (d, f)
         phases = manifest["stats"]["fetch_phase_s"]
         assert {f"gate_{p}" for p in GATE_PHASES} <= phases.keys(), d
-        # the round's fan-out: gate tasks (at most one per shard with work)
-        # and fetch tasks
+        # the round's fetch tasks; none when nothing was admitted
         stats = manifest["stats"]
-        assert {"gate_tasks", "fetch_parts"} <= stats.keys(), d
-        assert 1 <= stats["gate_tasks"] <= len(sidecars), d
+        assert (stats["fetch_parts"] > 0) == (stats["admitted"] > 0), d
 
 
 def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
@@ -234,6 +235,58 @@ class TestCrawlE2E:
             for d, m in _committed_manifests(str(tmp_path / "full")).items()
         }
 
+    def test_lost_state_shard_heals(self, smoke_corpus, tmp_path, monkeypatch):
+        """Shard 1's actor dies before round 2's first attempt, while the
+        other shards' gates run round 2.  The round re-runs in restarted
+        actors restored to round 1, and the crawl equals an uninterrupted
+        one and the simulator."""
+        import ray
+
+        cfg = _cfg()
+        pages = os.path.join(smoke_corpus, "pages")
+        seeds = os.path.join(smoke_corpus, "seeds.parquet")
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        full_wd = str(tmp_path / "full")
+        full = CrawlEngine.for_corpus(pages, full_wd, cfg)
+        full.init_frontier(seeds)
+        res_full = full.run(max_rounds=6)
+        full.shutdown_actors()
+
+        attempts: list[int] = []
+        gated_first: list[str] = []
+        run_round = CrawlEngine._run_round
+
+        def lose_shard_1(self, n, actors):
+            first = n == 2 and n not in attempts
+            attempts.append(n)
+            if not first:
+                return run_round(self, n, actors)
+            ray.kill(actors[1])
+            try:
+                return run_round(self, n, actors)
+            finally:
+                gdir = os.path.join(self._round_dir(n), "gate_stats")
+                gated_first.extend(sorted(os.listdir(gdir)))
+
+        monkeypatch.setattr(CrawlEngine, "_run_round", lose_shard_1)
+        wd = str(tmp_path / "healed")
+        eng = CrawlEngine.for_corpus(pages, wd, cfg)
+        eng.init_frontier(seeds)
+        res = eng.run(max_rounds=6)
+        eng.shutdown_actors()
+
+        assert attempts.count(2) == 2
+        with_work = frontier_shards(eng._frontier_dir(2))
+        assert 1 in with_work
+        assert gated_first == [f"shard={k:05d}.json" for k in with_work if k != 1]
+        assert [r.round for r in res.rounds] == [r.round for r in res_full.rounds]
+        assert _engine_order(res) == _engine_order(res_full) == sim.fetch_order
+        assert _engine_seen_fps(wd) == _engine_seen_fps(full_wd) == sim.seen_fps
+        assert [r.admitted for r in res.rounds] == sim.per_round_admitted
+        assert [r.deferred for r in res.rounds] == sim.per_round_deferred
+
     def test_autothrottle_resume_identical(self, smoke_corpus, tmp_path):
         """AutoThrottle (ST5) on: adaptive delays shrink budgets AND the
         adjusted delays are part of the committed round state, so a killed
@@ -363,24 +416,38 @@ class TestCrawlE2E:
             assert r.candidates_kept == 25 + r.deferred
 
 
-def _gate_counts(workdir: str) -> dict[str, dict]:
-    """{round dir/sidecar: gate counters} over the committed rounds, phase
-    seconds left out."""
-    out = {}
-    for d in _committed_manifests(workdir):
-        gdir = os.path.join(workdir, "rounds", d, "gate_stats")
-        for f in sorted(os.listdir(gdir)):
-            with open(os.path.join(gdir, f)) as fh:
-                c = json.load(fh)
-            c.pop("phase_s")
-            out[f"{d}/{f}"] = c
-    return out
+def _executions_per_round(monkeypatch) -> list[int]:
+    """Count the Ray Data executions of every ``_run_round`` call: the
+    returned list gets one entry per round, in order.  Every execution of
+    a round ends in a ``materialize()`` (``exchange.for_each_range``)."""
+    import ray.data
+
+    from scrupyst_ray.pipelines import crawl
+
+    calls: list[int] = []
+    per_round: list[int] = []
+    materialize = ray.data.Dataset.materialize
+    run_round = crawl.CrawlEngine._run_round
+
+    def counted(ds):
+        calls.append(1)
+        return materialize(ds)
+
+    def round_spy(self, n, actors):
+        before = len(calls)
+        stats = run_round(self, n, actors)
+        per_round.append(len(calls) - before)
+        return stats
+
+    monkeypatch.setattr(ray.data.Dataset, "materialize", counted)
+    monkeypatch.setattr(crawl.CrawlEngine, "_run_round", round_spy)
+    return per_round
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestRoundFanOut:
-    """Each round's two fan-outs follow the rows they carry: the fetch
-    tasks the exact admitted count, the gate tasks the frontier rows."""
+    """Each round's one Ray Data execution follows the rows it carries: its
+    fetch tasks the exact admitted count."""
 
     def _crawl(self, smoke_corpus, wd, cfg, seeds=None, max_rounds=6):
         eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
@@ -414,37 +481,19 @@ class TestRoundFanOut:
             sized(cfg, a, n_cpus) for a in admitted
         ]
 
-    def test_gate_grouping_changes_nothing(self, smoke_corpus, tmp_path, monkeypatch):
-        """GATE_ROWS = 1 gives every shard with work a gate task of its
-        own; the default groups the smoke corpus's small rounds into fewer
-        tasks.  The crawl and every shard's gate counters are the same."""
-        from scrupyst_ray.pipelines import crawl
-
-        cfg = _cfg()
-        with monkeypatch.context() as m:
-            m.setattr(crawl, "GATE_ROWS", 1)
-            res_one = self._crawl(smoke_corpus, str(tmp_path / "one"), cfg)
-        res_grouped = self._crawl(smoke_corpus, str(tmp_path / "grouped"), cfg)
-
-        counts_one = _gate_counts(str(tmp_path / "one"))
-        counts_grouped = _gate_counts(str(tmp_path / "grouped"))
-        shards_with_work = [
-            len(os.listdir(os.path.join(tmp_path, "one", "rounds", d, "gate_stats")))
-            for d in _committed_manifests(str(tmp_path / "one"))
-        ]
-        assert [r.gate_tasks for r in res_one.rounds] == shards_with_work
-        assert any(
-            r.gate_tasks < k for r, k in zip(res_grouped.rounds, shards_with_work)
-        )
-        assert _engine_order(res_grouped) == _engine_order(res_one)
-        assert _engine_seen_fps(str(tmp_path / "grouped")) == _engine_seen_fps(
-            str(tmp_path / "one")
-        )
-        assert counts_grouped == counts_one
+    def test_one_execution_per_admitting_round(
+        self, smoke_corpus, tmp_path, monkeypatch
+    ):
+        """The gate runs in the StateShard actors, so an admitting round
+        runs one Ray Data execution, the fetch."""
+        per_round = _executions_per_round(monkeypatch)
+        res = self._crawl(smoke_corpus, str(tmp_path / "wd"), _cfg())
+        assert len(res.rounds) > 1 and all(r.admitted for r in res.rounds)
+        assert per_round == [1] * len(res.rounds)
 
     def test_round_admitting_nothing(self, smoke_corpus, tmp_path, monkeypatch):
         """Seeds only on host001, whose robots.txt disallows our UA: round 0
-        admits nothing, commits, and runs no fetch execution."""
+        admits nothing, commits, and runs no Ray Data execution."""
         import pyarrow as pa
 
         from scrupyst_ray.pipelines import crawl
@@ -464,10 +513,12 @@ class TestRoundFanOut:
         sim = simulate_crawl(load_pages_dict(smoke_corpus), urls, cfg, max_rounds=6)
 
         monkeypatch.setattr(crawl, "FetchParse", NoFetch)
+        per_round = _executions_per_round(monkeypatch)
         wd = str(tmp_path / "wd")
         res = self._crawl(smoke_corpus, wd, cfg, seeds=seeds)
 
         assert [r.round for r in res.rounds] == [0]
+        assert per_round == [0]
         (r0,) = res.rounds
         assert (r0.admitted, r0.fetched, r0.fetch_parts) == (0, 0, 0)
         assert r0.robots_forbidden == len(urls) == sim.robots_forbidden

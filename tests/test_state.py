@@ -328,7 +328,7 @@ class TestPoliteness:
         assert _gate(p, ["a"], ["http://a/x"]) == [ADMITTED]
 
     def test_round_idempotence(self):
-        """A retried gate task re-sends the same round's gate_check: fresh,
+        """A re-run round repeats the same round's gate_check: fresh,
         robots verdicts and budgets must replay, not re-spend."""
         sh = _StateShard(0, user_agent="scrupyst-ray/0.1", per_domain_budget=2)
         sh.politeness.load_robots_bodies(["a"], [ROBOTS])
@@ -413,3 +413,184 @@ class TestStateShard:
         assert _shard_round(sh, 0, fps, [False], *args) == [ADMITTED]
         # dont_filter re-request of the same URL in a later round is admitted
         assert _shard_round(sh, 1, fps, [True], *args) == [ADMITTED]
+
+
+class TestShardGate:
+    """``_StateShard.gate`` over a frontier laid out on disk, without Ray:
+    within-round dedup (exact URL and canonical spelling), a fingerprint
+    seen in an earlier round, a robots-forbidden row, a deferred backlog
+    and the per-host budget draw, in both crawl orders."""
+
+    # (url, order_key) of the round's new candidates, all priority 0
+    CANDIDATES = [
+        ("http://a.test/1", 1),
+        ("http://a.test/2", 2),
+        ("http://a.test/1", 3),  # same URL
+        ("http://a.test/3", 4),
+        ("http://a.test/q?x=1&y=2", 5),
+        ("http://a.test/q?y=2&x=1", 6),  # same fingerprint
+        ("http://b.test/private/x", 7),  # robots-forbidden
+        ("http://b.test/ok", 8),
+        ("http://a.test/old", 9),  # seen in round 0
+    ]
+    DEFERRED_IN = [
+        ("http://c.test/d1", 10),
+        ("http://c.test/d2", 11),
+        ("http://c.test/d3", 12),
+    ]
+    # budget 2 per host: the (url, order_key) rows admitted, and deferred
+    WANT = {
+        "bfo": (
+            {
+                ("http://a.test/1", 1),
+                ("http://a.test/2", 2),
+                ("http://b.test/ok", 8),
+                ("http://c.test/d1", 10),
+                ("http://c.test/d2", 11),
+            },
+            {
+                ("http://a.test/3", 4),
+                ("http://a.test/q?x=1&y=2", 5),
+                ("http://c.test/d3", 12),
+            },
+        ),
+        # LIFO: the later spelling wins each duplicate group, and each
+        # host's budget goes to its highest order_keys
+        "dfo": (
+            {
+                ("http://a.test/3", 4),
+                ("http://a.test/q?y=2&x=1", 6),
+                ("http://b.test/ok", 8),
+                ("http://c.test/d2", 11),
+                ("http://c.test/d3", 12),
+            },
+            {
+                ("http://a.test/1", 3),
+                ("http://a.test/2", 2),
+                ("http://c.test/d1", 10),
+            },
+        ),
+    }
+
+    @staticmethod
+    def _rows(cfg, pairs, fingerprints):
+        from scrupyst_ray.functions.urlnorm import parse_host
+        from scrupyst_ray.stages.frontier import frontier_rows
+
+        urls = [u for u, _ in pairs]
+        return frontier_rows(
+            cfg,
+            urls,
+            [parse_host(u) for u in urls],
+            depth=[1] * len(urls),
+            priority=[0] * len(urls),
+            order_key=[k.to_bytes(8, "big") for _, k in pairs],
+            dont_filter=False,
+            fingerprints=fingerprints,
+        )
+
+    def _round(self, tmp_path, order_mode):
+        """Lay out round 1's frontier, then gate it twice: (shard, dirs,
+        first result, second result, first-call files)."""
+        from scrupyst_ray.config import CrawlConfig
+        from scrupyst_ray.functions.fingerprint import fingerprint_batch
+        from scrupyst_ray.stages.exchange import (
+            candidates_dir,
+            write_candidates,
+            write_deferred,
+        )
+
+        cfg = CrawlConfig(seen_shards=1, fetch_buckets=4)
+        fdir, nf_dir = str(tmp_path / "f1"), str(tmp_path / "f2")
+        stats_dir = str(tmp_path / "gate_stats")
+        write_candidates(
+            self._rows(cfg, self.CANDIDATES, False), candidates_dir(fdir), 7
+        )
+        deferred = self._rows(cfg, self.DEFERRED_IN, True)
+        deferred = deferred.set_column(
+            deferred.schema.get_field_index("already_enqueued"),
+            "already_enqueued",
+            pa.array([True] * deferred.num_rows),
+        )
+        write_deferred(deferred, fdir, 0)
+
+        sh = _StateShard(0, user_agent=cfg.user_agent, per_domain_budget=2)
+        sh.politeness.load_robots_bodies(["b.test"], [ROBOTS])
+        old = fingerprint_batch(pa.table({"url": ["http://a.test/old"]}))
+        sh.seen.check_and_add(0, old["fp"].to_pylist(), old["fp64"].to_numpy())
+
+        args = (1, fdir, nf_dir, stats_dir, order_mode)
+        first = sh.gate(*args)
+        files = self._files(nf_dir, stats_dir)
+        second = sh.gate(*args)
+        return first, second, files, self._files(nf_dir, stats_dir)
+
+    @staticmethod
+    def _files(nf_dir, stats_dir):
+        """(deferred rows written, sidecar without its timings)."""
+        import json
+
+        from scrupyst_ray.stages.exchange import read_shard
+
+        cands, deferred = read_shard(nf_dir, 0)
+        assert cands is None
+        with open(os.path.join(stats_dir, "shard=00000.json")) as f:
+            sidecar = json.load(f)
+        assert set(sidecar.pop("phase_s")) == {"read", "dedup", "rpc", "draw"}
+        return deferred, sidecar
+
+    @pytest.mark.parametrize("order_mode", ["bfo", "dfo"])
+    def test_gate_admits_defers_and_counts(self, tmp_path, order_mode):
+        from scrupyst_ray.functions.fingerprint import fingerprint_batch
+        from scrupyst_ray.state.shard import ADMITTED_SCHEMA, FETCH_SPLIT
+
+        (admitted, count), _, (deferred, sidecar), _ = self._round(
+            tmp_path, order_mode
+        )
+        want_admitted, want_deferred = self.WANT[order_mode]
+
+        def pairs(t):
+            keys = [int.from_bytes(k, "big") for k in t["order_key"].to_pylist()]
+            return set(zip(t["url"].to_pylist(), keys))
+
+        assert admitted.schema == ADMITTED_SCHEMA
+        assert count == admitted.num_rows == len(want_admitted)
+        assert pairs(admitted) == want_admitted
+        # lazy fingerprints are filled in, and the fetch key is the row's
+        # store bucket sub-split by fp64
+        fps = fingerprint_batch(admitted.select(["url"]))
+        assert admitted["fp"].to_pylist() == fps["fp"].to_pylist()
+        assert admitted["fp64"].to_pylist() == fps["fp64"].to_pylist()
+        buckets, fp64 = admitted["bucket"].to_pylist(), admitted["fp64"].to_pylist()
+        want_key = [b * FETCH_SPLIT + f % FETCH_SPLIT for b, f in zip(buckets, fp64)]
+        assert admitted["fetch_key"].to_pylist() == want_key
+
+        assert pairs(deferred) == want_deferred
+        assert all(deferred["already_enqueued"].to_pylist())
+        assert sidecar == {
+            "shard": 0,
+            "total": len(self.CANDIDATES) + len(self.DEFERRED_IN),
+            "admitted": len(want_admitted),
+            "deferred": len(want_deferred),
+            "robots_forbidden": 1,
+            "dupefilter_filtered": 3,  # two local duplicates, one seen
+        }
+
+    @pytest.mark.parametrize("order_mode", ["bfo", "dfo"])
+    def test_same_round_twice_is_identical(self, tmp_path, order_mode):
+        """A re-run round calls the gate again for the same round: it must
+        return an equal table and write equal files."""
+        first, second, files_1, files_2 = self._round(tmp_path, order_mode)
+        assert first[1] == second[1]
+        assert first[0].equals(second[0])
+        assert files_1[0].equals(files_2[0])
+        assert files_1[1] == files_2[1]
+
+    def test_shard_without_rows(self, tmp_path):
+        sh = _StateShard(0, user_agent="ua")
+        stats_dir = str(tmp_path / "gate_stats")
+        admitted, count = sh.gate(
+            0, str(tmp_path / "f0"), str(tmp_path / "f1"), stats_dir, "bfo"
+        )
+        assert (admitted.num_rows, count) == (0, 0)
+        assert not os.path.exists(stats_dir)
