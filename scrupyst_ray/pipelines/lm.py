@@ -3,134 +3,197 @@
 A large-scale training-data pipeline buckets documents by language-model
 perplexity (CCNet trains a KenLM per language and splits the corpus into
 head/middle/tail).  No model binaries exist in this sandbox, so the LM is
-trained FROM the corpus itself, distributed, in the same job:
+trained FROM the corpus itself, in the same job, in two scans of the
+documents:
 
-1. count bigrams and unigrams across the corpus (per-batch ``Counter``
-   partials — one row per distinct term per batch — combined by a
-   key-partitioned ``groupby().sum()``, the combiner pattern);
-2. attach the corpus counts back onto each document's bigram rows with the
-   size-selected :func:`~scrupyst_ray.pipelines.joins.attach_by_key` (a
-   small vocab broadcasts once via ``ray.put``; a web-scale vocab takes the
-   distributed hash join — nothing driver-side ever holds the counts);
-3. per-document add-one (Laplace) cross-entropy, reduced by a doc_id-keyed
-   groupby: ``ppl = exp(-1/n · Σ ln P(w2|w1))`` with
-   ``P(w2|w1) = (c(w1 w2) + 1) / (c(w1) + V)``.
+1. **count** — one ``map_batches`` turns each block into its unigram and
+   bigram ``Counter`` partials, one ``(g, n)`` row per distinct gram per
+   block, where ``g`` is a token or a space-joined bigram;
+2. **score** — each document is tokenized again and scored inside the
+   batch that holds it:
+   ``ppl = exp(-1/n · Σ ln P(w2|w1))`` with add-one (Laplace)
+   ``P(w2|w1) = (c(w1 w2) + 1) / (c(w1) + V)``, V the distinct unigrams.
+
+How the counts reach the scoring scan is size-selected, like
+:func:`~scrupyst_ray.pipelines.joins.attach_by_key`:
+
+- **fold** (a bounded vocabulary): the driver sums the partials as the
+  blocks finish (:func:`~scrupyst_ray.pipelines.joins.stream_blocks`) and
+  ships the counts to every scoring task once via ``ray.put``.  No
+  groupby, no join, no eager execution; the only shuffle is the output
+  ``sort``.  The ``curation_queries`` benchmark (~1k distinct grams) only
+  ever takes this branch.
+- **keyed** (a web-scale vocabulary): the fold gives up as soon as its
+  distinct grams pass ``joins.BROADCAST_MAX_ROWS`` or their bytes pass
+  ``joins.BROADCAST_MAX_BYTES``.  The count scan then runs again, its
+  partials summed by a ``g``-keyed groupby, attached onto each document's
+  exploded bigram rows by ``attach_by_key`` (a hash join at that size) and
+  reduced by a doc_id-keyed groupby — nothing driver-side holds the counts.
 
 Tokens are ``\\S+`` runs via the RE2-exact shared tokenizer
 (:func:`~scrupyst_ray.functions.textstats.ws_tokens` — Python's unicode
 ``\\S`` diverges from the DuckDB oracle's RE2 on \\xa0/\\x85/\\v); a
 bigram is the two tokens space-joined (unambiguous — tokens contain no
-ASCII whitespace).  Documents with fewer than two tokens have no bigrams
-and are absent from the output (inner-join semantics, mirrored by the
-SQL oracle).
-
-Scale shape: the exploded bigram-row table is the corpus token stream
-(~1 row per token) — it is produced, joined, and reduced entirely inside
-map_batches/groupby stages; the only driver-side values are V (one int)
-and the final per-doc/per-source results.
+ASCII whitespace, so unigram and bigram keys share one table).  Documents
+with fewer than two tokens have no bigrams and are absent from the output
+(inner-join semantics, mirrored by the SQL oracle).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import closing
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 from ray.data.aggregate import Count, Mean, Sum
 
 from scrupyst_ray.functions.textstats import ws_tokens
-from scrupyst_ray.pipelines.joins import attach_by_key, rename
+from scrupyst_ray.pipelines import joins
 from scrupyst_ray.pipelines.textstats import _docs
 
 
-def _bigram_rows(b: pa.Table) -> pa.Table:
-    """(doc_id, bg, w1, n) — per-document bigram counts (batch combiner)."""
-    ids, bgs, w1s, ns = [], [], [], []
-    for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-        toks = ws_tokens(t)
-        c = Counter(zip(toks, toks[1:]))
-        for (a, bb), n in c.items():
-            ids.append(d)
-            bgs.append(a + " " + bb)
-            w1s.append(a)
-            ns.append(n)
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            "bg": pa.array(bgs, pa.string()),
-            "w1": pa.array(w1s, pa.string()),
-            "n": pa.array(ns, pa.int64()),
-        }
-    )
-
-
-def _unigram_rows(b: pa.Table) -> pa.Table:
+def _gram_counts(b: pa.Table) -> pa.Table:
+    """(g, n) — the block's unigram and bigram counts, one row per gram."""
     c: Counter = Counter()
     for t in b["text"].to_pylist():
-        c.update(ws_tokens(t))
+        toks = ws_tokens(t)
+        c.update(toks)
+        c.update(a + " " + z for a, z in zip(toks, toks[1:]))
     return pa.table(
         {
-            "w": pa.array(list(c.keys()), pa.string()),
+            "g": pa.array(list(c.keys()), pa.string()),
             "n": pa.array(list(c.values()), pa.int64()),
         }
     )
 
 
-def doc_ppl(sf_dir: str):
-    """Dataset (doc_id, n_bigrams, ppl_f: float64) — add-one bigram-LM
-    perplexity per document, trained on the corpus itself."""
-    docs = _docs(sf_dir, ["doc_id", "text"])
-    rows = docs.map_batches(_bigram_rows, batch_format="pyarrow").materialize()
+def _fold_counts(parts) -> Counter | None:
+    """The corpus gram counts summed on the driver, or None as soon as they
+    outgrow a broadcast (``joins.BROADCAST_MAX_ROWS`` distinct grams, or
+    ``joins.BROADCAST_MAX_BYTES`` of key bytes plus one int64 each)."""
+    counts: Counter = Counter()
+    size = 0
+    with closing(joins.stream_blocks(parts)) as blocks:
+        for b in blocks:
+            for g, n in zip(b["g"].to_pylist(), b["n"].to_pylist()):
+                if g not in counts:
+                    size += len(g.encode()) + 8
+                counts[g] += n
+            if (
+                len(counts) > joins.BROADCAST_MAX_ROWS
+                or size > joins.BROADCAST_MAX_BYTES
+            ):
+                return None
+    return counts
 
-    # corpus LM: bigram counts from the exploded rows, unigram counts from
-    # a second pass (cheap — Counter partials over the text column)
-    c2 = rename(
-        rows.select_columns(["bg", "n"]).groupby("bg").sum("n"), ["bg", "c2"]
-    ).materialize()
-    uni = (
-        docs.map_batches(_unigram_rows, batch_format="pyarrow")
-        .groupby("w")
-        .sum("n")
-    )
-    c1 = rename(uni, ["w", "c1"]).materialize()
-    vocab = c1.count()  # V — the Laplace denominator offset
 
-    scored = attach_by_key(rows, c2, "bg", "c2")
-    scored = attach_by_key(scored, c1, "w1", "c1")
+def _bigrams(texts: list) -> tuple[list, list, list, list]:
+    """(row, w1, bigram, count) lists: one entry per distinct bigram of
+    each text, with the text's row number in *texts*."""
+    rows, w1s, bgs, ns = [], [], [], []
+    for i, t in enumerate(texts):
+        toks = ws_tokens(t)
+        for (a, z), m in Counter(zip(toks, toks[1:])).items():
+            rows.append(i)
+            w1s.append(a)
+            bgs.append(a + " " + z)
+            ns.append(m)
+    return rows, w1s, bgs, ns
+
+
+def _ppl_table(b: pa.Table, carry: tuple, n: np.ndarray, lp: np.ndarray) -> pa.Table:
+    """(doc_id, *carry, n_bigrams, ppl_f) for the rows of *b* with bigrams."""
+    return pa.table(
+        {
+            "doc_id": b["doc_id"],
+            **{c: b[c] for c in carry},
+            "n_bigrams": pa.array(n, pa.int64()),
+            "ppl_f": pa.array(np.exp(-lp / np.maximum(n, 1)), pa.float64()),
+        }
+    ).filter(pa.array(n > 0))
+
+
+def _scored_in_batch(docs, counts: Counter, carry: tuple):
+    """Fold branch: every document scored inside its batch against one
+    ``ray.put`` of the counts."""
+    vocab = sum(1 for g in counts if " " not in g)
+    ref = ray.put(counts)
+
+    def score(b: pa.Table) -> pa.Table:
+        c = ray.get(ref)
+        rows, w1s, bgs, ns = _bigrams(b["text"].to_pylist())
+        rows = np.array(rows, np.int64)
+        k = np.array(ns, np.float64)
+        c2 = np.array([c[g] for g in bgs], np.float64)
+        c1 = np.array([c[w] for w in w1s], np.float64)
+        lp = np.bincount(
+            rows, weights=k * np.log((c2 + 1.0) / (c1 + vocab)), minlength=b.num_rows
+        )
+        n = np.bincount(rows, weights=k, minlength=b.num_rows).astype(np.int64)
+        return _ppl_table(b, carry, n, lp)
+
+    return docs.map_batches(score, batch_format="pyarrow")
+
+
+def _scored_by_key(docs, parts, carry: tuple):
+    """Keyed branch: counts by a groupby, attached onto each document's
+    bigram rows by hash join, reduced per document by a groupby."""
+    counts = joins.rename(parts.groupby("g").sum("n"), ["g", "c"]).materialize()
+    n_counts = counts.count()
+    vocab = counts.map_batches(
+        lambda b: b.filter(pc.invert(pc.match_substring(b["g"], " "))),
+        batch_format="pyarrow",
+    ).count()
+
+    def bigram_rows(b: pa.Table) -> pa.Table:
+        rows, w1s, bgs, ns = _bigrams(b["text"].to_pylist())
+        out = b.select(["doc_id", *carry]).take(pa.array(rows, pa.int64()))
+        return (
+            out.append_column("bg", pa.array(bgs, pa.string()))
+            .append_column("w1", pa.array(w1s, pa.string()))
+            .append_column("n", pa.array(ns, pa.int64()))
+        )
+
+    rows = docs.map_batches(bigram_rows, batch_format="pyarrow")
+    scored = joins.attach_by_key(rows, counts, "bg", "c2", n_counts)
+    scored = joins.attach_by_key(scored, counts, "w1", "c1", n_counts)
 
     def contrib(b: pa.Table) -> pa.Table:
         n = b["n"].to_numpy(zero_copy_only=False).astype(np.float64)
         cc2 = b["c2"].to_numpy(zero_copy_only=False).astype(np.float64)
         cc1 = b["c1"].to_numpy(zero_copy_only=False).astype(np.float64)
         lp = n * np.log((cc2 + 1.0) / (cc1 + float(vocab)))
-        return pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "n": b["n"],
-                "lp": pa.array(lp, pa.float64()),
-            }
+        return b.select(["doc_id", *carry, "n"]).append_column(
+            "lp", pa.array(lp, pa.float64())
         )
 
     per_doc = (
         scored.map_batches(contrib, batch_format="pyarrow")
-        .groupby("doc_id")
+        .groupby(["doc_id", *carry])
         .aggregate(Sum("n"), Sum("lp"))
     )
 
     def finish(b: pa.Table) -> pa.Table:
-        n = b["sum(n)"].to_numpy(zero_copy_only=False).astype(np.float64)
+        n = b["sum(n)"].to_numpy(zero_copy_only=False).astype(np.int64)
         lp = b["sum(lp)"].to_numpy(zero_copy_only=False)
-        ppl = np.exp(-lp / n)
-        return pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "n_bigrams": pc.cast(b["sum(n)"], pa.int64()),
-                "ppl_f": pa.array(ppl, pa.float64()),
-            }
-        )
+        return _ppl_table(b, carry, n, lp)
 
     return per_doc.map_batches(finish, batch_format="pyarrow")
+
+
+def doc_ppl(sf_dir: str, carry: tuple = ()):
+    """Dataset (doc_id, *carry, n_bigrams, ppl_f: float64) — add-one
+    bigram-LM perplexity per document, trained on the corpus itself.
+    *carry* names document columns passed through to the output."""
+    parts = _docs(sf_dir, ["text"]).map_batches(_gram_counts, batch_format="pyarrow")
+    docs = _docs(sf_dir, ["doc_id", *carry, "text"])
+    counts = _fold_counts(parts)
+    if counts is None:
+        return _scored_by_key(docs, parts, carry)
+    return _scored_in_batch(docs, counts, carry)
 
 
 def bigram_lm_ppl(sf_dir: str):
@@ -154,8 +217,7 @@ def bigram_lm_ppl(sf_dir: str):
 def lm_ppl_by_source(sf_dir: str):
     """(source, n_docs, avg_ppl) — mean per-document perplexity per corpus
     source (the head/middle/tail split signal, aggregated)."""
-    src = _docs(sf_dir, ["doc_id", "source"])
-    per_doc = attach_by_key(doc_ppl(sf_dir), src, "doc_id", "source")
+    per_doc = doc_ppl(sf_dir, ("source",))
     agg = per_doc.groupby("source").aggregate(Count(), Mean("ppl_f"))
 
     def fmt(b: pa.Table) -> pa.Table:

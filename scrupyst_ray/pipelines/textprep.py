@@ -128,7 +128,9 @@ def stratified_sample(sf_dir: str):
             dtype=np.uint64,
             count=len(langs),
         )
-        return b.filter(pa.array(h < thresh))
+        # a parquet file written from pandas carries a ``pandas`` metadata
+        # dict; blocks keeping it make the sort's schema dedup fail to hash
+        return b.filter(pa.array(h < thresh)).replace_schema_metadata()
 
     return (
         _docs(sf_dir, ["doc_id", "lang"])

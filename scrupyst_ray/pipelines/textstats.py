@@ -46,24 +46,44 @@ def token_counts(sf_dir: str):
     return ds.map_batches(count, batch_format="pyarrow").sort("doc_id")
 
 
-def token_stats_by_lang(sf_dir: str):
-    """Per-language doc/token totals (partial counts combine inside the
-    groupby)."""
+def token_stats_by_lang(sf_dir: str) -> pa.Table:
+    """(lang, n_docs, sum_tokens) — per-language doc/token totals: each
+    block's per-language partials, summed on the driver as the blocks
+    finish (a language set is small; no groupby, so no empty partitions)."""
+    from scrupyst_ray.pipelines.joins import stream_blocks
+
     ds = _docs(sf_dir, ["lang", "text"])
 
-    def count(b: pa.Table) -> pa.Table:
-        n = pc.count_substring_regex(b["text"], pattern=r"\S+")
-        return pa.table({"lang": b["lang"], "n_tokens": pc.cast(n, pa.int64())})
+    def partials(b: pa.Table) -> pa.Table:
+        n = pc.cast(pc.count_substring_regex(b["text"], pattern=r"\S+"), pa.int64())
+        return (
+            pa.table({"lang": b["lang"], "n_tokens": n})
+            .group_by("lang")
+            .aggregate(
+                [
+                    ("lang", "count", pc.CountOptions(mode="all")),
+                    ("n_tokens", "sum"),
+                ]
+            )
+        )
 
-    out = (
-        ds.map_batches(count, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(Count(), Sum("n_tokens"))
+    totals: dict = {}
+    for b in stream_blocks(ds.map_batches(partials, batch_format="pyarrow")):
+        for lang, d, t in zip(
+            b["lang"].to_pylist(),
+            b["lang_count"].to_pylist(),
+            b["n_tokens_sum"].to_pylist(),
+        ):
+            n_docs, n_tokens = totals.get(lang, (0, 0))
+            totals[lang] = (n_docs + d, n_tokens + (t or 0))
+    langs = sorted(totals, key=lambda k: (k is None, k or ""))
+    return pa.table(
+        {
+            "lang": pa.array(langs, pa.string()),
+            "n_docs": pa.array([totals[k][0] for k in langs], pa.int64()),
+            "sum_tokens": pa.array([totals[k][1] for k in langs], pa.int64()),
+        }
     )
-    return out.map_batches(
-        lambda b: b.rename_columns(["lang", "n_docs", "sum_tokens"]),
-        batch_format="pyarrow",
-    ).sort("lang")
 
 
 def doc_digests(sf_dir: str):

@@ -4,7 +4,9 @@ kill-and-resume identity (FIXTURES.md §5, §7; reference oracle shape:
 
 from __future__ import annotations
 
+import contextlib
 import json
+import logging
 import os
 import shutil
 
@@ -416,6 +418,27 @@ class TestCrawlE2E:
             assert r.candidates_kept == 25 + r.deferred
 
 
+@contextlib.contextmanager
+def _schema_warnings():
+    """Collect Ray Data's "different schema" warnings logged in the block."""
+    import ray.data  # noqa: F401 — sets up Ray Data's loggers first
+
+    messages: list[str] = []
+
+    class Capture(logging.Handler):
+        def emit(self, record):
+            if "different schema" in record.getMessage():
+                messages.append(record.getMessage())
+
+    log = logging.getLogger("ray.data._internal.execution.streaming_executor_state")
+    handler = Capture(logging.WARNING)
+    log.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        log.removeHandler(handler)
+
+
 def _executions_per_round(monkeypatch) -> list[int]:
     """Count the Ray Data executions of every ``_run_round`` call: the
     returned list gets one entry per round, in order.  Every execution of
@@ -665,37 +688,15 @@ class TestFixedCutExchanges:
         of the smoke corpus hold pages, a few do not), nor ``init_frontier``
         over the five-row seed file (more read blocks than rows would leave
         empty ones)."""
-        import contextlib
-        import logging
-
-        import ray.data  # noqa: F401 — sets up Ray Data's loggers first
-
         from scrupyst_ray.pipelines import crawl
         from scrupyst_ray.stages.fetch import build_page_store
 
         parts = 16
         monkeypatch.setattr(crawl, "_fetch_parts", lambda cfg, rows, n_cpus: parts)
-        messages: list[str] = []
-
-        class Capture(logging.Handler):
-            def emit(self, record):
-                messages.append(record.getMessage())
-
-        @contextlib.contextmanager
-        def captured():
-            log = logging.getLogger(
-                "ray.data._internal.execution.streaming_executor_state"
-            )
-            handler = Capture(logging.WARNING)
-            log.addHandler(handler)
-            try:
-                yield
-            finally:
-                log.removeHandler(handler)
 
         cfg = _cfg()
         cfg.max_round_candidates = 25
-        with captured():
+        with _schema_warnings() as messages:
             eng = CrawlEngine.for_corpus(
                 os.path.join(smoke_corpus, "pages"), str(tmp_path / "wd"), cfg
             )
@@ -707,4 +708,44 @@ class TestFixedCutExchanges:
 
         assert min(r.admitted for r in res.rounds) < parts
         assert any(r.cap_s > 0 for r in res.rounds)
-        assert not [m for m in messages if "different schema" in m]
+        assert not messages
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestQuerySchemaDrift:
+    """The "no different schema warning" rule of the crawl's exchanges,
+    held for a curation query."""
+
+    def test_token_stats_by_lang(self, tmp_path):
+        """A per-language query over a table read as more blocks than it
+        has languages logs no "different schema" warning either (a
+        few-key groupby would leave empty partitions)."""
+        import duckdb
+        import pyarrow as pa
+
+        import __ray_entry__
+        from scrupyst_ray.pipelines.textstats import token_stats_by_lang
+
+        pq.write_table(
+            pa.table(
+                {
+                    "doc_id": pa.array(range(40), pa.int64()),
+                    "text": pa.array([f"w{i} x y" for i in range(40)]),
+                    "lang": pa.array(["en", "de"] * 20),
+                    "source": pa.array(["s"] * 40),
+                    "n_chars": pa.array([6] * 40, pa.int64()),
+                }
+            ),
+            str(tmp_path / "documents.parquet"),
+        )
+        with _schema_warnings() as messages:
+            got = token_stats_by_lang(str(tmp_path)).to_pandas()
+        assert not messages
+
+        con = duckdb.connect()
+        con.execute(
+            "CREATE VIEW documents AS SELECT * FROM read_parquet("
+            f"'{tmp_path}/documents.parquet')"
+        )
+        want = con.execute(__ray_entry__.oracle_sql()["token_stats_by_lang"]).fetchdf()
+        assert got.values.tolist() == want.values.tolist()

@@ -95,17 +95,14 @@ def test_repeated_bigram_low_ppl(ray_session, lm_dir):
     assert best["doc_id"] == 6
 
 
-def test_unicode_whitespace_matches_duckdb_oracle(ray_session, tmp_path):
-    """\xa0 (non-breaking space) is token-INTERNAL for RE2's \\S (the DuckDB
-    oracle) but token-splitting for Python's unicode \\S — the shared
-    ws_tokens class must keep both sides byte-identical."""
-    import duckdb
+UNICODE_TEXTS = [
+    "a\xa0b c d a\xa0b c",  # nbsp inside a token
+    "x\x85y z x\x85y w",  # NEL inside a token
+    "p q p q p",
+]
 
-    texts = [
-        "a\xa0b c d a\xa0b c",  # nbsp inside a token
-        "x\x85y z x\x85y w",  # NEL inside a token
-        "p q p q p",
-    ]
+
+def _write_docs(d, texts) -> str:
     pq.write_table(
         pa.table(
             {
@@ -114,22 +111,98 @@ def test_unicode_whitespace_matches_duckdb_oracle(ray_session, tmp_path):
                 "source": pa.array(["s"] * len(texts)),
             }
         ),
-        os.path.join(str(tmp_path), "documents.parquet"),
+        os.path.join(str(d), "documents.parquet"),
     )
-    from scrupyst_ray.pipelines.lm import bigram_lm_ppl
+    return str(d)
 
-    got = bigram_lm_ppl(str(tmp_path)).to_pandas()
+
+def _oracle(d: str, query: str) -> list:
+    """The DuckDB oracle's rows for *query* over the documents in *d*."""
+    import importlib.util
+
+    import duckdb
+
     con = duckdb.connect()
     con.execute(
         "CREATE VIEW documents AS SELECT * FROM read_parquet("
-        f"'{tmp_path}/documents.parquet')"
+        f"'{d}/documents.parquet')"
     )
-    import importlib.util
-
     spec = importlib.util.spec_from_file_location(
         "entry_for_lm_test", os.path.join(REPO_ROOT, "__ray_entry__.py")
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    want = con.execute(mod.oracle_sql()["bigram_lm_ppl"]).fetchdf()
-    assert got.values.tolist() == want.values.tolist()
+    return con.execute(mod.oracle_sql()[query]).fetchdf().values.tolist()
+
+
+def test_unicode_whitespace_matches_duckdb_oracle(ray_session, tmp_path):
+    """\xa0 (non-breaking space) is token-INTERNAL for RE2's \\S (the DuckDB
+    oracle) but token-splitting for Python's unicode \\S — the shared
+    ws_tokens class must keep both sides byte-identical."""
+    from scrupyst_ray.pipelines.lm import bigram_lm_ppl
+
+    d = _write_docs(tmp_path, UNICODE_TEXTS)
+    got = bigram_lm_ppl(d).to_pandas()
+    assert got.values.tolist() == _oracle(d, "bigram_lm_ppl")
+
+
+def _rows(ds) -> dict:
+    return {r["doc_id"]: (r["n_bigrams"], r["ppl"]) for r in ds.take_all()}
+
+
+def _ref_rows() -> dict:
+    return {d: (n, f"{p:.4f}") for d, (n, p) in ref_ppl().items()}
+
+
+def test_keyed_branch_matches_reference_and_oracle(
+    ray_session, lm_dir, tmp_path, monkeypatch
+):
+    """Past ``joins.BROADCAST_MAX_ROWS`` distinct grams the counts are not
+    folded on the driver: a groupby sums them and hash joins attach them.
+    That plan gives the same rows as the fold."""
+    from scrupyst_ray.pipelines import joins
+    from scrupyst_ray.pipelines.lm import bigram_lm_ppl, lm_ppl_by_source
+
+    calls = []
+    attach = joins.attach_by_key
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return attach(*args, **kwargs)
+
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 2)
+    monkeypatch.setattr(joins, "attach_by_key", counted)
+
+    assert _rows(bigram_lm_ppl(lm_dir)) == _ref_rows()
+    assert calls == ["bg", "w1"]
+
+    by_source = lm_ppl_by_source(lm_dir).to_pandas().values.tolist()
+    assert by_source == _oracle(lm_dir, "lm_ppl_by_source")
+
+    d = _write_docs(tmp_path, UNICODE_TEXTS)
+    got_u = bigram_lm_ppl(d).to_pandas()
+    assert got_u.values.tolist() == _oracle(d, "bigram_lm_ppl")
+    assert len(calls) == 6
+
+
+def test_fold_branch_runs_no_groupby_join_or_eager_execution(
+    ray_session, lm_dir, monkeypatch
+):
+    """A vocabulary under the broadcast bounds is counted and scored inside
+    the batches: the only exchange left is the output sort."""
+    import ray.data
+
+    from scrupyst_ray.pipelines import joins
+    from scrupyst_ray.pipelines.lm import bigram_lm_ppl
+
+    def forbidden(name):
+        def fail(*args, **kwargs):
+            raise AssertionError(f"the fold branch called {name}")
+
+        return fail
+
+    for name in ("groupby", "materialize", "count"):
+        monkeypatch.setattr(ray.data.Dataset, name, forbidden(name))
+    monkeypatch.setattr(joins, "attach_by_key", forbidden("attach_by_key"))
+
+    assert _rows(bigram_lm_ppl(lm_dir)) == _ref_rows()

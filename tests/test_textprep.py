@@ -1,6 +1,10 @@
 """Text-prep operator tests (normalization / PII scrub / deterministic
 sampling) — kernel-level checks; the SQL oracles gate the full pipelines."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -56,3 +60,30 @@ class TestTextprepPipelines:
         # the keep-set is deterministic: rerunning yields identical ids
         again = textprep.stratified_sample(self.SF).take_all()
         assert [r["doc_id"] for r in rows] == [r["doc_id"] for r in again]
+
+
+def test_stratified_sample_logs_no_schema_hash_warning():
+    """The documents file carries pandas schema metadata (a dict); blocks
+    that keep it make the sort's schema dedup log "Failed to hash the
+    schemas", some of it from the sort's reduce workers.  A driver logging
+    handler misses those, so the query runs in its own Ray session and its
+    whole process output is read."""
+    script = (
+        "import ray\n"
+        "ray.init(address='local', num_cpus=2, include_dashboard=False)\n"
+        "from scrupyst_ray.pipelines import textprep\n"
+        "for _ in range(2):\n"
+        f"    assert textprep.stratified_sample({TestTextprepPipelines.SF!r}).take_all()\n"
+        "ray.shutdown()\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=root,
+        env=dict(os.environ, RAY_ADDRESS="local"),
+        capture_output=True,
+        text=True,
+        timeout=180,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert "Failed to hash the schemas" not in out.stdout + out.stderr
