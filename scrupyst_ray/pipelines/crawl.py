@@ -4,7 +4,7 @@ Replaces the reference's single-process asyncio event loop
 (``scrapy/core/engine.py:269-427``) with frontier-expansion rounds
 (SURVEY.md §7.0).  One round =
 
-    frontier_N ──per shard──▶ StateShard.gate, in the shard's actor:
+    frontier_N ──per shard──▶ StateShard.gate, in the actor hosting it:
                │              within-round dedup → lazy fingerprint →
                │              seen + robots lookup → per-host budget draw
                │                └─ side-write: deferred → frontier_{N+1}
@@ -16,10 +16,14 @@ Replaces the reference's single-process asyncio event loop
 
 One Ray Data execution per round, sized by the rows it carries.  The gate
 is not one: the driver makes one ``StateShard.gate`` call per shard with
-work, and the actor that owns the shard's seen set, robots rules and
-budgets reads the shard's frontier files itself and returns its admitted
-rows as an Arrow table, plus their count.  The driver sums the counts and
-sizes the fetch fan-out from them (``_fetch_parts``).  The fetch execution
+work, to the actor that hosts the shard's seen set, robots rules and
+budgets; the shard reads its frontier files itself and returns its admitted
+rows as an Arrow table, plus their count.  Shards share actors: there are
+``min(seen_shards, cluster CPUs)`` of them (``_start_actors``), since no
+more gates can run at once, and each actor process costs ~0.5 s to start.
+The driver sums the counts and sizes the fetch fan-out from them
+(``_fetch_parts``: one task per 64 admitted rows, so a small round fetches
+in one task).  The fetch execution
 takes the admitted tables by reference (``ray.data.from_arrow_refs``) and
 is the only shuffle: the sort of the ADMITTED set's METADATA (~100 B/row)
 by url-bucket sub-key, cut at fixed, even ``fetch_key`` ranges (one per
@@ -57,8 +61,9 @@ Checkpoint layout (resume = reference JOBDIR contract,
 Every file write is tmp+rename, every actor method is idempotent per
 round, and a re-run round first clears the outputs of its killed attempt,
 so a kill at ANY point resumes bit-identically (FIXTURES.md §5).  A round
-that loses a StateShard actor heals the same way: every shard restarts,
-restores the committed rounds and the round re-runs (``run``).
+that loses a StateShard actor (and with it every shard it hosts) heals the
+same way: every actor restarts, restores the committed rounds of its shards
+and the round re-runs (``run``).
 
 Skew story (SURVEY §7.4 "hot-domain skew"):
 - The FETCH stage sorts on url-hash sub-splits — balanced range partitions
@@ -114,7 +119,12 @@ from scrupyst_ray.stages.exchange import (
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
-from scrupyst_ray.state.shard import ADMITTED_SCHEMA, FETCH_SPLIT, StateShard
+from scrupyst_ray.state.shard import (
+    ADMITTED_SCHEMA,
+    FETCH_SPLIT,
+    StateShard,
+    robots_file,
+)
 
 # robots side-table rows before the per-host pick (http wins over https)
 _ROBOTS_ROWS = pa.schema(
@@ -135,6 +145,10 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     frontier row count would overstate a polite crawl's fetch work by the
     inverse of its admit ratio (~20× when most rows are deferred).
 
+    One task per 64 rows, and a round under 128 rows fetches in ONE task:
+    a task costs a launch and a store open whatever it holds, so cutting
+    ~100 rows four ways only adds tasks to wait for.
+
     Up to half the fetch_key space (buckets × FETCH_SPLIT sub-keys), NOT
     capped at the bucket count — coarse partitions (~8 keys each) gave a
     2-4× task-duration spread and a straggler tail that idled most of a
@@ -150,7 +164,7 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     keys are consecutive, so it probes each of its buckets once; with
     more parts than buckets one bucket is probed by several blocks."""
     return max(
-        4,
+        1,
         min(cfg.fetch_buckets * FETCH_SPLIT // 2, total_rows // 64, 4 * n_cpus),
     )
 
@@ -182,7 +196,9 @@ class RoundStats:
     fetch_phase_s: dict = field(default_factory=dict)  # cumulative task-sec
     mw_counts: dict = field(default_factory=dict)  # user-middleware counters
     wall_s: float = 0.0
-    expand_s: float = 0.0
+    expand_s: float = 0.0  # gate calls + fetch execution
+    gate_s: float = 0.0  # wall: gate calls dispatched → last count back
+    fetch_exec_s: float = 0.0  # wall of the fetch execution
     cap_s: float = 0.0
     checkpoint_s: float = 0.0
 
@@ -193,6 +209,7 @@ class CrawlResult:
     rounds: list[RoundStats]
     stopped_reason: str
     order_mode: str = "bfo"  # artifact tie-break direction (CrawlConfig)
+    start_s: float = 0.0  # wall of this run()'s actor starts, warms, restores
 
     @property
     def total_fetched(self) -> int:
@@ -333,7 +350,7 @@ class CrawlEngine:
             first = np.ones(len(hosts), bool)
             first[1:] = hosts[1:] != hosts[:-1]
             rows = rows.filter(pa.array(first)).select(["host", "body"])
-            path = os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
+            path = robots_file(robots_dir, shard_id)
             pq.write_table(rows, path + ".tmp")
             os.replace(path + ".tmp", path)
 
@@ -346,20 +363,26 @@ class CrawlEngine:
     def _start_actors(self, restore_upto: int) -> list:
         """The StateShard actors, started if there are none, holding the
         committed state of rounds ``0..restore_upto`` (seen deltas and
-        throttle snapshots; nothing for -1)."""
+        throttle snapshots; nothing for -1).
+
+        ``A = min(seen_shards, cluster CPUs)`` actors, and actor ``j`` hosts
+        shards ``j, j + A, j + 2A, …`` (shard ``k``'s actor is
+        ``actors[k % A]``).  An actor runs its shards' gates one after
+        another, and no more than A gates could run at once anyway; every
+        actor process started costs ~0.5 s of start and imports."""
         if self._actors is None:
             cfg = self.cfg
+            n_cpus = int(ray.cluster_resources().get("CPU", 1))
+            n_actors = max(1, min(cfg.seen_shards, n_cpus))
             self._actors = [
                 StateShard.remote(
-                    k,
+                    list(range(j, cfg.seen_shards, n_actors)),
+                    robots_dir=self.robots_dir,
                     user_agent=cfg.user_agent,
                     per_domain_budget=cfg.concurrent_requests_per_domain,
                     download_delay=cfg.download_delay,
                     round_seconds=cfg.round_seconds,
                     robotstxt_obey=cfg.robotstxt_obey,
-                    robots_path=os.path.join(
-                        self.robots_dir, f"shard={k:05d}.parquet"
-                    ),
                     download_slots=cfg.download_slots or None,
                     throttle_config=(
                         {
@@ -371,11 +394,11 @@ class CrawlEngine:
                         else None
                     ),
                 )
-                for k in range(cfg.seen_shards)
+                for j in range(n_actors)
             ]
             # warm the pool in parallel: actor PROCESS start is ~0.3-0.5 s,
             # first-parquet-read init another ~0.3 s and the first Arrow
-            # return ~0.25 s per actor; round 0's gate calls would pay them
+            # return ~0.6 s per actor; round 0's gate calls would pay them
             ray.get([a.warm.remote() for a in self._actors])
         if restore_upto >= 0:
             ray.get(
@@ -454,10 +477,11 @@ class CrawlEngine:
 
         A round that loses a StateShard actor (``RayActorError``) is re-run,
         up to ``ROUND_ATTEMPTS`` attempts in all, in fresh actors restored
-        to the round before, as on resume.  Every shard restarts, not just
+        to the round before, as on resume.  Every actor restarts, not just
         the lost one: the live shards already recorded this round's
         fingerprints.  The re-run clears what the failed attempt wrote
-        (``_run_round``)."""
+        (``_run_round``).  The result's ``start_s`` is the wall of every
+        actor start (with its warm and restore) in this call."""
         cfg = self.cfg
         # the page store and a resumed workdir's files are laid out by the
         # routing they were written with; reading them under another would
@@ -474,7 +498,9 @@ class CrawlEngine:
                         f"{self.workdir} was crawled with {key}="
                         f"{recorded[key]}, not {getattr(cfg, key)}"
                     )
+        t_start = time.monotonic()
         actors = self._start_actors(start_round - 1)
+        start_s = time.monotonic() - t_start
         all_stats: list[RoundStats] = []
         total_fetched = self._committed_fetch_count(start_round)
         stopped = "frontier_empty"
@@ -498,12 +524,16 @@ class CrawlEngine:
                     if attempt == ROUND_ATTEMPTS:
                         raise
                     self.shutdown_actors()
+                    t_start = time.monotonic()
                     actors = self._start_actors(n - 1)
+                    start_s += time.monotonic() - t_start
             all_stats.append(stats)
             total_fetched += stats.fetched
             n += 1
         self.spider_state.save()
-        return CrawlResult(self.workdir, all_stats, stopped, self.cfg.order_mode)
+        return CrawlResult(
+            self.workdir, all_stats, stopped, self.cfg.order_mode, round(start_s, 3)
+        )
 
     def _committed_fetch_count(self, upto_round: int) -> int:
         total = 0
@@ -519,16 +549,19 @@ class CrawlEngine:
         carries:
 
             1. one ``StateShard.gate`` call per shard with work
-               (``exchange.frontier_shards``): the shard's actor reads its
-               candidate + deferred files, dedups, fingerprints, looks up
-               seen + robots + budgets, runs the vectorized budget draw,
-               side-writes DEFERRED rows and returns (admitted table,
-               count).
+               (``exchange.frontier_shards``), to the actor hosting the
+               shard (``actors[k % len(actors)]``; an actor runs its
+               shards' calls in turn, actors run in parallel): the shard
+               reads its candidate + deferred files, dedups, fingerprints,
+               looks up seen + robots + budgets, runs the vectorized
+               budget draw, side-writes DEFERRED rows and returns
+               (admitted table, count).  ``gate_s`` is the wall from the
+               first call to the last count.
             2. (only if anything was admitted) ``exchange.for_each_range``
                over the admitted tables' refs by ``fetch_key``, as many
                fixed ranges as the summed count calls for → fused
                fetch+parse, one call per range that holds rows → per-shard
-               candidate files for round n+1.
+               candidate files for round n+1.  ``fetch_exec_s`` is its wall.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
@@ -557,8 +590,10 @@ class CrawlEngine:
         next_cand_dir = candidates_dir(nf_dir)
         t_exec = time.monotonic()
         gates = [
-            actors[k].gate.options(num_returns=2).remote(
-                n, self._frontier_dir(n), nf_dir, gate_stats_dir, cfg.order_mode
+            actors[k % len(actors)]
+            .gate.options(num_returns=2)
+            .remote(
+                k, n, self._frontier_dir(n), nf_dir, gate_stats_dir, cfg.order_mode
             )
             for k in frontier_shards(self._frontier_dir(n))
         ]
@@ -567,6 +602,7 @@ class CrawlEngine:
         # of this attempt still writes when the round re-runs
         ray.wait(count_refs, num_returns=len(count_refs))
         counts = ray.get(count_refs)
+        stats.gate_s = round(time.monotonic() - t_exec, 3)
         admitted = sum(counts)
         if admitted:
             stats.fetch_parts = _fetch_parts(
@@ -585,9 +621,11 @@ class CrawlEngine:
                 FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
 
             n_keys = cfg.fetch_buckets * FETCH_SPLIT
+            t_fetch = time.monotonic()
             for_each_range(
                 gated, "fetch_key", stats.fetch_parts, n_keys, ADMITTED_SCHEMA, fetch
             )
+            stats.fetch_exec_s = round(time.monotonic() - t_fetch, 3)
         stats.expand_s = round(time.monotonic() - t_exec, 2)
         for fname in os.listdir(gate_stats_dir) if os.path.isdir(gate_stats_dir) else []:
             if fname.endswith(".json"):
@@ -691,7 +729,7 @@ class CrawlEngine:
                 dest[2].append(n_ok == n_fetch)
             ray.get(
                 [
-                    actors[k].observe_round.remote(n, h, lat, ok)
+                    actors[k % len(actors)].observe_round.remote(k, n, h, lat, ok)
                     for k, (h, lat, ok) in per_shard.items()
                 ]
             )

@@ -145,9 +145,12 @@ def anti_join_by_key(left, drop, key_col: str, drop_rows=None):
         ref = ray.put(keys[keys.column_names[0]].combine_chunks())
 
         def minus(b: pa.Table) -> pa.Table:
+            # a parquet file written from pandas carries a ``pandas``
+            # metadata dict; blocks keeping it make a later sort's schema
+            # dedup fail to hash
             return b.filter(
                 pc.invert(pc.is_in(b[key_col], value_set=ray.get(ref)))
-            )
+            ).replace_schema_metadata()
 
         return left.map_batches(minus, batch_format="pyarrow")
     drop2 = rename(drop, [key_col])

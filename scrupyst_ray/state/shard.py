@@ -1,8 +1,8 @@
 """StateShard — the host-sharded stateful actor of the crawl engine.
 
-One actor owns shard ``k = shard_of(host, num_shards)`` and holds BOTH
-per-shard states (they share the same routing key, so one actor call per
-round serves the dupefilter AND the politeness gate):
+Shard ``k = shard_of(host, num_shards)`` is one :class:`_StateShard`, which
+holds BOTH per-shard states (they share the same routing key, so one call
+per round serves the dupefilter AND the politeness gate):
 
 - :class:`~scrupyst_ray.state.seen.SeenState` — URL-seen fingerprints
   (bloom negative path + exact sorted numpy lanes; reference
@@ -11,14 +11,21 @@ round serves the dupefilter AND the politeness gate):
   + per-host per-round budgets (reference downloader slots + robots
   middleware).
 
+Shards share actor processes: a ``StateShard`` actor hosts a
+:class:`_ShardGroup` of shards, each its own ``_StateShard`` with its own
+state and files.  The engine starts ``min(num_shards, cluster CPUs)``
+actors and actor ``j`` of ``A`` hosts shards ``j, j + A, j + 2A, …``: a
+gate cannot run on more CPUs than there are, and each actor process costs
+its start, its imports and its first Arrow return.
+
 Data flow per round (see ``pipelines/crawl.py``): the driver makes ONE
-:meth:`_StateShard.gate` call per shard with work.  The actor reads its
-shard's frontier files itself, deduplicates the new rows, looks them up in
-its own seen set, robots rules and budgets (``gate_check``, in-process),
-runs :func:`~scrupyst_ray.state.politeness.budget_draw`, writes the
-deferred rows and returns the admitted rows as one Arrow table, which the
-round's fetch execution takes by reference.  html never reaches these
-actors.
+:meth:`_ShardGroup.gate` call per shard with work, to the shard's actor.
+The shard reads its frontier files itself, deduplicates the new rows, looks
+them up in its own seen set, robots rules and budgets (``gate_check``,
+in-process), runs :func:`~scrupyst_ray.state.politeness.budget_draw`,
+writes the deferred rows and returns the admitted rows as one Arrow table,
+which the round's fetch execution takes by reference.  html never reaches
+these actors.
 
 Status codes extend ``state.politeness``: ADMITTED / DEFERRED /
 ROBOTS_FORBIDDEN plus SEEN_DUP (filtered by the dupefilter).
@@ -26,7 +33,7 @@ ROBOTS_FORBIDDEN plus SEEN_DUP (filtered by the dupefilter).
 Actor state is not lineage-protected (SURVEY.md §4.2), so every method is
 idempotent per round and the seen set checkpoints per-round Parquet deltas
 (tmp+rename) that ``restore()`` replays on resume; the engine heals a lost
-actor the same way (restart every shard, restore, re-run the round).
+actor the same way (restart every actor, restore, re-run the round).
 """
 
 from __future__ import annotations
@@ -205,16 +212,6 @@ class _StateShard:
         )
         self._robots_path = robots_path
         self._robots_loaded = False
-
-    def warm(self) -> pa.Table:
-        """Force one-time per-process setup (pyarrow parquet reader init +
-        robots side-table load, ~0.3 s) NOW.  The engine calls this in
-        parallel across the pool at startup; paying it lazily instead would
-        land on the first round's gate calls.  Returns a one-row Arrow table
-        because a fresh actor's first Arrow return costs ~0.25 s (1.1 s the
-        first time in a session), and round 0's gate call would pay it."""
-        self._ensure_robots()
-        return pa.table({"shard": [self.shard_id]})
 
     def _ensure_robots(self) -> None:
         if self._robots_loaded:
@@ -443,13 +440,73 @@ class _StateShard:
         }
 
 
+def robots_file(robots_dir: str, shard_id: int) -> str:
+    """Shard *shard_id*'s file of the robots side-table (one row per host)."""
+    return os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
+
+
+class _ShardGroup:
+    """The shards one actor process hosts (*shard_ids*, or one shard id),
+    each its own :class:`_StateShard` built with *shard_kwargs*; shard
+    ``k`` loads its robots rules from ``robots_file(robots_dir, k)``.
+
+    ``gate`` and ``observe_round`` name their shard; ``warm``,
+    ``checkpoint`` and ``restore`` serve every hosted shard in one call.
+    A group's shards run one call at a time, so the engine hosts no more
+    groups than the cluster has CPUs to run their gates on."""
+
+    def __init__(
+        self,
+        shard_ids: int | list[int],
+        *,
+        robots_dir: str | None = None,
+        **shard_kwargs,
+    ):
+        ids = [shard_ids] if isinstance(shard_ids, int) else list(shard_ids)
+        self.shards = {
+            k: _StateShard(
+                k,
+                robots_path=robots_file(robots_dir, k) if robots_dir else None,
+                **shard_kwargs,
+            )
+            for k in ids
+        }
+
+    def warm(self) -> pa.Table:
+        """Force one-time per-process setup NOW (the engine warms its
+        actors in parallel at startup); paying it lazily instead would land
+        on round 0's gate calls: every hosted shard's robots side-table
+        load (with pyarrow's parquet reader init, ~0.3 s), and the first
+        Arrow return, which imports ``ray.air`` (~0.6 s) — hence the
+        one-row-per-shard table."""
+        for shard in self.shards.values():
+            shard._ensure_robots()
+        return pa.table({"shard": list(self.shards)})
+
+    def gate(self, shard_id: int, *args) -> tuple[pa.Table, int]:
+        """:meth:`_StateShard.gate` of shard *shard_id*."""
+        return self.shards[shard_id].gate(*args)
+
+    def observe_round(self, shard_id: int, *args) -> None:
+        """:meth:`_StateShard.observe_round` of shard *shard_id*."""
+        self.shards[shard_id].observe_round(*args)
+
+    def checkpoint(self, seen_dir: str, round_id: int) -> int:
+        """Every hosted shard's :meth:`_StateShard.checkpoint`."""
+        return sum(s.checkpoint(seen_dir, round_id) for s in self.shards.values())
+
+    def restore(self, seen_dir: str, upto_round: int) -> int:
+        """Every hosted shard's :meth:`_StateShard.restore`."""
+        return sum(s.restore(seen_dir, upto_round) for s in self.shards.values())
+
+
 # Ray actor: near-zero CPU reservation — these are index servers, not compute
 # stages (per-round work is array lookups over frontier-sized metadata).  A
-# real reservation would eat the task-pool CPU budget: num_shards ≥ cores is
-# the normal config, so shards × anything ≥ 0.1 CPU would starve the Ray Data
-# tasks that feed them (observed as a full stall at num_cpus=4 with 16
-# shards at 0.25).
-StateShard = ray.remote(num_cpus=0.01)(_StateShard)
+# real reservation would eat the task-pool CPU budget: the engine starts up
+# to one actor per cluster CPU, so actors × anything ≥ 0.1 CPU would take
+# whole task slots from the Ray Data tasks that feed them (a full stall was
+# observed at num_cpus=4 with 16 one-shard actors at 0.25).
+StateShard = ray.remote(num_cpus=0.01)(_ShardGroup)
 
 __all__ = [
     "ADMITTED",
@@ -459,5 +516,7 @@ __all__ = [
     "ROBOTS_FORBIDDEN",
     "SEEN_DUP",
     "StateShard",
+    "_ShardGroup",
     "_StateShard",
+    "robots_file",
 ]

@@ -14,8 +14,9 @@ import pyarrow.parquet as pq
 import pytest
 
 from scrupyst_ray.config import CrawlConfig
-from scrupyst_ray.pipelines.crawl import CrawlEngine, _fetch_parts
+from scrupyst_ray.pipelines.crawl import CrawlEngine, CrawlResult, _fetch_parts
 from scrupyst_ray.stages.exchange import frontier_shards
+from scrupyst_ray.state.shard import FETCH_SPLIT
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
 
@@ -73,7 +74,8 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
     """Pin the per-round record the benchmark reads: one gate sidecar per
     shard with work, each carrying the counters and phase seconds, and
     every manifest folds them into ``stats.fetch_phase_s`` as
-    gate_<phase>."""
+    gate_<phase>.  The walls of the round's gate calls and of its fetch
+    execution are stats of their own, not summed task-seconds."""
     manifests = _committed_manifests(workdir)
     assert len(manifests) == n_rounds
     for d, manifest in manifests.items():
@@ -91,6 +93,9 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
         # the round's fetch tasks; none when nothing was admitted
         stats = manifest["stats"]
         assert (stats["fetch_parts"] > 0) == (stats["admitted"] > 0), d
+        assert not {"gate_s", "fetch_exec_s"} & phases.keys(), d
+        assert stats["gate_s"] > 0, d
+        assert (stats["fetch_exec_s"] > 0) == (stats["fetch_parts"] > 0), d
 
 
 def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
@@ -216,8 +221,6 @@ class TestCrawlE2E:
         full_order = _engine_order(res_a)
         # artifact over ALL rounds of the resumed workdir equals the
         # uninterrupted artifact
-        from scrupyst_ray.pipelines.crawl import CrawlResult
-
         all_rounds = CrawlResult(wd, [], "")
         assert (
             list(
@@ -242,9 +245,25 @@ class TestCrawlE2E:
         other shards' gates run round 2.  The round re-runs in restarted
         actors restored to round 1, and the crawl equals an uninterrupted
         one and the simulator."""
+        lost = self._heal_after_losing(smoke_corpus, tmp_path, monkeypatch, _cfg(), 1)
+        assert lost == [1]
+
+    def test_lost_actor_of_two_shards_heals(self, smoke_corpus, tmp_path, monkeypatch):
+        """8 shards on 4 actors: the actor that dies hosts two shards with
+        round 2 work (2 and 6; host001 of shard 6 is the robots-forbidden
+        one), and both heal with it."""
+        cfg = _cfg()
+        cfg.seen_shards = 8
+        lost = self._heal_after_losing(smoke_corpus, tmp_path, monkeypatch, cfg, 2)
+        assert lost == [2, 6]
+
+    def _heal_after_losing(self, smoke_corpus, tmp_path, monkeypatch, cfg, actor):
+        """Kill ``actors[actor]`` before round 2's first attempt, while the
+        other actors' gates run round 2, and check the healed crawl against
+        an uninterrupted one and the simulator.  Returns the shards with
+        round 2 work that the lost actor hosted."""
         import ray
 
-        cfg = _cfg()
         pages = os.path.join(smoke_corpus, "pages")
         seeds = os.path.join(smoke_corpus, "seeds.parquet")
         sim = simulate_crawl(
@@ -260,19 +279,22 @@ class TestCrawlE2E:
         gated_first: list[str] = []
         run_round = CrawlEngine._run_round
 
-        def lose_shard_1(self, n, actors):
+        n_actors: list[int] = []
+
+        def lose_actor(self, n, actors):
             first = n == 2 and n not in attempts
             attempts.append(n)
             if not first:
                 return run_round(self, n, actors)
-            ray.kill(actors[1])
+            n_actors.append(len(actors))
+            ray.kill(actors[actor])
             try:
                 return run_round(self, n, actors)
             finally:
                 gdir = os.path.join(self._round_dir(n), "gate_stats")
                 gated_first.extend(sorted(os.listdir(gdir)))
 
-        monkeypatch.setattr(CrawlEngine, "_run_round", lose_shard_1)
+        monkeypatch.setattr(CrawlEngine, "_run_round", lose_actor)
         wd = str(tmp_path / "healed")
         eng = CrawlEngine.for_corpus(pages, wd, cfg)
         eng.init_frontier(seeds)
@@ -280,14 +302,64 @@ class TestCrawlE2E:
         eng.shutdown_actors()
 
         assert attempts.count(2) == 2
+        (a,) = n_actors
         with_work = frontier_shards(eng._frontier_dir(2))
-        assert 1 in with_work
-        assert gated_first == [f"shard={k:05d}.json" for k in with_work if k != 1]
+        lost = [k for k in with_work if k % a == actor]
+        assert lost
+        assert gated_first == [
+            f"shard={k:05d}.json" for k in with_work if k not in lost
+        ]
         assert [r.round for r in res.rounds] == [r.round for r in res_full.rounds]
         assert _engine_order(res) == _engine_order(res_full) == sim.fetch_order
         assert _engine_seen_fps(wd) == _engine_seen_fps(full_wd) == sim.seen_fps
         assert [r.admitted for r in res.rounds] == sim.per_round_admitted
         assert [r.deferred for r in res.rounds] == sim.per_round_deferred
+        assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
+        return lost
+
+    def test_shards_share_actors(self, smoke_corpus, tmp_path):
+        """8 shards in the 4-CPU session start 4 actors of 2 shards each.  A
+        crawl stopped at half its rounds and resumed in a fresh engine
+        equals the simulator, every shard gates and checkpoints on its own
+        (one sidecar per shard with work, one seen delta per shard and
+        round), and each shard keeps its own robots rules (host001, the
+        forbidden host, is shard 6: actor 2's second shard)."""
+        import ray
+
+        cfg = _cfg()
+        cfg.seen_shards = 8
+        pages = os.path.join(smoke_corpus, "pages")
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        n_rounds = len(sim.per_round_admitted)
+        assert n_rounds >= 4
+        wd = str(tmp_path / "wd")
+        eng = CrawlEngine.for_corpus(pages, wd, cfg)
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        first = eng.run(max_rounds=n_rounds // 2)
+        assert int(ray.cluster_resources()["CPU"]) == len(eng._actors) == 4
+        eng.shutdown_actors()  # "kill"
+        resumed = CrawlEngine(eng.store_dir, wd, cfg)
+        rest = resumed.run(max_rounds=6)
+        assert len(resumed._actors) == 4
+        resumed.shutdown_actors()
+
+        assert first.start_s > 0 and rest.start_s > 0
+        rounds = first.rounds + rest.rounds
+        assert [r.round for r in rounds] == list(range(n_rounds))
+        assert _engine_order(CrawlResult(wd, [], "")) == sim.fetch_order
+        assert _engine_seen_fps(wd) == sim.seen_fps
+        assert [r.admitted for r in rounds] == sim.per_round_admitted
+        assert [r.deferred for r in rounds] == sim.per_round_deferred
+        assert sum(r.robots_forbidden for r in rounds) == sim.robots_forbidden > 0
+        _assert_phase_schema(wd, n_rounds)
+        seen_dir = os.path.join(wd, "seen")
+        assert sorted(os.listdir(seen_dir)) == [f"shard={k:05d}" for k in range(8)]
+        for shard in os.listdir(seen_dir):
+            assert sorted(os.listdir(os.path.join(seen_dir, shard))) == [
+                f"round={n:06d}.parquet" for n in range(n_rounds)
+            ]
 
     def test_autothrottle_resume_identical(self, smoke_corpus, tmp_path):
         """AutoThrottle (ST5) on: adaptive delays shrink budgets AND the
@@ -323,8 +395,6 @@ class TestCrawlE2E:
         eng_c = CrawlEngine(eng_b.store_dir, wd, cfg)
         eng_c.run(max_rounds=5)
         eng_c.shutdown_actors()
-
-        from scrupyst_ray.pipelines.crawl import CrawlResult
 
         t_full = CrawlResult(str(tmp_path / "at_full"), [], "").crawl_order_table()
         t_res = CrawlResult(wd, [], "").crawl_order_table()
@@ -416,6 +486,28 @@ class TestCrawlE2E:
         for r in capped_rounds:
             # kept = capped new candidates (= exactly k) + deferred backlog
             assert r.candidates_kept == 25 + r.deferred
+
+
+class TestFetchParts:
+    """The fetch fan-out rule, without Ray: one task per 64 admitted rows
+    and at least one, capped at half the fetch_key space and at four tasks
+    per CPU."""
+
+    def test_small_round_fetches_in_one_task(self):
+        cfg = CrawlConfig(fetch_buckets=64)
+        assert {_fetch_parts(cfg, rows, 32) for rows in range(128)} == {1}
+
+    def test_one_task_per_64_rows(self):
+        cfg = CrawlConfig(fetch_buckets=64)  # caps: 256 keys' half, 128 cpu
+        for k in range(1, 129):
+            assert _fetch_parts(cfg, 64 * k, 32) == k
+            assert _fetch_parts(cfg, 64 * k + 63, 32) == k
+
+    def test_caps(self):
+        few_keys = CrawlConfig(fetch_buckets=4)
+        assert _fetch_parts(few_keys, 10**6, 32) == 4 * FETCH_SPLIT // 2 == 16
+        assert _fetch_parts(CrawlConfig(fetch_buckets=64), 10**6, 2) == 4 * 2
+        assert _fetch_parts(few_keys, 64 * 20, 3) == 12  # the cpu cap binds
 
 
 @contextlib.contextmanager

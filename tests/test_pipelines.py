@@ -4,6 +4,10 @@ approximate and exact paths."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import duckdb
 import numpy as np
 import pytest
@@ -43,6 +47,33 @@ class TestDedupPipelines:
         for _, row in pairs.iterrows():
             assert row.b not in kept  # larger id of every near-dup pair dropped
         assert len(kept) == 500 - len(set(pairs.b))
+
+    def test_minhash_keep_logs_no_schema_hash_warning(self):
+        """The keep-set is the documents minus the drop-set, sorted.  The
+        documents file carries pandas schema metadata (a dict); blocks the
+        broadcast anti-join passes through with it make the sort's reduce
+        workers log "Failed to hash the schemas", which a driver logging
+        handler never sees, so the query runs in its own Ray session and its
+        whole process output is read."""
+        script = (
+            "import ray\n"
+            "ray.init(address='local', num_cpus=2, include_dashboard=False)\n"
+            "from scrupyst_ray.pipelines.dedup import minhash_dedup_keep\n"
+            "for _ in range(2):\n"
+            f"    assert minhash_dedup_keep({SF!r}).take_all()\n"
+            "ray.shutdown()\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=dict(os.environ, RAY_ADDRESS="local"),
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert "Failed to hash the schemas" not in out.stdout + out.stderr
 
     def test_simhash_pairs_verified_by_hamming(self):
         from scrupyst_ray.functions.dedup import hamming64, simhash64

@@ -27,7 +27,7 @@ from scrupyst_ray.state.politeness import (
     budget_draw,
 )
 from scrupyst_ray.state.seen import SeenState
-from scrupyst_ray.state.shard import SEEN_DUP, _StateShard
+from scrupyst_ray.state.shard import SEEN_DUP, _ShardGroup, _StateShard
 
 
 def _fp(i: int) -> bytes:
@@ -413,6 +413,28 @@ class TestStateShard:
         assert _shard_round(sh, 0, fps, [False], *args) == [ADMITTED]
         # dont_filter re-request of the same URL in a later round is admitted
         assert _shard_round(sh, 1, fps, [True], *args) == [ADMITTED]
+
+
+class TestShardGroup:
+    """The shards one actor process hosts, without Ray."""
+
+    def test_checkpoint_restore_every_hosted_shard(self, tmp_path):
+        """A group of shards 1 and 5 writes each shard's own delta in one
+        checkpoint call and restores them in one restore call; one shard
+        id builds a one-shard group over the same files."""
+        seen_dir = str(tmp_path / "seen")
+        group = _ShardGroup([1, 5], user_agent="ua")
+        assert sorted(group.shards) == [1, 5]
+        for k, sh in group.shards.items():
+            fps = [_fp(10 * k + i) for i in range(k)]
+            sh.seen.check_and_add(0, fps, _fp64(fps))
+        assert group.checkpoint(seen_dir, 0) == 1 + 5
+        assert sorted(os.listdir(seen_dir)) == ["shard=00001", "shard=00005"]
+        assert _ShardGroup([1, 5], user_agent="ua").restore(seen_dir, 0) == 6
+        one = _ShardGroup(5, user_agent="ua")
+        assert list(one.shards) == [5]
+        assert one.restore(seen_dir, 0) == 5
+        assert one.warm()["shard"].to_pylist() == [5]
 
 
 class TestShardGate:
