@@ -9,8 +9,8 @@ resumed or when the page store is rebuilt.
 Routing keys (SURVEY.md §7.3), each computed in exactly one place:
 - :func:`shard_of` — ``hash64(host) % num_shards``, the seen/politeness
   state shard (driver mandate: URL-seen sharded by host-hash, co-locating
-  politeness).  Frontier rows, the robots side-table and the AutoThrottle
-  feedback all route through it.
+  politeness).  Frontier rows and the AutoThrottle feedback route through
+  it.
 - :func:`bucket_of` — ``hash64(url) % num_buckets``, the fetch-join
   bucket.  Frontier rows and the page store both route through it, so a
   frontier row's page bytes live in exactly one known bucket.

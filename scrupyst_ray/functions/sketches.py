@@ -136,7 +136,6 @@ def hll_estimate(idx: np.ndarray, rho: np.ndarray) -> int:
 
 CMS_W = 2048
 CMS_D = 4
-_CMS_SALTS = [b"cms0", b"cms1", b"cms2", b"cms3"]
 
 
 def cms_cells(token_hashes: np.ndarray) -> np.ndarray:

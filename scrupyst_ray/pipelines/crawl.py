@@ -38,11 +38,6 @@ Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
 
     workdir/
-      robots/shard=K.parquet          robots side-table, built once: one
-                                      row per host, from the page at
-                                      http://{host}/robots.txt (else
-                                      https://), host = parse_host(url);
-                                      _COMPLETE records seen_shards
       seen/shard=K/round=N.parquet    per-round fingerprint deltas
       rounds/round-N/frontier/        round N's input rows per seen shard,
                                       read by the shard's gate (layout:
@@ -96,16 +91,12 @@ import shutil
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.dataset as pads
-import pyarrow.parquet as pq
 import ray
 
 from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.functions.hashing import shard_of
-from scrupyst_ray.functions.urlnorm import parse_host
 from scrupyst_ray.stages.exchange import (
     built_for,
     candidates_dir,
@@ -123,12 +114,6 @@ from scrupyst_ray.state.shard import (
     ADMITTED_SCHEMA,
     FETCH_SPLIT,
     StateShard,
-    robots_file,
-)
-
-# robots side-table rows before the per-host pick (http wins over https)
-_ROBOTS_ROWS = pa.schema(
-    {"host": pa.string(), "body": pa.binary(), "https": pa.bool_(), "shard": pa.int32()}
 )
 
 # seeds per read block of init_frontier (see there)
@@ -241,13 +226,6 @@ class CrawlResult:
             descending=[False, True, self.order_mode == "dfo"],
         )
 
-    def write_crawl_order(self, out_dir: str | None = None) -> str:
-        """Persist the sorted crawl-order artifact as partitioned parquet
-        (the 100 TB-scale consume path — the driver never holds the rows)."""
-        out_dir = out_dir or os.path.join(self.workdir, "crawl_order")
-        self.crawl_order_dataset().write_parquet(out_dir)
-        return out_dir
-
     def crawl_order_table(self, limit: int | None = None) -> pa.Table:
         """Small-result helper: the first *limit* rows (default: all — only
         for smoke/test scale) of the distributed crawl order.  The sort runs
@@ -271,7 +249,6 @@ class CrawlEngine:
         self.workdir = workdir
         self.rounds_dir = os.path.join(workdir, "rounds")
         self.seen_dir = os.path.join(workdir, "seen")
-        self.robots_dir = os.path.join(workdir, "robots")
         os.makedirs(self.rounds_dir, exist_ok=True)
         # ST7: user kv state persisted across run/resume (reference
         # extensions/spiderstate.py) — loaded here, saved after each run()
@@ -294,71 +271,14 @@ class CrawlEngine:
         cfg: CrawlConfig | None = None,
         store_dir: str | None = None,
     ) -> "CrawlEngine":
-        """Build (idempotently) the bucketed page store + robots side-table
-        for a raw page corpus, then return an engine over them."""
+        """Build (idempotently) the bucketed page store for a raw page
+        corpus, then return an engine over it.  The store is the crawl's
+        only copy of the pages: a StateShard reads a host's robots.txt
+        from it the first time the host reaches the shard's gate."""
         cfg = cfg or CrawlConfig()
         store_dir = store_dir or os.path.join(workdir, "store")
         build_page_store(pages_path, store_dir, cfg.fetch_buckets)
-        eng = cls(store_dir, workdir, cfg)
-        eng._build_robots_side_table(pages_path)
-        return eng
-
-    def _build_robots_side_table(self, pages_path: str) -> None:
-        """robots side-table: one robots.txt body per host, partitioned by
-        state shard so each StateShard lazily loads only its hosts
-        (broadcast-small-side pattern, SURVEY.md §2.4).
-
-        A host's robots row is the page at ``http://{host}/robots.txt``, or
-        failing that ``https://{host}/robots.txt``, where ``host =
-        parse_host(url)`` (the frontier's host key).  Other pages named
-        robots.txt (nested paths, ports, userinfo) are not robots rows.
-        ``_COMPLETE`` records ``seen_shards``; reusing a table built for
-        another shard count raises ``ValueError``."""
-        num_shards = self.cfg.seen_shards
-        done = os.path.join(self.robots_dir, "_COMPLETE")
-        routing = f"seen_shards={num_shards}"
-        if built_for(done, routing):
-            return
-        shutil.rmtree(self.robots_dir, ignore_errors=True)
-        os.makedirs(self.robots_dir)
-        ds = ray.data.read_parquet(pages_path, columns=["url", "html"])
-
-        def to_robots(batch: pa.Table) -> pa.Table:
-            sub = batch.filter(pc.ends_with(batch["url"], pattern="/robots.txt"))
-            urls = sub["url"].to_pylist()
-            hosts = [parse_host(u) for u in urls]
-            https = [u == f"https://{h}/robots.txt" for u, h in zip(urls, hosts)]
-            http = [u == f"http://{h}/robots.txt" for u, h in zip(urls, hosts)]
-            root = [a or b for a, b in zip(http, https)]
-            return pa.table(
-                {
-                    "host": hosts,
-                    "body": sub["html"],
-                    "https": https,
-                    "shard": shard_of(hosts, num_shards),
-                },
-                schema=_ROBOTS_ROWS,
-            ).filter(pa.array(root, pa.bool_()))
-
-        robots_dir = self.robots_dir
-
-        def write_shard(rows: pa.Table) -> None:
-            shard_id = rows["shard"][0].as_py()
-            # one row per host, http before https
-            rows = rows.sort_by([("host", "ascending"), ("https", "ascending")])
-            hosts = rows["host"].to_numpy(zero_copy_only=False)
-            first = np.ones(len(hosts), bool)
-            first[1:] = hosts[1:] != hosts[:-1]
-            rows = rows.filter(pa.array(first)).select(["host", "body"])
-            path = robots_file(robots_dir, shard_id)
-            pq.write_table(rows, path + ".tmp")
-            os.replace(path + ".tmp", path)
-
-        robots = ds.map_batches(to_robots, batch_format="pyarrow")
-        for_each_range(
-            robots, "shard", num_shards, num_shards, _ROBOTS_ROWS, write_shard
-        )
-        write_marker(done, routing)
+        return cls(store_dir, workdir, cfg)
 
     def _start_actors(self, restore_upto: int) -> list:
         """The StateShard actors, started if there are none, holding the
@@ -377,7 +297,8 @@ class CrawlEngine:
             self._actors = [
                 StateShard.remote(
                     list(range(j, cfg.seen_shards, n_actors)),
-                    robots_dir=self.robots_dir,
+                    store_dir=self.store_dir,
+                    fetch_buckets=cfg.fetch_buckets,
                     user_agent=cfg.user_agent,
                     per_domain_budget=cfg.concurrent_requests_per_domain,
                     download_delay=cfg.download_delay,

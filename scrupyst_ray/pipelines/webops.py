@@ -610,11 +610,12 @@ def robots_decisions(sf_dir: str):
     the object ref (``_robots_rules_for``), exactly the
     small-side-broadcast pattern of SURVEY §2.4's robots lookup; the page
     stream only carries ``url``.  (At crawl scale — millions of hosts — the
-    ENGINE instead shards the robots side-table into StateShard actors and
-    parses lazily, ``crawl.py``; this query surface serves the bounded
-    synthetic matrix.)  SQL oracle: the synthetic robots matrix keys off
-    ``h % 5`` (FIXTURES.md — UA-specific full block, prefix disallow
-    ``/follow?n=1``, empty, absent, BOM+garbage prefix), so the expected
+    ENGINE's StateShard actors read a host's robots.txt from the page store
+    when the host first reaches them and parse lazily, ``state/shard.py``;
+    this query surface serves the bounded synthetic matrix.)  SQL oracle:
+    the synthetic robots matrix keys off ``h % 5`` (FIXTURES.md —
+    UA-specific full block, prefix disallow ``/follow?n=1``, empty,
+    absent, BOM+garbage prefix), so the expected
     decision derives from the url string alone — a wrong UA-group pick,
     prefix match, or garbage-bytes decode flips rows FALSE."""
     import pyarrow.compute as pc

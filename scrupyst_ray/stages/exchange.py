@@ -2,7 +2,7 @@
 frontier is laid out on disk.  No other module knows either.
 
 Every keyed Ray Data exchange of the crawl (fetch stage; seeds / cap
-candidate writer, robots side-table, page store) is :func:`for_each_range`:
+candidate writer, page store) is :func:`for_each_range`:
 a sort at fixed cuts (:func:`key_cuts`) that calls a callback once per
 range holding rows.  An empty range would come out of the sort as a
 schema-less block, which makes Ray Data log "different schema" warnings;
@@ -22,16 +22,17 @@ cap, each row's parent ``fetch_key``), ``seeds`` or ``cap``.  Each shard's
 gate reads its own files (:func:`read_shard`); the frontier never
 rides a shuffle.  The files are Arrow IPC (feather v2), measured ~2.5×
 cheaper than parquet on both sides at the bench's file sizes; the crawl
-artifact, seen deltas and robots side-table stay parquet.  They double as
+artifact and seen deltas stay parquet.  They double as
 the resume checkpoint: every write is tmp+rename under a stable name, so
 task retries are idempotent.
 
-The robots and page-store markers record the modulus their rows were
-routed by (:func:`write_marker`, :func:`built_for`).
+The page-store and round-0 frontier markers record the modulus their rows
+were routed by (:func:`write_marker`, :func:`built_for`).
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 from typing import Callable
@@ -86,30 +87,39 @@ def for_each_range(
     n_keys: int,
     schema: pa.Schema,
     fn: Callable[[pa.Table], None],
-) -> "ray.data.MaterializedDataset":
+) -> list[int]:
     """Sort *ds* (rows of *schema*) by its int column *key*, values in
     ``[0, n_keys)``, at ``key_cuts(parts, n_keys)``, and call ``fn(rows)``
     once for each range that holds rows, with the placeholders removed;
     a range without rows makes no call.
 
-    Returns one row per range, in range order: its row count (``rows``)."""
-    cuts = key_cuts(parts, n_keys)
+    Returns each range's row count, in range order.  The output is read as
+    a stream, not materialized: ``Dataset.materialize`` plans a no-op
+    execution after the run, which checks for free CPUs while the run's
+    tasks still hold them and logs "The Ray cluster currently does not have
+    any available CPUs"."""
+    lows = [0, *key_cuts(parts, n_keys)]
     marker = schema.field(0)
     blank = pa.scalar(_blank(marker.type), marker.type)
-    placeholders = ray.data.from_arrow(_blank_rows(schema, key, [0, *cuts]))
+    placeholders = ray.data.from_arrow(_blank_rows(schema, key, lows))
 
     def each(block: pa.Table) -> pa.Table:
         rows = block.filter(pc.not_equal(block[marker.name], blank))
         if rows.num_rows:
             fn(rows)
-        return pa.table({"rows": pa.array([rows.num_rows], pa.int64())})
+        # the range's placeholder holds its lowest key
+        low = pc.min(block[key]).as_py()
+        return pa.table({"low": [low], "rows": [rows.num_rows]})
 
-    return (
+    counts = [0] * len(lows)
+    for out in (
         ds.union(placeholders)
-        .sort(key, boundaries=cuts)
+        .sort(key, boundaries=lows[1:])
         .map_batches(each, batch_size=None, batch_format="pyarrow")
-        .materialize()
-    )
+        .take_all()
+    ):
+        counts[bisect.bisect_right(lows, out["low"]) - 1] += out["rows"]
+    return counts
 
 
 def write_marker(marker: str, record: str) -> None:

@@ -191,6 +191,20 @@ def _read_bucket_pages(store_dir: str, bucket: int, urls: list[str]) -> pa.Table
     )
 
 
+def read_pages(store_dir: str, num_buckets: int, urls: list[str]) -> dict[str, bytes]:
+    """``{url: html}`` for those of *urls* the page store holds: one scan
+    over the buckets they fall in, each probed once."""
+    buckets = np.unique(bucket_of(urls, num_buckets))
+    parts = [_bucket_dataset(store_dir, int(b)) for b in buckets]
+    parts = [d for d in parts if d is not None]
+    if not parts:
+        return {}
+    pages = pads.dataset(parts).to_table(
+        columns=["url", "html"], filter=pc.field("url").isin(urls)
+    )
+    return dict(zip(pages["url"].to_pylist(), pages["html"].to_pylist()))
+
+
 class FetchParse:
     """Fused fetch→parse→candidate stage for one sorted block of admitted
     rows.

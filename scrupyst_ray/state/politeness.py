@@ -69,15 +69,18 @@ class PolitenessState:
         self.throttle = throttle
         self._robots_bodies: dict[str, bytes | None] = {}  # host -> raw body
         self._robots_cache: dict[str, RobotsRules] = {}  # host -> parsed (lazy)
-        self.stats = {"robots_forbidden": 0}
 
     # -- robots -------------------------------------------------------------
 
     def load_robots_bodies(self, hosts: list[str], bodies: list[bytes | None]) -> None:
-        """Install raw robots.txt bodies for this shard's hosts (from the
-        robots side-table derived from the page corpus).  Parsing is lazy —
-        only hosts that actually appear in the frontier pay for it."""
+        """Install raw robots.txt bodies for this shard's hosts (None: the
+        host has none, allow-all).  Parsing is lazy — only hosts whose rules
+        are asked for pay for it."""
         self._robots_bodies.update(zip(hosts, bodies))
+
+    def unprobed_hosts(self, hosts) -> list[str]:
+        """Those of *hosts* with no body installed, not even None."""
+        return [h for h in hosts if h not in self._robots_bodies]
 
     def _rules_for(self, host: str) -> RobotsRules:
         rules = self._robots_cache.get(host)

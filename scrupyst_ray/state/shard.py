@@ -24,8 +24,9 @@ The shard reads its frontier files itself, deduplicates the new rows, looks
 them up in its own seen set, robots rules and budgets (``gate_check``,
 in-process), runs :func:`~scrupyst_ray.state.politeness.budget_draw`,
 writes the deferred rows and returns the admitted rows as one Arrow table,
-which the round's fetch execution takes by reference.  html never reaches
-these actors.
+which the round's fetch execution takes by reference.  Of the page store,
+only robots.txt bodies reach these actors: a shard reads a host's robots.txt
+the first time the host reaches its gate (:meth:`_StateShard.gate_check`).
 
 Status codes extend ``state.politeness``: ADMITTED / DEFERRED /
 ROBOTS_FORBIDDEN plus SEEN_DUP (filtered by the dupefilter).
@@ -45,11 +46,11 @@ import time
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import pyarrow.parquet as pq
 import ray
 
 from scrupyst_ray.functions.fingerprint import fingerprint_batch
 from scrupyst_ray.stages.exchange import read_shard, write_deferred
+from scrupyst_ray.stages.fetch import read_pages
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA
 from scrupyst_ray.state.politeness import (
     ADMITTED,
@@ -175,7 +176,9 @@ def _fetch_key(admitted: pa.Table) -> pa.Array:
 
 
 class _StateShard:
-    """Plain implementation (unit-testable without Ray)."""
+    """Plain implementation (unit-testable without Ray).  Its robots.txt
+    bodies come from the page store at *store_dir* (built with
+    *fetch_buckets* buckets); without one, every host is allow-all."""
 
     def __init__(
         self,
@@ -186,7 +189,8 @@ class _StateShard:
         download_delay: float = 0.0,
         round_seconds: float = 8.0,
         robotstxt_obey: bool = True,
-        robots_path: str | None = None,
+        store_dir: str | None = None,
+        fetch_buckets: int = 0,
         download_slots: dict | None = None,
         throttle_config: dict | None = None,
     ):
@@ -210,19 +214,28 @@ class _StateShard:
             download_slots=download_slots,
             throttle=self.throttle,
         )
-        self._robots_path = robots_path
-        self._robots_loaded = False
+        self.store_dir = store_dir
+        self.fetch_buckets = fetch_buckets
 
-    def _ensure_robots(self) -> None:
-        if self._robots_loaded:
+    def _load_robots(self, hosts) -> None:
+        """Install the robots.txt body of each of *hosts* not probed yet:
+        the page at ``http://{host}/robots.txt``, else
+        ``https://{host}/robots.txt``, else None (allow-all), all read in
+        one page-store lookup.  Nothing is read with ``robotstxt_obey`` off,
+        when no rule is ever asked for."""
+        pol = self.politeness
+        if self.store_dir is None or not pol.robotstxt_obey:
             return
-        self._robots_loaded = True
-        path = self._robots_path
-        if path and os.path.exists(path):
-            table = pq.read_table(path, columns=["host", "body"])
-            self.politeness.load_robots_bodies(
-                table["host"].to_pylist(), table["body"].to_pylist()
-            )
+        new = pol.unprobed_hosts(hosts)
+        if not new:
+            return
+        urls = [(f"http://{h}/robots.txt", f"https://{h}/robots.txt") for h in new]
+        pages = read_pages(
+            self.store_dir, self.fetch_buckets, [u for pair in urls for u in pair]
+        )
+        pol.load_robots_bodies(
+            new, [pages.get(http, pages.get(https)) for http, https in urls]
+        )
 
     def gate(
         self,
@@ -249,7 +262,8 @@ class _StateShard:
 
         The sidecar's ``phase_s`` is the wall of each phase: file read /
         dedup + fingerprint / the seen, robots and budget lookup
-        (``rpc``: since the gate runs in this actor, an in-process call) /
+        (``rpc``: since the gate runs in this actor, an in-process call,
+        which also reads the robots.txt of hosts new to the shard) /
         budget draw + deferred write.  A shard without rows returns an
         empty table and writes nothing."""
         t_start = time.monotonic()
@@ -357,13 +371,15 @@ class _StateShard:
         of new and deferred hosts); :meth:`gate` then runs the budget draw
         (``politeness.budget_draw``: pure).  Idempotent per round:
         ``check_and_add`` replays round-*r* re-deliveries, robots verdicts
-        and budgets are pure per round.
+        and budgets are pure per round.  A host's robots.txt is read from
+        the page store the first time the host is looked up
+        (:meth:`_load_robots`).
 
         Rows must be pre-deduplicated by fp.  ``skip_seen`` marks rows that
         bypass the dupefilter: ``dont_filter`` requests (reference
         ``core/scheduler.py:343``) and deferred rows re-entering the frontier.
         """
-        self._ensure_robots()
+        self._load_robots(budget_hosts)
         n = len(urls)
         skip_seen = np.asarray(skip_seen, dtype=bool)
         fresh = np.ones(n, dtype=bool)
@@ -374,13 +390,9 @@ class _StateShard:
                 np.asarray(fps)[check_idx],
                 np.asarray(fp64, dtype=np.uint64)[check_idx],
             )
-        robots = self.politeness.robots_ok(hosts, urls)
-        self.politeness.stats["robots_forbidden"] += int(
-            (fresh & ~robots).sum()
-        )
         return {
             "fresh": fresh,
-            "robots_ok": robots,
+            "robots_ok": self.politeness.robots_ok(hosts, urls),
             "budgets": self.politeness.budgets(budget_hosts),
         }
 
@@ -431,56 +443,30 @@ class _StateShard:
             self.throttle.restore(throttle_snap)  # snapshots are cumulative
         return loaded
 
-    def stats(self) -> dict:
-        return {
-            "shard": self.shard_id,
-            "seen_size": len(self.seen),
-            **{f"seen/{k}": v for k, v in self.seen.stats.items()},
-            **{f"politeness/{k}": v for k, v in self.politeness.stats.items()},
-        }
-
-
-def robots_file(robots_dir: str, shard_id: int) -> str:
-    """Shard *shard_id*'s file of the robots side-table (one row per host)."""
-    return os.path.join(robots_dir, f"shard={shard_id:05d}.parquet")
-
 
 class _ShardGroup:
     """The shards one actor process hosts (*shard_ids*, or one shard id),
-    each its own :class:`_StateShard` built with *shard_kwargs*; shard
-    ``k`` loads its robots rules from ``robots_file(robots_dir, k)``.
+    each its own :class:`_StateShard` built with *shard_kwargs*.
 
     ``gate`` and ``observe_round`` name their shard; ``warm``,
     ``checkpoint`` and ``restore`` serve every hosted shard in one call.
     A group's shards run one call at a time, so the engine hosts no more
     groups than the cluster has CPUs to run their gates on."""
 
-    def __init__(
-        self,
-        shard_ids: int | list[int],
-        *,
-        robots_dir: str | None = None,
-        **shard_kwargs,
-    ):
+    def __init__(self, shard_ids: int | list[int], **shard_kwargs):
         ids = [shard_ids] if isinstance(shard_ids, int) else list(shard_ids)
-        self.shards = {
-            k: _StateShard(
-                k,
-                robots_path=robots_file(robots_dir, k) if robots_dir else None,
-                **shard_kwargs,
-            )
-            for k in ids
-        }
+        self.shards = {k: _StateShard(k, **shard_kwargs) for k in ids}
 
     def warm(self) -> pa.Table:
         """Force one-time per-process setup NOW (the engine warms its
         actors in parallel at startup); paying it lazily instead would land
-        on round 0's gate calls: every hosted shard's robots side-table
-        load (with pyarrow's parquet reader init, ~0.3 s), and the first
-        Arrow return, which imports ``ray.air`` (~0.6 s) — hence the
+        on round 0's gate calls: pyarrow's parquet scan set-up, paid here
+        by one page-store lookup of a url no page has, and the first Arrow
+        return, which imports ``ray.air`` (~0.6 s) — hence the
         one-row-per-shard table."""
-        for shard in self.shards.values():
-            shard._ensure_robots()
+        shard = next(iter(self.shards.values()))
+        if shard.store_dir is not None:
+            read_pages(shard.store_dir, shard.fetch_buckets, [""])
         return pa.table({"shard": list(self.shards)})
 
     def gate(self, shard_id: int, *args) -> tuple[pa.Table, int]:
@@ -518,5 +504,4 @@ __all__ = [
     "StateShard",
     "_ShardGroup",
     "_StateShard",
-    "robots_file",
 ]

@@ -9,13 +9,15 @@ import json
 import logging
 import os
 import shutil
+import subprocess
+import sys
 
 import pyarrow.parquet as pq
 import pytest
 
 from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.pipelines.crawl import CrawlEngine, CrawlResult, _fetch_parts
-from scrupyst_ray.stages.exchange import frontier_shards
+from scrupyst_ray.stages.exchange import for_each_range, frontier_shards
 from scrupyst_ray.state.shard import FETCH_SPLIT
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
@@ -143,6 +145,29 @@ class TestCrawlE2E:
         assert [r.deferred for r in res.rounds] == sim.per_round_deferred
         assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
         _assert_one_artifact_per_block(str(tmp_path / "wd"), cfg)
+
+    def test_engine_over_a_store_built_elsewhere(self, smoke_corpus, tmp_path):
+        """The page store is the only source of robots.txt: an engine over
+        a store that another workdir's ``for_corpus`` built obeys every
+        host's robots.txt, with nothing else built in its own workdir."""
+        cfg = _cfg()
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        built = CrawlEngine.for_corpus(
+            os.path.join(smoke_corpus, "pages"), str(tmp_path / "built"), cfg
+        )
+        wd = str(tmp_path / "wd")
+        eng = CrawlEngine(built.store_dir, wd, cfg)
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        res = eng.run(max_rounds=6)
+        eng.shutdown_actors()
+
+        assert sim.robots_forbidden > 0
+        assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
+        assert _engine_order(res) == sim.fetch_order
+        assert _engine_seen_fps(wd) == sim.seen_fps
+        assert [r.deferred for r in res.rounds] == sim.per_round_deferred
 
     def test_half_written_round0_frontier_is_rewritten(self, smoke_corpus, tmp_path):
         """A kill between two seed-shard writes leaves round 0's frontier
@@ -533,20 +558,20 @@ def _schema_warnings():
 
 def _executions_per_round(monkeypatch) -> list[int]:
     """Count the Ray Data executions of every ``_run_round`` call: the
-    returned list gets one entry per round, in order.  Every execution of
-    a round ends in a ``materialize()`` (``exchange.for_each_range``)."""
-    import ray.data
+    returned list gets one entry per round, in order.  Every execution
+    starts a ``StreamingExecutor``, however its output is consumed."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     from scrupyst_ray.pipelines import crawl
 
     calls: list[int] = []
     per_round: list[int] = []
-    materialize = ray.data.Dataset.materialize
+    execute = StreamingExecutor.execute
     run_round = crawl.CrawlEngine._run_round
 
-    def counted(ds):
+    def counted(executor, *args, **kwargs):
         calls.append(1)
-        return materialize(ds)
+        return execute(executor, *args, **kwargs)
 
     def round_spy(self, n, actors):
         before = len(calls)
@@ -554,7 +579,7 @@ def _executions_per_round(monkeypatch) -> list[int]:
         per_round.append(len(calls) - before)
         return stats
 
-    monkeypatch.setattr(ray.data.Dataset, "materialize", counted)
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
     monkeypatch.setattr(crawl.CrawlEngine, "_run_round", round_spy)
     return per_round
 
@@ -739,7 +764,7 @@ class TestMapSideHostCap:
 
 @pytest.mark.usefixtures("ray_session")
 class TestFixedCutExchanges:
-    """Every keyed exchange of a crawl (fetch stage; candidate, robots and
+    """Every keyed exchange of a crawl (fetch stage; candidate and
     page-store writers) is a sort at fixed cuts: it never samples, and no
     range comes out of the sort as a schema-less empty block."""
 
@@ -772,11 +797,60 @@ class TestFixedCutExchanges:
         assert _engine_seen_fps(str(tmp_path / "wd")) == sim.seen_fps
         assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
 
+    def test_for_corpus_is_one_exchange(self, smoke_corpus, tmp_path, monkeypatch):
+        """``for_corpus`` runs one keyed exchange, the page store's, and
+        writes nothing but the store into the workdir."""
+        from scrupyst_ray.pipelines import crawl
+        from scrupyst_ray.stages import fetch
+
+        calls = []
+
+        def counted(ds, key, *args):
+            calls.append(key)
+            return for_each_range(ds, key, *args)
+
+        for module in (crawl, fetch):
+            monkeypatch.setattr(module, "for_each_range", counted)
+        wd = tmp_path / "wd"
+        CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), str(wd), _cfg())
+        assert calls == ["bucket"]
+        assert sorted(os.listdir(wd)) == ["rounds", "store"]
+
+    def test_no_cpu_warning(self, smoke_corpus, tmp_path):
+        """Building a crawl logs no "does not have any available CPUs"
+        warning.  Ray Data's eager ``materialize`` checks for free CPUs
+        while the tasks of the run it just finished still hold them; the
+        warning is logged once per process, so the builds run in a Ray
+        session of their own and its whole output is read."""
+        pages = os.path.join(smoke_corpus, "pages")
+        seeds = os.path.join(smoke_corpus, "seeds.parquet")
+        script = (
+            "import ray\n"
+            "ray.init(address='local', num_cpus=2, include_dashboard=False)\n"
+            "from scrupyst_ray.config import CrawlConfig\n"
+            "from scrupyst_ray.pipelines.crawl import CrawlEngine\n"
+            "cfg = CrawlConfig(seen_shards=4, fetch_buckets=4)\n"
+            f"for wd in {[str(tmp_path / 'wd0'), str(tmp_path / 'wd1')]!r}:\n"
+            f"    CrawlEngine.for_corpus({pages!r}, wd, cfg).init_frontier({seeds!r})\n"
+            "ray.shutdown()\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=dict(os.environ, RAY_ADDRESS="local"),
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert "available CPUs" not in out.stdout + out.stderr
+
     def test_no_schema_drift_warnings(self, smoke_corpus, tmp_path, monkeypatch):
         """Rounds that admit fewer rows than there are fetch ranges, and
         capped rounds that leave a shard without candidates, log no Ray
-        Data "different schema" warning; nor does building the page store
-        and the robots side-table, nor a 64-bucket page store (most buckets
+        Data "different schema" warning; nor does building the page store,
+        nor a 64-bucket page store (most buckets
         of the smoke corpus hold pages, a few do not), nor ``init_frontier``
         over the five-row seed file (more read blocks than rows would leave
         empty ones)."""

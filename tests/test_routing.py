@@ -108,26 +108,6 @@ class TestRoutedStores:
         with pytest.raises(ValueError, match="num_buckets=16"):
             CrawlEngine(store, str(tmp_path / "wd"), other).run(max_rounds=1)
 
-    def test_robots_table_shards_by_host(self, smoke_corpus, tmp_path):
-        from scrupyst_ray.pipelines.crawl import CrawlEngine
-
-        pages = os.path.join(smoke_corpus, "pages")
-        wd = str(tmp_path / "wd")
-        eng = CrawlEngine.for_corpus(pages, wd, CFG)
-        hosts = []
-        for f in os.listdir(eng.robots_dir):
-            if f.startswith("shard="):
-                shard = int(f[len("shard=") : -len(".parquet")])
-                t = pq.read_table(os.path.join(eng.robots_dir, f))
-                assert {_rule_shard(h) for h in t["host"].to_pylist()} == {shard}
-                hosts += t["host"].to_pylist()
-        # the smoke corpus's hosts with a robots.txt row (h % 5 != 3)
-        assert sorted(hosts) == [f"host00{h}.test" for h in (0, 1, 2, 4)]
-        # the same workdir with another shard count: refused
-        other = CrawlConfig(seen_shards=8, fetch_buckets=CFG.fetch_buckets)
-        with pytest.raises(ValueError, match="seen_shards=7"):
-            CrawlEngine.for_corpus(pages, wd, other)
-
     def test_resume_refuses_other_routing(self, smoke_corpus, tmp_path):
         from scrupyst_ray.pipelines.crawl import CrawlEngine
         from scrupyst_ray.stages.fetch import build_page_store

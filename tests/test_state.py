@@ -2,7 +2,8 @@
 
 Mirrors the reference's dupefilter / scheduler test strategy
 (``tests/test_dupefilters.py:60-153``, ``tests/test_scheduler.py:127-290``;
-see FIXTURES.md §4-5) — no Ray needed (plain classes)."""
+see FIXTURES.md §4-5) — plain classes, without Ray; only building the page
+store that ``TestStoreRobots`` reads needs a Ray session."""
 
 from __future__ import annotations
 
@@ -616,3 +617,134 @@ class TestShardGate:
         )
         assert (admitted.num_rows, count) == (0, 0)
         assert not os.path.exists(stats_dir)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestStoreRobots:
+    """A shard with a page store reads each host's robots.txt from it the
+    first time the host is looked up, by the rule ``tests/crawl_sim.py``
+    states: the page at ``http://{host}/robots.txt``, else
+    ``https://{host}/robots.txt``, else allow-all."""
+
+    UA = "scrupyst-ray/0.1"
+    BLOCK_ALL = b"User-agent: *\nDisallow: /\n"
+    ROBOTS_PAGES = {
+        "http://a.test/robots.txt": ROBOTS,  # http only
+        "https://b.test/robots.txt": BLOCK_ALL,  # https only
+        "http://c.test/robots.txt": b"User-agent: *\nDisallow: /y\nCrawl-delay: 4\n",
+        "https://c.test/robots.txt": BLOCK_ALL,  # both: http wins
+        # d.test has none; e.test's is nested, an ordinary page
+        "http://e.test/docs/robots.txt": BLOCK_ALL,
+    }
+    HOSTS = ["a.test", "b.test", "c.test", "d.test", "e.test"]
+    BUCKETS = 4
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        from scrupyst_ray.sources.corpus import PAGES_SCHEMA
+        from scrupyst_ray.stages.fetch import build_page_store
+
+        pages = dict(self.ROBOTS_PAGES)
+        pages.update({f"http://{h}/page": b"<html></html>" for h in self.HOSTS})
+        root = tmp_path_factory.mktemp("robots_store")
+        pq.write_table(
+            pa.table(
+                {
+                    "url": list(pages),
+                    "warc_ts": pa.array([0] * len(pages), pa.timestamp("us")),
+                    "html": list(pages.values()),
+                    "text": [""] * len(pages),
+                    "lang": ["en"] * len(pages),
+                },
+                schema=PAGES_SCHEMA,
+            ),
+            root / "pages.parquet",
+        )
+        return build_page_store(str(root), str(root / "store"), self.BUCKETS)
+
+    def _reads(self, monkeypatch) -> list[int]:
+        """The buckets the page store is probed for, one entry a probe."""
+        from scrupyst_ray.stages import fetch
+
+        reads: list[int] = []
+        bucket_dataset = fetch._bucket_dataset
+
+        def counted(store_dir, bucket):
+            reads.append(bucket)
+            return bucket_dataset(store_dir, bucket)
+
+        monkeypatch.setattr(fetch, "_bucket_dataset", counted)
+        return reads
+
+    def _check(self, sh: _StateShard, round_id: int, urls: list[str]) -> dict:
+        hosts = [u.split("/")[2] for u in urls]
+        fps = [_fp(1000 * round_id + i) for i in range(len(urls))]
+        skip = np.zeros(len(urls), bool)
+        return sh.gate_check(round_id, fps, _fp64(fps), skip, hosts, urls, self.HOSTS)
+
+    def test_rules_from_the_store_read_once(self, store, monkeypatch):
+        from scrupyst_ray.functions.hashing import bucket_of
+        from scrupyst_ray.functions.robots import parse_robots
+
+        urls = [f"http://{h}/{p}" for h in self.HOSTS for p in ("ok", "private/x", "y")]
+        reads = self._reads(monkeypatch)
+        sh = _StateShard(
+            0,
+            user_agent=self.UA,
+            per_domain_budget=8,
+            round_seconds=8.0,
+            store_dir=store,
+            fetch_buckets=self.BUCKETS,
+        )
+        res = self._check(sh, 0, urls)
+        probed = [
+            f"{s}://{h}/robots.txt" for h in self.HOSTS for s in ("http", "https")
+        ]
+        assert sorted(reads) == sorted(set(bucket_of(probed, self.BUCKETS).tolist()))
+
+        def rules(host):
+            url = f"http://{host}/robots.txt"
+            if url not in self.ROBOTS_PAGES:
+                url = f"https://{host}/robots.txt"
+            return parse_robots(self.ROBOTS_PAGES.get(url))
+
+        want_ok = [rules(u.split("/")[2]).allowed(u, self.UA) for u in urls]
+        assert res["robots_ok"].tolist() == want_ok
+        # per host (ok, private/x, y): a blocks /private, b all, c /y
+        assert [want_ok[i : i + 3] for i in range(0, len(urls), 3)] == [
+            [True, False, True],
+            [False] * 3,
+            [True, True, False],
+            [True] * 3,  # d.test: no robots.txt
+            [True] * 3,  # e.test: only a nested one
+        ]
+        delays = [rules(h).crawl_delay(self.UA) for h in self.HOSTS]
+        want_budgets = [8 // d if d else 8 for d in delays]
+        assert res["budgets"].tolist() == want_budgets == [4, 8, 2, 8, 8]
+
+        # the same hosts again: every rule is already installed
+        reads.clear()
+        again = self._check(sh, 1, urls)
+        assert reads == []
+        assert again["robots_ok"].tolist() == want_ok
+        assert again["budgets"].tolist() == res["budgets"].tolist()
+
+    def test_obey_off_reads_nothing(self, store, monkeypatch):
+        reads = self._reads(monkeypatch)
+        sh = _StateShard(
+            0,
+            user_agent=self.UA,
+            robotstxt_obey=False,
+            store_dir=store,
+            fetch_buckets=self.BUCKETS,
+        )
+        urls = [f"http://{h}/private/x" for h in self.HOSTS]
+        res = self._check(sh, 0, urls)
+        assert reads == []
+        assert res["robots_ok"].all()
+        # the group's warm still pays the reader set-up with one probe
+        group = _ShardGroup(
+            [0, 2], user_agent=self.UA, store_dir=store, fetch_buckets=self.BUCKETS
+        )
+        assert group.warm()["shard"].to_pylist() == [0, 2]
+        assert len(reads) == 1
