@@ -31,6 +31,61 @@ _WS_TOKENS_COMPILED = re.compile(r"[^\t\n\f\r ]+")
 def ws_tokens(text: str | None) -> list[str]:
     """Whitespace tokens of *text*, RE2-\\S-exact (see comment above)."""
     return _WS_TOKENS_COMPILED.findall(text or "")
+
+
+def ws_token_ids(
+    texts: pa.Array | pa.ChunkedArray,
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """(vocab, tok, row, n_tokens) — a text column's tokens, dictionary-
+    encoded in one split: *vocab* the column's distinct tokens in
+    first-occurrence order, *tok* the id in *vocab* of every token
+    occurrence (row-major), *row* its row, *n_tokens* each row's count.
+    The tokens are exactly ``ws_tokens``'s (a None row has none)."""
+    if isinstance(texts, pa.ChunkedArray):
+        texts = texts.combine_chunks()
+    # the RE2 split on [\t\n\f\r ]+, as four literal replaces and a
+    # literal split (a fifth of the regex split's time, the same tokens:
+    # an ASCII byte never occurs inside a multi-byte UTF-8 character)
+    for sep in "\t\n\f\r":
+        texts = pc.replace_substring(texts, sep, " ")
+    pieces = pc.split_pattern(texts, " ")
+    flat = pc.list_flatten(pieces)
+    row = pc.list_parent_indices(pieces)
+    # runs of separators and leading or trailing ones split off empty pieces
+    keep = pc.not_equal(pc.binary_length(flat), 0)
+    enc = pc.dictionary_encode(flat.filter(keep))
+    row = row.filter(keep).to_numpy().astype(np.int64)
+    return (
+        enc.dictionary.to_pylist(),
+        enc.indices.to_numpy().astype(np.int64),
+        row,
+        np.bincount(row, minlength=len(texts)),
+    )
+
+
+def ngram_ids(
+    tok: np.ndarray, row: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pos, gid, grams) — the word n-grams inside each row of
+    :func:`ws_token_ids` output: *pos* the position in *tok* of each
+    occurrence's first token, *gid* its dense id (the ``np.unique`` rank
+    of its (n−1)-gram id and last token id) and *grams* the
+    ``(n_distinct, n)`` token ids of each distinct gram."""
+    pos = np.arange(max(len(tok) - n + 1, 0))
+    pos = pos[row[pos] == row[pos + n - 1]]
+    n_vocab = int(tok.max(initial=-1)) + 1
+    gid, grams = tok[pos], np.arange(n_vocab)[:, None]
+    for j in range(1, n):
+        key, gid = np.unique(gid * n_vocab + tok[pos + j], return_inverse=True)
+        grams = np.column_stack([grams[key // n_vocab], key % n_vocab])
+    return pos, gid, grams
+
+
+def gram_texts(vocab: list[str], grams: np.ndarray) -> list[str]:
+    """Each row of *grams* (token ids) as its space-joined text."""
+    return [" ".join(vocab[i] for i in g) for g in grams.tolist()]
+
+
 # BPE-ish pre-tokenizer (GPT-2-style pattern simplified to ASCII classes —
 # the stdlib `re` lacks \p{L}): contractions, letter runs, digit runs,
 # punctuation runs, whitespace.

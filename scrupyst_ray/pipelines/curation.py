@@ -56,7 +56,12 @@ from scrupyst_ray.pipelines.joins import (
     join_partitions as _parts,
     rename,
 )
-from scrupyst_ray.pipelines.textstats import _docs
+from scrupyst_ray.pipelines.textstats import (
+    _docs,
+    c4_keep,
+    doc_token_totals,
+    gopher_keep,
+)
 
 # segments per document bound for the packed (doc_id, seg_idx) position key;
 # 2^20 five-word segments = 5M-token documents, far past web-page sizes.
@@ -409,39 +414,20 @@ def source_mixing_weights(sf_dir: str, alpha: float = 0.7):
     source-size skew in LLM training mixtures; alpha=1 is proportional,
     alpha→0 is uniform).
 
-    Scale shape: token totals come from a pure-Arrow regex count inside
-    map_batches (no Python row loop) reduced by a source-keyed groupby; the
-    normalization runs on the aggregated table, which has one row per
-    SOURCE (a few dozen at any corpus size), so the driver never sees doc
-    rows.  Weights are ``%.6f`` strings for hash-stable comparison."""
-    docs = _docs(sf_dir, ["source", "text"])
-
-    def partials(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": b["source"],
-                "n_tokens": pc.cast(
-                    whitespace_token_counts(b["text"]), pa.int64()
-                ),
-            }
-        )
-
-    agg = (
-        docs.map_batches(partials, batch_format="pyarrow")
-        .groupby("source")
-        .aggregate(Count(), Sum("n_tokens"))
-    )
-    t = collect_table(agg)  # one row per source — bounded
-    order = pc.sort_indices(t["source"])
-    t = t.take(order)
-    tok = t["sum(n_tokens)"].to_numpy(zero_copy_only=False).astype(np.float64)
-    scaled = np.power(tok, float(alpha))
+    Scale shape: the per-source doc and token totals are a driver fold of
+    per-block partials (:func:`~scrupyst_ray.pipelines.textstats.
+    doc_token_totals`); the normalization runs on the folded totals, one
+    row per SOURCE (a few dozen at any corpus size), so the driver never
+    sees doc rows.  Weights are ``%.6f`` strings for hash-stable
+    comparison."""
+    sources, n_docs, n_tokens = doc_token_totals(sf_dir, "source")
+    scaled = np.power(np.array(n_tokens, np.float64), float(alpha))
     w = scaled / scaled.sum()
     return pa.table(
         {
-            "source": t["source"],
-            "n_docs": pc.cast(t["count()"], pa.int64()),
-            "n_tokens": pc.cast(t["sum(n_tokens)"], pa.int64()),
+            "source": pa.array(sources, pa.string()),
+            "n_docs": pa.array(n_docs, pa.int64()),
+            "n_tokens": pa.array(n_tokens, pa.int64()),
             "weight": pa.array([f"{x:.6f}" for x in w], pa.string()),
         }
     )
@@ -613,33 +599,12 @@ CURATE_STAGES = (
 
 def _quality_filter(docs, min_tokens, max_dup_2gram, max_top_2gram,
                     min_chars, min_alpha):
-    """Gopher/C4 quality gate as one vectorized-ish batch filter (the same
+    """Gopher/C4 quality gate as one vectorized batch filter (the same
     predicates `report.curation_funnel` counts)."""
-    from scrupyst_ray.pipelines.textstats import _repetition_row
 
     def gate(b: pa.Table) -> pa.Table:
-        alpha = pc.count_substring_regex(b["text"], pattern="[A-Za-z]")
-        total = pc.utf8_length(b["text"])
-        keep = []
-        for t, nch, a, tot in zip(
-            b["text"].to_pylist(),
-            b["n_chars"].to_pylist(),
-            alpha.to_pylist(),
-            total.to_pylist(),
-        ):
-            toks = ws_tokens(t)
-            if len(toks) < min_tokens:
-                keep.append(False)
-                continue
-            d2, t2 = _repetition_row(toks, 2)
-            keep.append(
-                d2 <= max_dup_2gram
-                and t2 <= max_top_2gram
-                and nch >= min_chars
-                and tot > 0
-                and a / tot > min_alpha
-            )
-        return b.filter(pa.array(keep))
+        _, keep = gopher_keep(b["text"], min_tokens, max_dup_2gram, max_top_2gram)
+        return b.filter(pa.array(keep & c4_keep(b, min_chars, min_alpha)))
 
     return docs.map_batches(gate, batch_format="pyarrow")
 

@@ -21,7 +21,11 @@ Instantiation here (everything deterministic and DuckDB-recomputable):
   ``r_b`` the per-bucket gram counts, ``T``/``R`` the side totals and
   ``B = N_BUCKETS`` — same convention as the bigram LM (`lm.py`).
 
-Scale shape (100 TB story): two streaming passes, no shuffle.  Pass 1
+Scale shape (100 TB story): two streaming passes, no shuffle.  Each pass
+tokenizes a batch once (``ws_token_ids``: one Arrow split,
+dictionary-encoded) and md5-hashes each DISTINCT uni/bigram of the batch
+once, gathering the buckets back to every occurrence — web text repeats
+its grams, so a batch hashes far fewer grams than it holds.  Pass 1
 reduces each block's gram stream to two ``np.bincount`` vectors (target and
 raw, ``N_BUCKETS`` = 10k counts each, whatever the block or corpus size);
 the driver sums them as the blocks finish and computes λ, which ships to
@@ -42,7 +46,7 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Mean
 
-from scrupyst_ray.functions.textstats import ws_tokens
+from scrupyst_ray.functions.textstats import gram_texts, ngram_ids, ws_token_ids
 from scrupyst_ray.pipelines.joins import stream_blocks
 from scrupyst_ray.pipelines.textstats import _docs
 
@@ -55,18 +59,25 @@ def _bucket(gram: str) -> int:
     return int.from_bytes(md5(gram.encode()).digest()[:4], "big") % N_BUCKETS
 
 
-def _grams(texts: list) -> tuple[np.ndarray, np.ndarray]:
-    """(buckets, n_feats): every document's uni+bigram bucket ids,
+def _grams(texts: pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """(buckets, n_feats): every document's unigram then bigram bucket ids,
     concatenated in document order, and each document's gram count
-    (2·len − 1; 0 for a featureless document)."""
-    buckets: list[int] = []
-    n_feats = np.zeros(len(texts), np.int64)
-    for i, t in enumerate(texts):
-        toks = ws_tokens(t)
-        grams = toks + [a + " " + b for a, b in zip(toks, toks[1:])]
-        buckets.extend(_bucket(g) for g in grams)
-        n_feats[i] = len(grams)
-    return np.array(buckets, np.int64), n_feats
+    (2·len − 1; 0 for a featureless document).  Each distinct gram of the
+    batch is hashed once; its bucket is gathered back to every
+    occurrence."""
+    vocab, tok, row, n_tok = ws_token_ids(texts)
+    pos, big, pairs = ngram_ids(tok, row, 2)
+    uni_b = np.array([_bucket(w) for w in vocab], np.int64)
+    big_b = np.array([_bucket(g) for g in gram_texts(vocab, pairs)], np.int64)
+    n_feats = np.where(n_tok > 0, 2 * n_tok - 1, 0)
+    # a document's unigram k sits at its feature offset + k, its bigram k
+    # at that offset + len + k
+    start = np.cumsum(n_feats) - n_feats - (np.cumsum(n_tok) - n_tok)
+    buckets = np.empty(int(n_feats.sum()), np.int64)
+    buckets[start[row] + np.arange(len(tok))] = uni_b[tok]
+    r = row[pos]
+    buckets[start[r] + n_tok[r] + pos] = big_b[big]
+    return buckets, n_feats
 
 
 def doc_logweights(sf_dir: str, target_lang: str = "en"):
@@ -76,7 +87,7 @@ def doc_logweights(sf_dir: str, target_lang: str = "en"):
     docs = _docs(sf_dir, ["doc_id", "text", "lang"])
 
     def bucket_counts(b: pa.Table) -> pa.Table:
-        buckets, n_feats = _grams(b["text"].to_pylist())
+        buckets, n_feats = _grams(b["text"])
         is_t = np.repeat(
             [lang == target_lang for lang in b["lang"].to_pylist()], n_feats
         )
@@ -100,7 +111,7 @@ def doc_logweights(sf_dir: str, target_lang: str = "en"):
 
     def score(b: pa.Table) -> pa.Table:
         lam = ray.get(lam_ref)
-        buckets, n_feats = _grams(b["text"].to_pylist())
+        buckets, n_feats = _grams(b["text"])
         logw = np.bincount(
             np.repeat(np.arange(b.num_rows), n_feats),
             weights=lam[buckets],

@@ -7,8 +7,8 @@ trained FROM the corpus itself, in the same job, in two scans of the
 documents:
 
 1. **count** — one ``map_batches`` turns each block into its unigram and
-   bigram ``Counter`` partials, one ``(g, n)`` row per distinct gram per
-   block, where ``g`` is a token or a space-joined bigram;
+   bigram counts, one ``(g, n)`` row per distinct gram per block, where
+   ``g`` is a token or a space-joined bigram;
 2. **score** — each document is tokenized again and scored inside the
    batch that holds it:
    ``ppl = exp(-1/n · Σ ln P(w2|w1))`` with add-one (Laplace)
@@ -30,6 +30,13 @@ How the counts reach the scoring scan is size-selected, like
   exploded bigram rows by ``attach_by_key`` (a hash join at that size) and
   reduced by a doc_id-keyed groupby — nothing driver-side holds the counts.
 
+Scale shape: both scans tokenize a batch once
+(:func:`~scrupyst_ray.functions.textstats.ws_token_ids`: one Arrow
+split, dictionary-encoded) and work on integer token and bigram ids; each
+distinct gram of the batch is counted by ``np.bincount`` / ``np.unique``,
+spelled as a string and looked up in the counts once, whatever its
+occurrences.
+
 Tokens are ``\\S+`` runs via the RE2-exact shared tokenizer
 (:func:`~scrupyst_ray.functions.textstats.ws_tokens` — Python's unicode
 ``\\S`` diverges from the DuckDB oracle's RE2 on \\xa0/\\x85/\\v); a
@@ -50,22 +57,20 @@ import pyarrow.compute as pc
 import ray
 from ray.data.aggregate import Count, Mean, Sum
 
-from scrupyst_ray.functions.textstats import ws_tokens
+from scrupyst_ray.functions.textstats import gram_texts, ngram_ids, ws_token_ids
 from scrupyst_ray.pipelines import joins
 from scrupyst_ray.pipelines.textstats import _docs
 
 
 def _gram_counts(b: pa.Table) -> pa.Table:
     """(g, n) — the block's unigram and bigram counts, one row per gram."""
-    c: Counter = Counter()
-    for t in b["text"].to_pylist():
-        toks = ws_tokens(t)
-        c.update(toks)
-        c.update(a + " " + z for a, z in zip(toks, toks[1:]))
+    vocab, tok, row, _ = ws_token_ids(b["text"])
+    _, big, pairs = ngram_ids(tok, row, 2)
+    n = [np.bincount(tok, minlength=len(vocab)), np.bincount(big, minlength=len(pairs))]
     return pa.table(
         {
-            "g": pa.array(list(c.keys()), pa.string()),
-            "n": pa.array(list(c.values()), pa.int64()),
+            "g": pa.array(vocab + gram_texts(vocab, pairs), pa.string()),
+            "n": pa.array(np.concatenate(n), pa.int64()),
         }
     )
 
@@ -90,18 +95,20 @@ def _fold_counts(parts) -> Counter | None:
     return counts
 
 
-def _bigrams(texts: list) -> tuple[list, list, list, list]:
-    """(row, w1, bigram, count) lists: one entry per distinct bigram of
-    each text, with the text's row number in *texts*."""
-    rows, w1s, bgs, ns = [], [], [], []
-    for i, t in enumerate(texts):
-        toks = ws_tokens(t)
-        for (a, z), m in Counter(zip(toks, toks[1:])).items():
-            rows.append(i)
-            w1s.append(a)
-            bgs.append(a + " " + z)
-            ns.append(m)
-    return rows, w1s, bgs, ns
+def _bigrams(texts: pa.ChunkedArray) -> tuple:
+    """(vocab, bigrams, row, w1, bg, count): the batch's distinct tokens
+    and distinct space-joined bigrams, then one entry per distinct bigram
+    of each text, in first-occurrence order — its row, the ids of its first
+    token in *vocab* and of itself in *bigrams*, and its count there."""
+    vocab, tok, row, _ = ws_token_ids(texts)
+    pos, big, pairs = ngram_ids(tok, row, 2)
+    _, first, n = np.unique(
+        row[pos] * len(pairs) + big, return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    first, n = first[order], n[order]
+    w1 = tok[pos[first]]
+    return vocab, gram_texts(vocab, pairs), row[pos[first]], w1, big[first], n
 
 
 def _ppl_table(b: pa.Table, carry: tuple, n: np.ndarray, lp: np.ndarray) -> pa.Table:
@@ -124,11 +131,10 @@ def _scored_in_batch(docs, counts: Counter, carry: tuple):
 
     def score(b: pa.Table) -> pa.Table:
         c = ray.get(ref)
-        rows, w1s, bgs, ns = _bigrams(b["text"].to_pylist())
-        rows = np.array(rows, np.int64)
-        k = np.array(ns, np.float64)
-        c2 = np.array([c[g] for g in bgs], np.float64)
-        c1 = np.array([c[w] for w in w1s], np.float64)
+        words, bigrams, rows, w1, bg, ns = _bigrams(b["text"])
+        k = ns.astype(np.float64)
+        c2 = np.array([c[g] for g in bigrams], np.float64)[bg]
+        c1 = np.array([c[w] for w in words], np.float64)[w1]
         lp = np.bincount(
             rows, weights=k * np.log((c2 + 1.0) / (c1 + vocab)), minlength=b.num_rows
         )
@@ -149,11 +155,11 @@ def _scored_by_key(docs, parts, carry: tuple):
     ).count()
 
     def bigram_rows(b: pa.Table) -> pa.Table:
-        rows, w1s, bgs, ns = _bigrams(b["text"].to_pylist())
+        words, bigrams, rows, w1, bg, ns = _bigrams(b["text"])
         out = b.select(["doc_id", *carry]).take(pa.array(rows, pa.int64()))
         return (
-            out.append_column("bg", pa.array(bgs, pa.string()))
-            .append_column("w1", pa.array(w1s, pa.string()))
+            out.append_column("bg", pa.array(bigrams, pa.string()).take(bg))
+            .append_column("w1", pa.array(words, pa.string()).take(w1))
             .append_column("n", pa.array(ns, pa.int64()))
         )
 

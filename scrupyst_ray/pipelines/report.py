@@ -19,9 +19,8 @@ import hashlib
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from scrupyst_ray.functions.textstats import ws_tokens
 from scrupyst_ray.pipelines.joins import stream_blocks
-from scrupyst_ray.pipelines.textstats import _docs, _repetition_row
+from scrupyst_ray.pipelines.textstats import _docs, c4_keep, gopher_keep
 
 STAGES = (
     "0_total",
@@ -47,35 +46,18 @@ def curation_funnel(
     ds = _docs(sf_dir, ["doc_id", "text", "n_chars"])
 
     def partials(b: pa.Table) -> pa.Table:
-        n0 = b.num_rows
-        n1 = n2 = n3 = 0
-        digests: list[str] = []
-        alpha = pc.count_substring_regex(b["text"], pattern="[A-Za-z]")
-        total = pc.utf8_length(b["text"])
-        for t, nch, a, tot in zip(
-            b["text"].to_pylist(),
-            b["n_chars"].to_pylist(),
-            alpha.to_pylist(),
-            total.to_pylist(),
-        ):
-            toks = ws_tokens(t)
-            if len(toks) < min_tokens:
-                continue
-            n1 += 1
-            d2, t2 = _repetition_row(toks, 2)
-            if d2 > max_dup_2gram or t2 > max_top_2gram:
-                continue
-            n2 += 1
-            if nch < min_chars or tot == 0 or a / tot <= min_alpha:
-                continue
-            n3 += 1
-            digests.append(hashlib.md5(t.encode("utf-8")).hexdigest())
+        long, gopher = gopher_keep(b["text"], min_tokens, max_dup_2gram, max_top_2gram)
+        quality = gopher & c4_keep(b, min_chars, min_alpha)
+        digests = [
+            hashlib.md5(t.encode("utf-8")).hexdigest()
+            for t in b["text"].filter(pa.array(quality)).to_pylist()
+        ]
         stages = list(STAGES[:4]) + [""] * len(digests)
-        ns = [n0, n1, n2, n3] + [0] * len(digests)
+        ns = [b.num_rows, *(int(m.sum()) for m in (long, gopher, quality))]
         return pa.table(
             {
                 "stage": pa.array(stages, pa.string()),
-                "n": pa.array(ns, pa.int64()),
+                "n": pa.array(ns + [0] * len(digests), pa.int64()),
                 "digest": pa.array([""] * 4 + digests, pa.string()),
             }
         )

@@ -46,22 +46,24 @@ def token_counts(sf_dir: str):
     return ds.map_batches(count, batch_format="pyarrow").sort("doc_id")
 
 
-def token_stats_by_lang(sf_dir: str) -> pa.Table:
-    """(lang, n_docs, sum_tokens) — per-language doc/token totals: each
-    block's per-language partials, summed on the driver as the blocks
-    finish (a language set is small; no groupby, so no empty partitions)."""
+def doc_token_totals(sf_dir: str, key: str) -> tuple[list, list, list]:
+    """(keys, n_docs, n_tokens) per value of the documents column *key*,
+    keys sorted with None last: each block's per-key partials (tokens from
+    the pure-Arrow regex count) summed on the driver as the blocks finish.
+    For a small key set (languages, sources): no groupby, so no empty
+    partitions."""
     from scrupyst_ray.pipelines.joins import stream_blocks
 
-    ds = _docs(sf_dir, ["lang", "text"])
+    ds = _docs(sf_dir, [key, "text"])
 
     def partials(b: pa.Table) -> pa.Table:
         n = pc.cast(pc.count_substring_regex(b["text"], pattern=r"\S+"), pa.int64())
         return (
-            pa.table({"lang": b["lang"], "n_tokens": n})
-            .group_by("lang")
+            pa.table({key: b[key], "n_tokens": n})
+            .group_by(key)
             .aggregate(
                 [
-                    ("lang", "count", pc.CountOptions(mode="all")),
+                    (key, "count", pc.CountOptions(mode="all")),
                     ("n_tokens", "sum"),
                 ]
             )
@@ -69,19 +71,26 @@ def token_stats_by_lang(sf_dir: str) -> pa.Table:
 
     totals: dict = {}
     for b in stream_blocks(ds.map_batches(partials, batch_format="pyarrow")):
-        for lang, d, t in zip(
-            b["lang"].to_pylist(),
-            b["lang_count"].to_pylist(),
+        for k, d, t in zip(
+            b[key].to_pylist(),
+            b[f"{key}_count"].to_pylist(),
             b["n_tokens_sum"].to_pylist(),
         ):
-            n_docs, n_tokens = totals.get(lang, (0, 0))
-            totals[lang] = (n_docs + d, n_tokens + (t or 0))
-    langs = sorted(totals, key=lambda k: (k is None, k or ""))
+            n_docs, n_tokens = totals.get(k, (0, 0))
+            totals[k] = (n_docs + d, n_tokens + (t or 0))
+    keys = sorted(totals, key=lambda k: (k is None, k or ""))
+    return keys, [totals[k][0] for k in keys], [totals[k][1] for k in keys]
+
+
+def token_stats_by_lang(sf_dir: str) -> pa.Table:
+    """(lang, n_docs, sum_tokens) — per-language doc/token totals
+    (:func:`doc_token_totals`)."""
+    langs, n_docs, n_tokens = doc_token_totals(sf_dir, "lang")
     return pa.table(
         {
             "lang": pa.array(langs, pa.string()),
-            "n_docs": pa.array([totals[k][0] for k in langs], pa.int64()),
-            "sum_tokens": pa.array([totals[k][1] for k in langs], pa.int64()),
+            "n_docs": pa.array(n_docs, pa.int64()),
+            "sum_tokens": pa.array(n_tokens, pa.int64()),
         }
     )
 
@@ -207,25 +216,31 @@ def doc_analysis(sf_dir: str):
 # Gopher-style repetition signals + gate, corpus-level term statistics
 # ---------------------------------------------------------------------------
 
+from scrupyst_ray.functions.textstats import ngram_ids, ws_token_ids  # noqa: E402
 from scrupyst_ray.functions.textstats import ws_tokens as _tokens  # noqa: E402
 # (RE2-\S-exact tokenizer shared with curation.py — see ws_tokens)
 
 
-def _repetition_row(toks: list[str], n: int) -> tuple[float, float]:
-    """(dup_frac, top_frac) of the word n-grams of one document:
-    dup_frac = fraction of n-gram occurrences whose gram occurs more than
-    once; top_frac = occurrences of the most frequent gram / total.  Both 0.0
-    when the doc has fewer than n tokens (no grams)."""
-    total = len(toks) - n + 1
-    if total <= 0:
-        return 0.0, 0.0
-    from collections import Counter
-
-    counts = Counter(
-        " ".join(toks[i : i + n]) for i in range(total)
+def _repetition(
+    tok: np.ndarray, row: np.ndarray, n_rows: int, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dup_frac, top_frac) per row of :func:`ws_token_ids` output, over
+    its word n-grams: dup_frac = fraction of n-gram occurrences whose gram
+    occurs more than once in the row; top_frac = occurrences of the row's
+    most frequent gram / total.  Both 0.0 for a row with fewer than n
+    tokens (no grams)."""
+    pos, gid, grams = ngram_ids(tok, row, n)
+    key, c = np.unique(row[pos] * len(grams) + gid, return_counts=True)
+    r = key // max(len(grams), 1)
+    total = np.bincount(r, weights=c, minlength=n_rows)
+    dup = np.bincount(r, weights=np.where(c > 1, c, 0), minlength=n_rows)
+    top = np.zeros(n_rows)
+    np.maximum.at(top, r, c)
+    has = total > 0
+    return (
+        np.divide(dup, total, out=np.zeros(n_rows), where=has),
+        np.divide(top, total, out=np.zeros(n_rows), where=has),
     )
-    dup_occ = sum(c for c in counts.values() if c > 1)
-    return dup_occ / total, max(counts.values()) / total
 
 
 def gopher_repetition(sf_dir: str):
@@ -236,29 +251,42 @@ def gopher_repetition(sf_dir: str):
     ds = _docs(sf_dir, ["doc_id", "text"])
 
     def rep(b: pa.Table) -> pa.Table:
-        toks_col = [_tokens(t) for t in b["text"].to_pylist()]
-        cols: dict[str, list] = {"d2": [], "t2": [], "d3": [], "t3": []}
-        for toks in toks_col:
-            d2, t2 = _repetition_row(toks, 2)
-            d3, t3 = _repetition_row(toks, 3)
-            cols["d2"].append(f"{d2:.4f}")
-            cols["t2"].append(f"{t2:.4f}")
-            cols["d3"].append(f"{d3:.4f}")
-            cols["t3"].append(f"{t3:.4f}")
-        return pa.table(
-            {
-                "doc_id": b["doc_id"],
-                "n_tokens": pa.array(
-                    [len(t) for t in toks_col], pa.int64()
-                ),
-                "dup_2gram_frac": pa.array(cols["d2"], pa.string()),
-                "top_2gram_frac": pa.array(cols["t2"], pa.string()),
-                "dup_3gram_frac": pa.array(cols["d3"], pa.string()),
-                "top_3gram_frac": pa.array(cols["t3"], pa.string()),
-            }
-        )
+        _, tok, row, n_tok = ws_token_ids(b["text"])
+        cols = {"doc_id": b["doc_id"], "n_tokens": pa.array(n_tok, pa.int64())}
+        for n in (2, 3):
+            for name, v in zip(("dup", "top"), _repetition(tok, row, b.num_rows, n)):
+                cols[f"{name}_{n}gram_frac"] = pa.array(
+                    [f"{x:.4f}" for x in v.tolist()], pa.string()
+                )
+        return pa.table(cols)
 
     return ds.map_batches(rep, batch_format="pyarrow").sort("doc_id")
+
+
+def gopher_keep(
+    texts: pa.ChunkedArray,
+    min_tokens: int,
+    max_dup_2gram: float,
+    max_top_2gram: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(long, keep) row masks of a text column: *long* rows have at least
+    *min_tokens* tokens, *keep* rows are long and pass the Gopher 2-gram
+    thresholds (compared on the RAW fractions, not formatted strings)."""
+    _, tok, row, n_tok = ws_token_ids(texts)
+    d2, t2 = _repetition(tok, row, len(n_tok), 2)
+    long = n_tok >= min_tokens
+    return long, long & (d2 <= max_dup_2gram) & (t2 <= max_top_2gram)
+
+
+def c4_keep(b: pa.Table, min_chars: int, min_alpha: float) -> np.ndarray:
+    """Row mask of the C4-style character gate over a (text, n_chars)
+    table: n_chars ≥ *min_chars* and ascii-alpha ratio > *min_alpha*."""
+    alpha = pc.count_substring_regex(b["text"], pattern="[A-Za-z]")
+    alpha = alpha.to_numpy(zero_copy_only=False).astype(np.float64)
+    total = pc.utf8_length(b["text"]).to_numpy(zero_copy_only=False).astype(np.float64)
+    ratio = np.divide(alpha, total, out=np.zeros(b.num_rows), where=total > 0)
+    n_chars = b["n_chars"].to_numpy(zero_copy_only=False)
+    return (n_chars >= min_chars) & (total > 0) & (ratio > min_alpha)
 
 
 def gopher_quality_gate(
@@ -273,69 +301,74 @@ def gopher_quality_gate(
     ds = _docs(sf_dir, ["doc_id", "text"])
 
     def gate(b: pa.Table) -> pa.Table:
-        keep = []
-        for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            toks = _tokens(t)
-            if len(toks) < min_tokens:
-                continue
-            d2, t2 = _repetition_row(toks, 2)
-            if d2 <= max_dup_2gram and t2 <= max_top_2gram:
-                keep.append(d)
-        return pa.table({"doc_id": pa.array(keep, pa.int64())})
+        _, keep = gopher_keep(b["text"], min_tokens, max_dup_2gram, max_top_2gram)
+        return pa.table({"doc_id": b["doc_id"]}).filter(pa.array(keep))
 
     return ds.map_batches(gate, batch_format="pyarrow").sort("doc_id")
 
 
-def top_terms_by_lang(sf_dir: str, k: int = 10):
+def _codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
+    """*col* dictionary-encoded, None as a value of its own."""
+    return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
+
+
+_TOP_TERMS = pa.schema(
+    [("lang", pa.string()), ("token", pa.string()), ("n", pa.int64())]
+)
+
+
+def _top_per_lang(t: pa.Table, k: int) -> pa.Table:
+    """The first *k* rows of each language of a (lang, token, n) table,
+    ordered by lang, n descending, token."""
+    keys = [("lang", "ascending"), ("n", "descending"), ("token", "ascending")]
+    t = t.take(pc.sort_indices(t, sort_keys=keys))
+    code = _codes(t["lang"]).indices.to_numpy()
+    i = np.arange(t.num_rows)
+    first = np.maximum.accumulate(np.where(np.diff(code, prepend=-1) != 0, i, 0))
+    return t.filter(pa.array(i - first < k))
+
+
+def top_terms_by_lang(sf_dir: str, k: int = 10) -> pa.Table:
     """(lang, token, n) — the *k* most frequent whitespace tokens per
     language (ties broken by token ascending).
 
     Scale shape: term counts PRE-AGGREGATE inside each map_batches task
     (one (lang, token) partial row per batch, not one row per token
     occurrence), so the groupby shuffles the distinct-term table rather than
-    the corpus; the final per-lang top-k is a tiny map_groups."""
+    the corpus.  After it each (lang, token) total sits whole in one block,
+    so each block's own per-language top *k* holds every global top-*k* row
+    it has; the driver merges those few rows as the blocks finish."""
+    from scrupyst_ray.pipelines.joins import stream_blocks
+
     ds = _docs(sf_dir, ["lang", "text"])
 
     def partial_counts(b: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        counts: dict[str, Counter] = {}
-        for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
-            counts.setdefault(lang, Counter()).update(_tokens(t))
-        langs, tokens, ns = [], [], []
-        for lang, c in counts.items():
-            for tok, n in c.items():
-                langs.append(lang)
-                tokens.append(tok)
-                ns.append(n)
+        vocab, tok, row, _ = ws_token_ids(b["text"])
+        lang, v = _codes(b["lang"]), max(len(vocab), 1)
+        key, n = np.unique(
+            lang.indices.to_numpy().astype(np.int64)[row] * v + tok,
+            return_counts=True,
+        )
         return pa.table(
             {
-                "lang": pa.array(langs, pa.string()),
-                "token": pa.array(tokens, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-            }
+                "lang": lang.dictionary.take(key // v),
+                "token": pa.array(vocab, pa.string()).take(key % v),
+                "n": pa.array(n, pa.int64()),
+            },
+            schema=_TOP_TERMS,
         )
 
-    totals = (
+    def block_top(b: pa.Table) -> pa.Table:
+        return _top_per_lang(b.rename_columns(["lang", "token", "n"]), k)
+
+    tops = (
         ds.map_batches(partial_counts, batch_format="pyarrow")
         .groupby(["lang", "token"])
         .aggregate(Sum("n"))
+        .map_batches(block_top, batch_format="pyarrow")
     )
-
-    def topk(g: pa.Table) -> pa.Table:
-        order = pc.sort_indices(
-            g,
-            sort_keys=[("sum(n)", "descending"), ("token", "ascending")],
-        )
-        t = g.take(order.slice(0, k))
-        return pa.table(
-            {"lang": t["lang"], "token": t["token"], "n": t["sum(n)"]}
-        )
-
-    return (
-        totals.groupby("lang")
-        .map_groups(topk, batch_format="pyarrow")
-        .sort(["lang", "n", "token"], descending=[False, True, False])
+    return _top_per_lang(
+        pa.concat_tables([_TOP_TERMS.empty_table(), *stream_blocks(tops)]), k
     )
 
 

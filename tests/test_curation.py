@@ -208,7 +208,7 @@ class TestTopTerms:
         sf = _write_docs(str(tmp_path), ["b a b c", "a c c c"])
         from scrupyst_ray.pipelines.textstats import top_terms_by_lang
 
-        rows = top_terms_by_lang(sf, k=2).take_all()
+        rows = top_terms_by_lang(sf, k=2).to_pylist()
         # all docs are lang=en; counts: c=4, a=2, b=2 → top-2 = c, a (tie a<b)
         assert [(r["token"], r["n"]) for r in rows] == [("c", 4), ("a", 2)]
 
@@ -216,8 +216,95 @@ class TestTopTerms:
         sf = _write_docs(str(tmp_path), ["a b c d e f g h i j k l m n"])
         from scrupyst_ray.pipelines.textstats import top_terms_by_lang
 
-        rows = top_terms_by_lang(sf, k=10).take_all()
+        rows = top_terms_by_lang(sf, k=10).to_pylist()
         assert len(rows) == 10
+
+    def test_block_tops_merge_exactly_with_ties_at_k(self):
+        """Rows tied at the k-th place sit in different blocks; each
+        block's own top k, merged, gives the global top k (n desc, then
+        token asc)."""
+        from scrupyst_ray.pipelines.textstats import _top_per_lang
+
+        def block(rows):
+            return pa.table(
+                {
+                    "lang": pa.array([r[0] for r in rows], pa.string()),
+                    "token": pa.array([r[1] for r in rows], pa.string()),
+                    "n": pa.array([r[2] for r in rows], pa.int64()),
+                }
+            )
+
+        a = [("en", "z", 9), ("en", "d", 2), ("en", "b", 2), ("de", "x", 1)]
+        b = [("en", "c", 2), ("en", "a", 2), ("en", "y", 1), ("de", "w", 1)]
+        tops = [_top_per_lang(block(rows), 3) for rows in (a, b)]
+        got = _top_per_lang(pa.concat_tables(tops), 3).to_pylist()
+        assert [(r["lang"], r["token"], r["n"]) for r in got] == [
+            ("de", "w", 1),
+            ("de", "x", 1),
+            ("en", "z", 9),
+            ("en", "a", 2),
+            ("en", "b", 2),
+        ]
+
+    def test_ties_at_k_match_a_reference(self, tmp_path):
+        """Forty tokens tied at the k-th place, over two languages."""
+        from collections import Counter
+
+        from scrupyst_ray.pipelines.textstats import top_terms_by_lang
+
+        texts = [
+            f"top t{i:02d} t{(i + 7) % 40:02d} top" if i % 3 else f"t{i:02d}"
+            for i in range(80)
+        ]
+        langs = ["en" if i % 2 else "de" for i in range(80)]
+        path = str(tmp_path)
+        pq.write_table(
+            pa.table({"lang": langs, "text": texts}),
+            os.path.join(path, "documents.parquet"),
+        )
+        want = []
+        for lang in ("de", "en"):
+            c = Counter(
+                w for t, l in zip(texts, langs) if l == lang for w in t.split()
+            )
+            top = sorted(c.items(), key=lambda x: (-x[1], x[0]))[:5]
+            want += [(lang, w, n) for w, n in top]
+        got = top_terms_by_lang(path, k=5).to_pylist()
+        assert [(r["lang"], r["token"], r["n"]) for r in got] == want
+
+    def test_logs_no_schema_warning(self, tmp_path):
+        """A few languages over many tokens.  The query runs in its own Ray
+        session and its whole process output is read: Ray Data logs
+        "different schema" from its streaming executor, which a test's log
+        capture does not see."""
+        import subprocess
+        import sys
+
+        langs = ["en", "de", "fr", "es", "zh"]
+        texts = [" ".join(f"w{(i * j) % 97}" for j in range(30)) for i in range(500)]
+        pq.write_table(
+            pa.table({"lang": [langs[i % 5] for i in range(500)], "text": texts}),
+            os.path.join(str(tmp_path), "documents.parquet"),
+        )
+        script = (
+            "import ray\n"
+            "ray.init(address='local', num_cpus=2, include_dashboard=False)\n"
+            "from scrupyst_ray.pipelines.textstats import top_terms_by_lang\n"
+            "for _ in range(3):\n"
+            f"    assert top_terms_by_lang({str(tmp_path)!r}).num_rows == 50\n"
+            "ray.shutdown()\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env=dict(os.environ, RAY_ADDRESS="local"),
+            capture_output=True,
+            text=True,
+            timeout=180,
+        )
+        assert out.returncode == 0, out.stderr[-2000:]
+        assert "different schema" not in out.stdout + out.stderr
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -12,6 +12,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from scrupyst_ray.functions.textstats import ws_tokens
+
 B = 10_000
 
 DOCS = [
@@ -22,6 +24,8 @@ DOCS = [
     (5, "the dog sat on the log", "en"),
     (6, "single", "de"),  # one token: one unigram, no bigrams
     (7, "", "en"),  # empty: featureless, absent from output
+    # \xa0 and \v stay inside RE2 tokens (str.split would split on them)
+    (8, "the\xa0cat sat on\vthe mat", "en"),
 ]
 
 # featureless documents in the MIDDLE of a block, between scored ones.  Ray
@@ -54,7 +58,7 @@ def ref_weights(
     """doc_id -> (n_feats, logw) per the docstring contract in dsir.py."""
     feats: dict[int, Counter] = {}
     for d, t, _ in docs:
-        toks = t.split()
+        toks = ws_tokens(t)
         if not toks:
             continue
         c: Counter = Counter(_bucket(w) for w in toks)

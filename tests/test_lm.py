@@ -11,6 +11,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
+from scrupyst_ray.functions.textstats import ws_tokens
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 DOCS = [
@@ -20,13 +22,15 @@ DOCS = [
     (4, "single", "books"),  # <2 tokens: no bigrams, absent from output
     (5, "", "books"),  # empty text
     (6, "the the the the", "web"),  # repeated bigram within one doc
+    # \xa0 and \v stay inside RE2 tokens (str.split would split on them)
+    (7, "a\xa0dog sat\von a\xa0dog", "forum"),
 ]
 
 
 def ref_ppl() -> dict[int, tuple[int, float]]:
     """doc_id -> (n_bigrams, ppl) with add-one smoothing, per the docstring
     contract in pipelines/lm.py."""
-    toks = {d: t.split() for d, t, _ in DOCS}
+    toks = {d: ws_tokens(t) for d, t, _ in DOCS}
     uni: Counter = Counter()
     big: Counter = Counter()
     for ts in toks.values():

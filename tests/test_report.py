@@ -1,14 +1,26 @@
 """Curation funnel + host coverage report (pipelines/report.py)."""
 
 import hashlib
+from collections import Counter
 
 import pyarrow.parquet as pq
 
 from scrupyst_ray.functions.textstats import ws_tokens
 from scrupyst_ray.pipelines.report import curation_funnel, host_page_stats
-from scrupyst_ray.pipelines.textstats import _repetition_row
 
 SF = "/root/testdata/sf0.001"
+
+
+def _repetition_row(toks: list[str], n: int) -> tuple[float, float]:
+    """(dup_frac, top_frac) of one document's word n-grams: the share of
+    n-gram occurrences whose gram occurs more than once, and the most
+    frequent gram's share; both 0.0 with fewer than n tokens."""
+    total = len(toks) - n + 1
+    if total <= 0:
+        return 0.0, 0.0
+    counts = Counter(" ".join(toks[i : i + n]) for i in range(total))
+    dup_occ = sum(c for c in counts.values() if c > 1)
+    return dup_occ / total, max(counts.values()) / total
 
 
 class TestCurationFunnel:
