@@ -1,7 +1,8 @@
 """Mergeable quantile sketch — the scale path for per-group quantiles.
 
 Exact per-group quantiles (``pipelines/textstats.py::doc_length_quantiles``)
-need the whole group on one worker.  This HDR-histogram-style sketch gives
+hold one histogram row per distinct (group, value) in one place.  This
+HDR-histogram-style sketch gives
 bounded-relative-error quantiles for positive-int values with a fixed-size,
 ADDITIVE state — per-batch partial histograms combine by summation, so it
 composes with ``groupby().sum()`` at any group size and any partitioning

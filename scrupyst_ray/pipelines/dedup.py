@@ -1,8 +1,8 @@
 """Deduplication pipelines over the ``documents`` table.
 
-- exact: content-hash groupby, keep min doc_id per distinct text — the
-  hash-partition + per-group-first pattern (shuffles 16-byte digests, never
-  the texts).
+- exact: min doc_id per md5 content digest — per-batch Arrow minima folded
+  on the driver (a digest-keyed groupby past the broadcast bounds); only
+  16-byte digests leave a task, never the texts.
 - MinHash+LSH: signature map_batches → band-key explode → band groupby →
   candidate pairs → signature-Jaccard verify.  The band shuffle carries only
   (band_key 10 B, doc_id 8 B); verification attaches signatures to the
@@ -23,6 +23,8 @@ import hashlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+from ray.data.aggregate import Min
 
 from scrupyst_ray.functions.dedup import (
     MinHasher,
@@ -43,6 +45,7 @@ from scrupyst_ray.pipelines.textstats import _docs
 from scrupyst_ray.pipelines.joins import (  # noqa: E402
     anti_join_by_key as _anti_join,
     attach_by_key as _attach_by_key,
+    fold_by_key as _fold_by_key,
     join_partitions as _parts,
     rename as _rename,
 )
@@ -51,28 +54,41 @@ from scrupyst_ray.pipelines.joins import (  # noqa: E402
 # -- exact ---------------------------------------------------------------------
 
 
+_FIRST_DOC = pa.schema([("h", pa.binary()), ("doc_id", pa.int64())])
+
+
 def exact_dedup_keep(sf_dir: str):
-    """(doc_id) kept per distinct text: groupby(content hash) → min(doc_id).
-    Matches ``GROUP BY text`` SQL because the hash is collision-free at any
-    realistic scale (md5 over full text)."""
+    """(doc_id) kept per distinct text — min(doc_id) per md5 content hash,
+    sorted.  Matches ``GROUP BY text`` SQL because the hash is
+    collision-free at any realistic scale (md5 over full text).
+
+    Each batch keeps its own first doc_id per digest (an Arrow
+    ``group_by``); the driver keeps the least per digest as the blocks
+    finish and returns a ``pa.Table``.  Past the broadcast bounds (more
+    distinct texts than the driver should hold) a digest-keyed groupby
+    takes the minima instead and the result is a sorted Dataset."""
     ds = _docs(sf_dir, ["doc_id", "text"])
 
-    def add_hash(b: pa.Table) -> pa.Table:
+    def first_per_hash(b: pa.Table) -> pa.Table:
         h = [hashlib.md5(t.encode()).digest() for t in b["text"].to_pylist()]
-        return pa.table({"h": pa.array(h, pa.binary()), "doc_id": b["doc_id"]})
+        t = pa.table(
+            {"h": pa.array(h, pa.binary()), "doc_id": pc.cast(b["doc_id"], pa.int64())}
+        )
+        return (
+            t.group_by("h", use_threads=False)
+            .aggregate([("doc_id", "min")])
+            .select(["h", "doc_id_min"])
+            .rename_columns(_FIRST_DOC.names)
+        )
 
-    from ray.data.aggregate import Min
-
-    out = (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("h", num_partitions=_parts())
-        .aggregate(Min("doc_id"))
-    )
-    return (
-        out.map_batches(
-            lambda b: pa.table({"doc_id": b["min(doc_id)"]}), batch_format="pyarrow"
-        ).sort("doc_id")
-    )
+    parts = ds.map_batches(first_per_hash, batch_format="pyarrow")
+    kept = _fold_by_key(parts, _FIRST_DOC, "min")
+    if kept is not None:
+        return kept.select(["doc_id"]).sort_by("doc_id")
+    out = parts.groupby("h", num_partitions=_parts()).aggregate(Min("doc_id"))
+    return out.map_batches(
+        lambda b: pa.table({"doc_id": b["min(doc_id)"]}), batch_format="pyarrow"
+    ).sort("doc_id")
 
 
 # -- MinHash + LSH ---------------------------------------------------------------
@@ -275,8 +291,6 @@ def _simhash_pairs_for(ds, max_hamming: int, hash_fn):
             }
         )
 
-    from ray.data.aggregate import Min
-
     return (
         ds.map_batches(sign, batch_format="pyarrow")
         .groupby("band", num_partitions=_parts())
@@ -305,8 +319,6 @@ def simhash_recall(sf_dir: str, max_hammings: tuple[int, ...] = (2, 3)):
     Scale shape: identical to ``simhash_pairs`` (band-keyed groupby, 10 B
     rows); the per-threshold reduction is two tiny aggregates.  The oracle's
     O(n²) brute force exists only on the DuckDB side at gate scale."""
-    import pyarrow.compute as pc
-
     hmax = max(max_hammings)
     pairs = _simhash_pairs_for(
         _docs(sf_dir, ["doc_id", "text"]), hmax, simhash64_md5

@@ -32,23 +32,23 @@ the driver sums them as the blocks finish and computes λ, which ships to
 workers once via ``ray.put``.  Pass 2 re-tokenizes and scores every
 document inside the batch that holds it — a document's grams never leave
 its batch, so nothing is re-keyed.  Nothing per-document reaches the
-driver; the only key exchanges left shape the outputs (the ``sort``, and
-``dsir_by_lang``'s per-language aggregate).
+driver; the only key exchange left shapes the outputs (the ``sort``);
+``dsir_by_lang`` folds per-block language sums on the driver.
 """
 
 from __future__ import annotations
 
+import math
 from hashlib import md5
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Mean
 
 from scrupyst_ray.functions.textstats import gram_texts, ngram_ids, ws_token_ids
 from scrupyst_ray.pipelines.joins import stream_blocks
-from scrupyst_ray.pipelines.textstats import _docs
+from scrupyst_ray.pipelines.textstats import _codes, _docs
 
 N_BUCKETS = 10_000  # the paper's hashed-feature dimensionality
 
@@ -151,28 +151,47 @@ def dsir_logweights(sf_dir: str, target_lang: str = "en"):
     )
 
 
-def dsir_by_lang(sf_dir: str, target_lang: str = "en"):
+def dsir_by_lang(sf_dir: str, target_lang: str = "en") -> pa.Table:
     """(lang, n_docs, avg_logw) — mean DSIR weight per language.  The
-    target language should dominate: its docs ARE the target distribution."""
-    agg = (
-        doc_logweights(sf_dir, target_lang)
-        .groupby("lang")
-        .aggregate(Count(), Mean("logw_f"))
-    )
+    target language should dominate: its docs ARE the target distribution.
 
-    def fmt(b: pa.Table) -> pa.Table:
+    Each block emits one (lang, n, Σlogw) row per language and the driver
+    folds them as the blocks finish, like ``doc_token_totals``: no
+    groupby.  Both sums are ``math.fsum``, so the mean does not depend on
+    the order the blocks finish in."""
+
+    def partials(b: pa.Table) -> pa.Table:
+        lang = _codes(b["lang"])
+        codes = lang.indices.to_numpy()
+        w = b["logw_f"].to_numpy()
+        present = np.unique(codes)
         return pa.table(
             {
-                "lang": b["lang"],
-                "n_docs": pc.cast(b["count()"], pa.int64()),
-                "avg_logw": pa.array(
-                    [f"{v:.4f}" for v in b["mean(logw_f)"].to_pylist()],
-                    pa.string(),
+                "lang": lang.dictionary.take(present),
+                "n": pa.array([int((codes == c).sum()) for c in present], pa.int64()),
+                "sum": pa.array(
+                    [math.fsum(w[codes == c]) for c in present], pa.float64()
                 ),
             }
         )
 
-    return agg.map_batches(fmt, batch_format="pyarrow").sort("lang")
+    docs = doc_logweights(sf_dir, target_lang)
+    n_docs, sums = {}, {}
+    for b in stream_blocks(docs.map_batches(partials, batch_format="pyarrow")):
+        for lang, n, w in zip(*(b[c].to_pylist() for c in ("lang", "n", "sum"))):
+            n_docs[lang] = n_docs.get(lang, 0) + n
+            sums.setdefault(lang, []).append(w)
+    langs = sorted(n_docs, key=lambda k: (k is None, k or ""))
+    return pa.table(
+        {
+            "lang": pa.array(langs, pa.string()),
+            "n_docs": pa.array([n_docs[k] for k in langs], pa.int64()),
+            "avg_logw": pa.array(
+                [f"{math.fsum(sums[k]) / n_docs[k]:.4f}" for k in langs],
+                pa.string(),
+            ),
+        }
+    )
 
 
 def dsir_top_docs(sf_dir: str, k: int = 50, target_lang: str = "en"):

@@ -14,6 +14,8 @@ Two join strategies, chosen by side size (SURVEY.md §2.4 guidance):
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -79,6 +81,33 @@ def stream_blocks(ds):
 # takes the join path.
 BROADCAST_MAX_ROWS = 200_000
 BROADCAST_MAX_BYTES = 256 << 20  # the ray.put'd table must fit one executor
+
+
+def fold_by_key(parts, schema: pa.Schema, how: str = "sum") -> pa.Table | None:
+    """The partial rows of *parts* combined per key on the driver as the
+    blocks finish: the last column of *schema* is the value, summed
+    (``how="sum"``) or its least kept (``how="min"``) per distinct tuple of
+    the other columns.  Every block must carry *schema*.  None as soon as
+    the distinct keys pass ``BROADCAST_MAX_ROWS`` or their table
+    ``BROADCAST_MAX_BYTES``: the caller then takes its keyed plan."""
+    *keys, value = schema.names
+
+    def combine(tables: list[pa.Table]) -> pa.Table:
+        t = pa.concat_tables(tables).group_by(keys, use_threads=False)
+        out = t.aggregate([(value, how)])
+        return out.select([*keys, f"{value}_{how}"]).rename_columns(schema.names)
+
+    folded, pending, rows, size = schema.empty_table(), [], 0, 0
+    with closing(stream_blocks(parts)) as blocks:
+        for b in blocks:
+            pending.append(b)
+            rows, size = rows + b.num_rows, size + b.nbytes
+            if rows > BROADCAST_MAX_ROWS or size > BROADCAST_MAX_BYTES:
+                folded, pending = combine([folded, *pending]), []
+                rows, size = folded.num_rows, folded.nbytes
+                if rows > BROADCAST_MAX_ROWS or size > BROADCAST_MAX_BYTES:
+                    return None
+    return combine([folded, *pending])
 
 
 def _small_enough(ds, rows) -> bool:

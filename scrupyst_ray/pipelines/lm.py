@@ -18,13 +18,13 @@ How the counts reach the scoring scan is size-selected, like
 :func:`~scrupyst_ray.pipelines.joins.attach_by_key`:
 
 - **fold** (a bounded vocabulary): the driver sums the partials as the
-  blocks finish (:func:`~scrupyst_ray.pipelines.joins.stream_blocks`) and
+  blocks finish (:func:`~scrupyst_ray.pipelines.joins.fold_by_key`) and
   ships the counts to every scoring task once via ``ray.put``.  No
   groupby, no join, no eager execution; the only shuffle is the output
   ``sort``.  The ``curation_queries`` benchmark (~1k distinct grams) only
   ever takes this branch.
 - **keyed** (a web-scale vocabulary): the fold gives up as soon as its
-  distinct grams pass ``joins.BROADCAST_MAX_ROWS`` or their bytes pass
+  distinct grams pass ``joins.BROADCAST_MAX_ROWS`` or their table
   ``joins.BROADCAST_MAX_BYTES``.  The count scan then runs again, its
   partials summed by a ``g``-keyed groupby, attached onto each document's
   exploded bigram rows by ``attach_by_key`` (a hash join at that size) and
@@ -49,7 +49,6 @@ with fewer than two tokens have no bigrams and are absent from the output
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import closing
 
 import numpy as np
 import pyarrow as pa
@@ -62,37 +61,18 @@ from scrupyst_ray.pipelines import joins
 from scrupyst_ray.pipelines.textstats import _docs
 
 
+_GRAM_COUNTS = pa.schema([("g", pa.string()), ("n", pa.int64())])
+
+
 def _gram_counts(b: pa.Table) -> pa.Table:
     """(g, n) — the block's unigram and bigram counts, one row per gram."""
     vocab, tok, row, _ = ws_token_ids(b["text"])
     _, big, pairs = ngram_ids(tok, row, 2)
     n = [np.bincount(tok, minlength=len(vocab)), np.bincount(big, minlength=len(pairs))]
     return pa.table(
-        {
-            "g": pa.array(vocab + gram_texts(vocab, pairs), pa.string()),
-            "n": pa.array(np.concatenate(n), pa.int64()),
-        }
+        {"g": vocab + gram_texts(vocab, pairs), "n": np.concatenate(n)},
+        schema=_GRAM_COUNTS,
     )
-
-
-def _fold_counts(parts) -> Counter | None:
-    """The corpus gram counts summed on the driver, or None as soon as they
-    outgrow a broadcast (``joins.BROADCAST_MAX_ROWS`` distinct grams, or
-    ``joins.BROADCAST_MAX_BYTES`` of key bytes plus one int64 each)."""
-    counts: Counter = Counter()
-    size = 0
-    with closing(joins.stream_blocks(parts)) as blocks:
-        for b in blocks:
-            for g, n in zip(b["g"].to_pylist(), b["n"].to_pylist()):
-                if g not in counts:
-                    size += len(g.encode()) + 8
-                counts[g] += n
-            if (
-                len(counts) > joins.BROADCAST_MAX_ROWS
-                or size > joins.BROADCAST_MAX_BYTES
-            ):
-                return None
-    return counts
 
 
 def _bigrams(texts: pa.ChunkedArray) -> tuple:
@@ -196,10 +176,12 @@ def doc_ppl(sf_dir: str, carry: tuple = ()):
     *carry* names document columns passed through to the output."""
     parts = _docs(sf_dir, ["text"]).map_batches(_gram_counts, batch_format="pyarrow")
     docs = _docs(sf_dir, ["doc_id", *carry, "text"])
-    counts = _fold_counts(parts)
+    counts = joins.fold_by_key(parts, _GRAM_COUNTS)
     if counts is None:
         return _scored_by_key(docs, parts, carry)
-    return _scored_in_batch(docs, counts, carry)
+    return _scored_in_batch(
+        docs, Counter(dict(zip(counts["g"].to_pylist(), counts["n"].to_pylist()))), carry
+    )
 
 
 def bigram_lm_ppl(sf_dir: str):

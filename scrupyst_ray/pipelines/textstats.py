@@ -217,8 +217,6 @@ def doc_analysis(sf_dir: str):
 # ---------------------------------------------------------------------------
 
 from scrupyst_ray.functions.textstats import ngram_ids, ws_token_ids  # noqa: E402
-from scrupyst_ray.functions.textstats import ws_tokens as _tokens  # noqa: E402
-# (RE2-\S-exact tokenizer shared with curation.py — see ws_tokens)
 
 
 def _repetition(
@@ -312,6 +310,23 @@ def _codes(col: pa.ChunkedArray) -> pa.DictionaryArray:
     return pc.dictionary_encode(col.combine_chunks(), null_encoding="encode")
 
 
+def _lang_token_counts(b: pa.Table) -> tuple:
+    """(vocab, langs, code, tok, n, first): each distinct (lang, token)
+    pair of a (lang, text) batch once, ordered by language then token id —
+    its language's index *code* in *langs* (None a value of its own), its
+    token's id *tok* in the batch's distinct tokens *vocab*, its count *n*
+    and the position *first* of its first occurrence in the batch's token
+    stream (:func:`~scrupyst_ray.functions.textstats.ws_token_ids`)."""
+    vocab, tok, row, _ = ws_token_ids(b["text"])
+    lang, v = _codes(b["lang"]), max(len(vocab), 1)
+    key, first, n = np.unique(
+        lang.indices.to_numpy().astype(np.int64)[row] * v + tok,
+        return_index=True,
+        return_counts=True,
+    )
+    return vocab, lang.dictionary, key // v, key % v, n, first
+
+
 _TOP_TERMS = pa.schema(
     [("lang", pa.string()), ("token", pa.string()), ("n", pa.int64())]
 )
@@ -334,42 +349,41 @@ def top_terms_by_lang(sf_dir: str, k: int = 10) -> pa.Table:
 
     Scale shape: term counts PRE-AGGREGATE inside each map_batches task
     (one (lang, token) partial row per batch, not one row per token
-    occurrence), so the groupby shuffles the distinct-term table rather than
-    the corpus.  After it each (lang, token) total sits whole in one block,
-    so each block's own per-language top *k* holds every global top-*k* row
-    it has; the driver merges those few rows as the blocks finish."""
-    from scrupyst_ray.pipelines.joins import stream_blocks
+    occurrence); the driver sums them as the blocks finish
+    (:func:`~scrupyst_ray.pipelines.joins.fold_by_key`) and ranks once.
+    Past the broadcast bounds a (lang, token) groupby sums them instead;
+    each total then sits whole in one block, so each block's own
+    per-language top *k* holds every global top-*k* row it has, and the
+    driver merges those few rows."""
+    from scrupyst_ray.pipelines.joins import fold_by_key, stream_blocks
 
     ds = _docs(sf_dir, ["lang", "text"])
 
     def partial_counts(b: pa.Table) -> pa.Table:
-        vocab, tok, row, _ = ws_token_ids(b["text"])
-        lang, v = _codes(b["lang"]), max(len(vocab), 1)
-        key, n = np.unique(
-            lang.indices.to_numpy().astype(np.int64)[row] * v + tok,
-            return_counts=True,
-        )
+        vocab, langs, code, tok, n, _ = _lang_token_counts(b)
         return pa.table(
             {
-                "lang": lang.dictionary.take(key // v),
-                "token": pa.array(vocab, pa.string()).take(key % v),
-                "n": pa.array(n, pa.int64()),
+                "lang": langs.take(code),
+                "token": pa.array(vocab, pa.string()).take(tok),
+                "n": n,
             },
             schema=_TOP_TERMS,
         )
 
-    def block_top(b: pa.Table) -> pa.Table:
-        return _top_per_lang(b.rename_columns(["lang", "token", "n"]), k)
+    parts = ds.map_batches(partial_counts, batch_format="pyarrow")
+    totals = fold_by_key(parts, _TOP_TERMS)
+    if totals is None:
 
-    tops = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "token"])
-        .aggregate(Sum("n"))
-        .map_batches(block_top, batch_format="pyarrow")
-    )
-    return _top_per_lang(
-        pa.concat_tables([_TOP_TERMS.empty_table(), *stream_blocks(tops)]), k
-    )
+        def block_top(b: pa.Table) -> pa.Table:
+            return _top_per_lang(b.rename_columns(_TOP_TERMS.names), k)
+
+        tops = (
+            parts.groupby(["lang", "token"])
+            .aggregate(Sum("n"))
+            .map_batches(block_top, batch_format="pyarrow")
+        )
+        totals = pa.concat_tables([_TOP_TERMS.empty_table(), *stream_blocks(tops)])
+    return _top_per_lang(totals, k)
 
 
 def tfidf_top_terms(sf_dir: str, k: int = 5):
@@ -391,17 +405,14 @@ def tfidf_top_terms(sf_dir: str, k: int = 5):
     n_docs = docs.count()
 
     def term_rows(b: pa.Table) -> pa.Table:
-        ids, toks, tfs = [], [], []
-        for d, t in zip(b["doc_id"].to_pylist(), b["text"].to_pylist()):
-            for tok, tf in Counter(_tokens(t)).items():
-                ids.append(d)
-                toks.append(tok)
-                tfs.append(tf)
+        vocab, tok, row, _ = ws_token_ids(b["text"])
+        v = max(len(vocab), 1)
+        key, tf = np.unique(row * v + tok, return_counts=True)
         return pa.table(
             {
-                "doc_id": pa.array(ids, pa.int64()),
-                "token": pa.array(toks, pa.string()),
-                "tf": pa.array(tfs, pa.int64()),
+                "doc_id": pc.cast(b["doc_id"], pa.int64()).take(key // v),
+                "token": pa.array(vocab, pa.string()).take(key % v),
+                "tf": pa.array(tf, pa.int64()),
             }
         )
 
@@ -453,42 +464,72 @@ def tfidf_top_terms(sf_dir: str, k: int = 5):
     )
 
 
-def doc_length_quantiles(sf_dir: str):
+_LENGTHS = pa.schema(
+    [("source", pa.string()), ("n_tokens", pa.int64()), ("n", pa.int64())]
+)
+_QUANTILES = (0.5, 0.9, 0.99)
+
+
+def _quantile_rows(hist: pa.Table) -> pa.Table:
+    """(source, p50, p90, p99) from (source, n_tokens, n) histogram rows,
+    sorted by source: numpy's ``inverted_cdf`` quantiles (DuckDB's
+    ``quantile_disc``) of each source's lengths, each repeated n times —
+    the sorted value at 0-based rank ``ceil(N·q − 1)``, as numpy computes
+    it."""
+    per_source = hist.group_by("source", use_threads=False).aggregate(
+        [("n_tokens", "list"), ("n", "list")]
+    )
+    ps = []
+    for lengths, counts in zip(
+        per_source["n_tokens_list"].to_pylist(), per_source["n_list"].to_pylist()
+    ):
+        order = np.argsort(lengths)
+        cum = np.cumsum(np.asarray(counts)[order])
+        rank = np.maximum(np.ceil(cum[-1] * np.asarray(_QUANTILES) - 1), 0)
+        ps.append(np.asarray(lengths)[order][np.searchsorted(cum, rank, side="right")])
+    ps = np.asarray(ps, np.int64).reshape(-1, len(_QUANTILES))
+    return pa.table(
+        {
+            "source": per_source["source"],
+            **{f"p{round(q * 100)}": ps[:, i] for i, q in enumerate(_QUANTILES)},
+        }
+    ).sort_by("source")
+
+
+def doc_length_quantiles(sf_dir: str) -> pa.Table:
     """(source, p50, p90, p99) — discrete token-length quantiles per source
     (the length-filter calibration signal in curation pipelines).
 
-    Token counts come from the pure-Arrow regex kernel; the per-source
-    quantile is EXACT via a source-keyed ``map_groups`` (numpy
-    ``inverted_cdf`` — bit-identical to DuckDB's ``quantile_disc``).  The
-    shuffle is one row per DOCUMENT (two int64-ish columns), not per token;
-    exactness requires each source group to fit a worker — for a source
-    with billions of docs use :func:`doc_length_quantiles_sketch` (additive
-    log-bucket histogram, fixed state per source) at the cost of ≤3.2%
-    underestimate vs the SQL-exact oracle."""
+    Token counts come from the pure-Arrow regex kernel; each batch emits a
+    (source, n_tokens, count) histogram and the driver sums them as the
+    blocks finish (:func:`~scrupyst_ray.pipelines.joins.fold_by_key`).
+    The quantiles are EXACT (numpy ``inverted_cdf`` over the summed
+    histogram — bit-identical to DuckDB's ``quantile_disc``) and the state
+    is one row per distinct (source, length), not per document.  Past the
+    broadcast bounds a source-keyed ``map_groups`` over the histogram rows
+    takes them instead."""
+    from scrupyst_ray.pipelines.joins import collect_table, fold_by_key
+
     ds = _docs(sf_dir, ["source", "text"])
 
-    def count(b: pa.Table) -> pa.Table:
+    def histogram(b: pa.Table) -> pa.Table:
         n = pc.count_substring_regex(b["text"], pattern=r"\S+")
-        return pa.table({"source": b["source"], "n_tokens": pc.cast(n, pa.int64())})
-
-    def quantiles(g: pa.Table) -> pa.Table:
-        v = g["n_tokens"].to_numpy(zero_copy_only=False)
-        p = np.quantile(v, [0.5, 0.9, 0.99], method="inverted_cdf")
-        return pa.table(
-            {
-                "source": pa.array([g["source"][0].as_py()], pa.string()),
-                "p50": pa.array([int(p[0])], pa.int64()),
-                "p90": pa.array([int(p[1])], pa.int64()),
-                "p99": pa.array([int(p[2])], pa.int64()),
-            }
+        t = pa.table({"source": b["source"], "n_tokens": pc.cast(n, pa.int64())})
+        return (
+            t.group_by(["source", "n_tokens"], use_threads=False)
+            .aggregate([([], "count_all")])
+            .select(_LENGTHS.names[:2] + ["count_all"])
+            .rename_columns(_LENGTHS.names)
         )
 
-    return (
-        ds.map_batches(count, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(quantiles, batch_format="pyarrow")
-        .sort("source")
+    parts = ds.map_batches(histogram, batch_format="pyarrow")
+    hist = fold_by_key(parts, _LENGTHS)
+    if hist is not None:
+        return _quantile_rows(hist)
+    per_source = parts.groupby("source").map_groups(
+        _quantile_rows, batch_format="pyarrow"
     )
+    return collect_table(per_source).sort_by("source")
 
 
 def doc_length_quantiles_sketch(sf_dir: str):
@@ -557,15 +598,9 @@ def vocab_by_lang(sf_dir: str):
     ds = _docs(sf_dir, ["lang", "text"])
 
     def distinct_rows(b: pa.Table) -> pa.Table:
-        seen: set[tuple[str, str]] = set()
-        for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
-            for tok in set(_tokens(t)):
-                seen.add((lang, tok))
+        vocab, langs, code, tok, _, _ = _lang_token_counts(b)
         return pa.table(
-            {
-                "lang": pa.array([x[0] for x in seen], pa.string()),
-                "token": pa.array([x[1] for x in seen], pa.string()),
-            }
+            {"lang": langs.take(code), "token": pa.array(vocab, pa.string()).take(tok)}
         )
 
     distinct = (
@@ -605,35 +640,26 @@ def vocab_by_lang_hll(sf_dir: str):
 
     ds = _docs(sf_dir, ["lang", "text"])
 
+    registers = pa.schema(
+        [("lang", pa.string()), ("register", pa.int64()), ("rho", pa.int64())]
+    )
+
     def register_rows(b: pa.Table) -> pa.Table:
-        by_lang: dict[str, set[str]] = {}
-        for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
-            by_lang.setdefault(lang, set()).update(_tokens(t))
-        langs, idxs, rhos = [], [], []
-        for lang, toks in by_lang.items():
-            if not toks:
-                continue
-            h = np.fromiter(
-                (
-                    int.from_bytes(
-                        hashlib.md5(t.encode("utf-8")).digest()[:8], "big"
-                    )
-                    for t in toks
-                ),
-                dtype=np.uint64,
-                count=len(toks),
-            )
-            idx, rho = hll_partial(h)
-            langs.extend([lang] * len(idx))
-            idxs.extend(int(i) for i in idx)
-            rhos.extend(int(r) for r in rho)
-        return pa.table(
-            {
-                "lang": pa.array(langs, pa.string()),
-                "register": pa.array(idxs, pa.int64()),
-                "rho": pa.array(rhos, pa.int64()),
-            }
+        vocab, langs, code, tok, _, _ = _lang_token_counts(b)
+        h = np.fromiter(
+            (
+                int.from_bytes(hashlib.md5(t.encode("utf-8")).digest()[:8], "big")
+                for t in vocab
+            ),
+            dtype=np.uint64,
+            count=len(vocab),
         )
+        tables = [registers.empty_table()]
+        for c in np.unique(code):
+            idx, rho = hll_partial(h[tok[code == c]])
+            lang = langs.take(np.full(len(idx), c))
+            tables.append(pa.table([lang, idx, rho], schema=registers))
+        return pa.concat_tables(tables)
 
     merged = (
         ds.map_batches(register_rows, batch_format="pyarrow")
@@ -700,7 +726,7 @@ def quantile_sketch_gate(sf_dir: str, rel: float = 0.032):
     underestimate pinned in tests, now driver-visible)."""
     exact_rows = {
         r["source"]: (r["p50"], r["p90"], r["p99"])
-        for r in doc_length_quantiles(sf_dir).take_all()
+        for r in doc_length_quantiles(sf_dir).to_pylist()
     }
     est_rows = {
         r["source"]: (r["p50"], r["p90"], r["p99"])
@@ -724,80 +750,67 @@ def quantile_sketch_gate(sf_dir: str, rel: float = 0.032):
     )
 
 
-def top_terms_by_lang_cms(sf_dir: str, k: int = 10, candidates_per_batch: int = 64):
+def _cms_partials(b: pa.Table, n_cand: int) -> pa.Table:
+    """(lang, token, grid) of a (lang, text) batch: per language with
+    tokens, one row holding its dense Count-Min grid (token "") and one
+    row per candidate — its *n_cand* most frequent tokens, ties in
+    first-occurrence order (``Counter.most_common``'s choice)."""
+    from scrupyst_ray.functions.hashing import stable_hash64
+    from scrupyst_ray.functions.sketches import cms_grid
+
+    vocab, langs, code, tok, n, first = _lang_token_counts(b)
+    hs = np.fromiter((stable_hash64(t) for t in vocab), np.uint64, len(vocab))
+    lang_ix, toks, grids = [], [], []
+    for c in np.unique(code):
+        m = code == c
+        top = tok[m][np.lexsort((first[m], -n[m]))[:n_cand]]
+        lang_ix += [c] * (1 + len(top))
+        toks += [""] + [vocab[t] for t in top.tolist()]
+        grids += [cms_grid(hs[tok[m]], n[m]).ravel()] + [None] * len(top)
+    return pa.table(
+        {
+            "lang": langs.take(pa.array(lang_ix, pa.int64())),
+            "token": pa.array(toks, pa.string()),
+            "grid": pa.array(grids, pa.list_(pa.int64())),
+        }
+    )
+
+
+def top_terms_by_lang_cms(
+    sf_dir: str, k: int = 10, candidates_per_batch: int = 64
+) -> pa.Table:
     """(lang, token, n_est) — the SKETCH variant of :func:`top_terms_by_lang`
     for vocabularies too large to shuffle exactly: each batch contributes
     (a) one dense Count-Min grid per lang (``functions/sketches.py``, d·w
     counters — constant state) and (b) its LOCAL top candidates (bounded
-    per batch).  The driver sums the grids as the blocks stream in (no
-    groupby), keeps each candidate's max local count through a
-    ``(lang, token)`` groupby, and ranks candidates by their min-over-rows
-    estimate.  CMS never underestimates, so any true top-k token that any
-    batch surfaced locally ranks correctly."""
-    from collections import Counter
-
+    per batch).  In one streaming pass the driver sums the grids and
+    unions each language's candidates as the blocks finish (no groupby),
+    then ranks the candidates by their min-over-rows estimate.  CMS never
+    underestimates, so any true top-k token that any batch surfaced
+    locally ranks correctly."""
     from scrupyst_ray.functions.hashing import stable_hash64
-    from scrupyst_ray.functions.sketches import (
-        CMS_D,
-        CMS_W,
-        cms_estimate,
-        cms_grid,
-    )
-    from scrupyst_ray.pipelines.joins import collect_table, stream_blocks
+    from scrupyst_ray.functions.sketches import CMS_D, CMS_W, cms_estimate
+    from scrupyst_ray.pipelines.joins import stream_blocks
 
     ds = _docs(sf_dir, ["lang", "text"])
-
-    def partials(b: pa.Table) -> pa.Table:
-        """One grid row per lang (token "") plus the lang's candidates."""
-        per_lang: dict[str, Counter] = {}
-        for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
-            per_lang.setdefault(lang, Counter()).update(_tokens(t))
-        langs, toks, ns, grids = [], [], [], []
-        for lang, c in per_lang.items():
-            hs = np.fromiter(
-                (stable_hash64(t) for t in c), dtype=np.uint64, count=len(c)
-            )
-            counts = np.fromiter(c.values(), dtype=np.int64, count=len(c))
-            top = c.most_common(candidates_per_batch)
-            langs += [lang] * (1 + len(top))
-            toks += [""] + [tok for tok, _ in top]
-            ns += [0] + [n for _, n in top]
-            grids += [cms_grid(hs, counts).ravel()] + [None] * len(top)
-        return pa.table(
-            {
-                "lang": pa.array(langs, pa.string()),
-                "token": pa.array(toks, pa.string()),
-                "n": pa.array(ns, pa.int64()),
-                "grid": pa.array(grids, pa.list_(pa.int64())),
-            }
-        )
-
-    parts = ds.map_batches(partials, batch_format="pyarrow").materialize()
-    grids: dict[str, np.ndarray] = {}
-    for b in stream_blocks(parts.filter(expr="token == ''")):
-        flat = pc.list_flatten(b["grid"]).to_numpy()
-        for lang, g in zip(
-            b["lang"].to_pylist(), flat.reshape(-1, CMS_D, CMS_W)
-        ):
-            grids[lang] = grids.get(lang, 0) + g
-    cand_t = collect_table(
-        parts.filter(expr="token != ''")
-        .select_columns(["lang", "token", "n"])
-        .groupby(["lang", "token"])
-        .max("n")
+    parts = ds.map_batches(
+        _cms_partials, fn_args=(candidates_per_batch,), batch_format="pyarrow"
     )
+    grids: dict[str, np.ndarray] = {}
+    cands: dict[str, set[str]] = {}
+    for b in stream_blocks(parts):
+        is_grid = pc.equal(b["token"], "")
+        g = b.filter(is_grid)
+        flat = pc.list_flatten(g["grid"]).to_numpy().reshape(-1, CMS_D, CMS_W)
+        for lang, x in zip(g["lang"].to_pylist(), flat):
+            grids[lang] = grids.get(lang, 0) + x
+        c = b.filter(pc.invert(is_grid))
+        for lang, tok in zip(c["lang"].to_pylist(), c["token"].to_pylist()):
+            cands.setdefault(lang, set()).add(tok)
 
     out_lang, out_tok, out_n = [], [], []
-    by_lang: dict[str, list[str]] = {}
-    for lang, tok in zip(
-        cand_t["lang"].to_pylist(), cand_t["token"].to_pylist()
-    ):
-        by_lang.setdefault(lang, []).append(tok)
-    for lang in sorted(by_lang):
-        ests = [
-            (cms_estimate(grids[lang], stable_hash64(t)), t)
-            for t in by_lang[lang]
-        ]
+    for lang in sorted(cands):
+        ests = [(cms_estimate(grids[lang], stable_hash64(t)), t) for t in cands[lang]]
         ests.sort(key=lambda x: (-x[0], x[1]))
         for n, t in ests[:k]:
             out_lang.append(lang)

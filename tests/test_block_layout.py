@@ -63,6 +63,12 @@ def layouts(tmp_path_factory):
     return one, many
 
 
+def _query(module: str, query: str):
+    import importlib
+
+    return getattr(importlib.import_module(f"scrupyst_ray.pipelines.{module}"), query)
+
+
 def _rows(result) -> list[dict]:
     if isinstance(result, pa.Table):
         return result.to_pylist()
@@ -77,14 +83,13 @@ def _rows(result) -> list[dict]:
         ("dsir", "dsir_top_docs"),
         ("textstats", "top_terms_by_lang_cms"),
         ("report", "curation_funnel"),
+        ("dedup", "exact_dedup_keep"),
+        ("textstats", "doc_length_quantiles"),
+        ("textstats", "top_terms_by_lang"),
     ],
 )
 def test_same_rows_one_file_and_many(ray_session, layouts, module, query):
-    import importlib
-
-    fn = getattr(
-        importlib.import_module(f"scrupyst_ray.pipelines.{module}"), query
-    )
+    fn = _query(module, query)
     one, many = layouts
     got = _rows(fn(many))
     assert got  # a non-trivial answer
@@ -100,3 +105,93 @@ def test_funnel_counts_every_block(ray_session, layouts):
         assert rows[0] == {"stage": "0_total", "n_docs": N_DOCS}
         ns = [r["n_docs"] for r in rows]
         assert ns == sorted(ns, reverse=True) and ns[-1] > 0
+
+
+# the queries whose per-block partials fold on the driver
+FOLDED = [
+    ("report", "curation_funnel"),
+    ("dedup", "exact_dedup_keep"),
+    ("textstats", "top_terms_by_lang"),
+    ("textstats", "doc_length_quantiles"),
+]
+
+
+@pytest.mark.parametrize(
+    "module, query", FOLDED + [("textstats", "top_terms_by_lang_cms")]
+)
+def test_one_streaming_execution(ray_session, layouts, monkeypatch, module, query):
+    """Each query is one Ray Data execution, and its answer is built on
+    the driver as a ``pa.Table``."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    execute = StreamingExecutor.execute
+
+    def counted(executor, *args, **kwargs):
+        calls.append(1)
+        return execute(executor, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    out = _query(module, query)(layouts[1])
+    assert isinstance(out, pa.Table) and out.num_rows
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("module, query", FOLDED)
+def test_keyed_fallback_same_rows(ray_session, layouts, monkeypatch, module, query):
+    """Under the broadcast bounds the partials fold on the driver with no
+    groupby; past ``joins.BROADCAST_MAX_ROWS`` the query takes its keyed
+    plan, which gives the same rows."""
+    import ray.data
+
+    from scrupyst_ray.pipelines import joins
+
+    fn = _query(module, query)
+    calls = []
+    groupby = ray.data.Dataset.groupby
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return groupby(self, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "groupby", counted)
+    for sf in layouts:
+        folded = _rows(fn(sf))
+        assert folded and calls == []
+        with monkeypatch.context() as m:
+            m.setattr(joins, "BROADCAST_MAX_ROWS", 2)
+            assert _rows(fn(sf)) == folded
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_fold_by_key_sums_mins_and_gives_up(ray_session, monkeypatch):
+    """Partials over several blocks combine per key; past either bound the
+    fold returns None."""
+    import ray.data
+
+    from scrupyst_ray.pipelines import joins
+
+    schema = pa.schema([("k", pa.string()), ("v", pa.int64())])
+    blocks = [
+        pa.table({"k": ["a", "b"], "v": [3, 1]}, schema=schema),
+        pa.table({"k": ["b", "c"], "v": [5, 2]}, schema=schema),
+        pa.table({"k": ["a"], "v": [1]}, schema=schema),
+    ]
+    parts = ray.data.from_arrow(blocks)
+
+    def fold(how):
+        t = joins.fold_by_key(parts, schema, how)
+        return None if t is None else dict(zip(*(t[c].to_pylist() for c in "kv")))
+
+    assert fold("sum") == {"a": 4, "b": 6, "c": 2}
+    assert fold("min") == {"a": 1, "b": 1, "c": 2}
+    empty = joins.fold_by_key(ray.data.from_arrow(schema.empty_table()), schema)
+    assert empty.schema == schema and empty.num_rows == 0
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 3)
+    assert fold("sum") == {"a": 4, "b": 6, "c": 2}  # 5 partial rows, 3 keys
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 2)
+    assert fold("sum") is None
+    monkeypatch.setattr(joins, "BROADCAST_MAX_ROWS", 200_000)
+    monkeypatch.setattr(joins, "BROADCAST_MAX_BYTES", 8)
+    assert fold("sum") is None

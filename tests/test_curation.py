@@ -273,8 +273,9 @@ class TestTopTerms:
         assert [(r["lang"], r["token"], r["n"]) for r in got] == want
 
     def test_logs_no_schema_warning(self, tmp_path):
-        """A few languages over many tokens.  The query runs in its own Ray
-        session and its whole process output is read: Ray Data logs
+        """A few languages over many tokens, then ``dsir_by_lang`` over the
+        sf0.01 test data (five languages).  The queries run in their own
+        Ray session and its whole process output is read: Ray Data logs
         "different schema" from its streaming executor, which a test's log
         capture does not see."""
         import subprocess
@@ -292,6 +293,9 @@ class TestTopTerms:
             "from scrupyst_ray.pipelines.textstats import top_terms_by_lang\n"
             "for _ in range(3):\n"
             f"    assert top_terms_by_lang({str(tmp_path)!r}).num_rows == 50\n"
+            "from scrupyst_ray.pipelines.dsir import dsir_by_lang\n"
+            "for _ in range(3):\n"
+            "    assert len(dsir_by_lang('/root/testdata/sf0.01').to_pandas()) == 5\n"
             "ray.shutdown()\n"
         )
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -128,7 +128,7 @@ def test_target_lang_scores_higher(ray_session, dsir_dir):
     exceed every other language's (the selection signal DSIR exists for)."""
     from scrupyst_ray.pipelines.dsir import dsir_by_lang
 
-    rows = {r["lang"]: float(r["avg_logw"]) for r in dsir_by_lang(dsir_dir).take_all()}
+    rows = {r["lang"]: float(r["avg_logw"]) for r in dsir_by_lang(dsir_dir).to_pylist()}
     assert rows["en"] > rows["de"]
     assert rows["en"] > rows["fr"]
 

@@ -188,7 +188,7 @@ class TestQuantileSketch:
         )
 
         sf = "/root/testdata/sf0.001"
-        exact = {r["source"]: r for r in doc_length_quantiles(sf).take_all()}
+        exact = {r["source"]: r for r in doc_length_quantiles(sf).to_pylist()}
         sk = {r["source"]: r for r in doc_length_quantiles_sketch(sf).take_all()}
         assert set(exact) == set(sk)
         for s in exact:
@@ -296,6 +296,61 @@ class TestCountMin:
             )
         )
         assert ex == cm
+
+    def test_batch_candidates_match_most_common(self):
+        """Each language's candidates are its ``candidates_per_batch`` most
+        frequent tokens with ties in first-occurrence order, as the
+        retired per-row ``Counter.most_common`` loop (the reference here)
+        chose them; the grids are unchanged too."""
+        from collections import Counter
+
+        from scrupyst_ray.functions.hashing import stable_hash64
+        from scrupyst_ray.functions.sketches import CMS_D, CMS_W, cms_grid
+        from scrupyst_ray.functions.textstats import ws_tokens
+        from scrupyst_ray.pipelines.textstats import _cms_partials
+
+        def reference(b, n_cand):
+            per_lang = {}
+            for lang, t in zip(b["lang"].to_pylist(), b["text"].to_pylist()):
+                per_lang.setdefault(lang, Counter()).update(ws_tokens(t))
+            out = {}
+            for lang, c in per_lang.items():
+                if not c:
+                    continue  # a zero grid and no candidates: ranks nothing
+                hs = np.fromiter((stable_hash64(t) for t in c), np.uint64, len(c))
+                counts = np.fromiter(c.values(), np.int64, len(c))
+                top = [tok for tok, _ in c.most_common(n_cand)]
+                out[lang] = (top, cms_grid(hs, counts))
+            return out, per_lang
+
+        rng = np.random.default_rng(5)
+        words = [f"w{i:02d}" for i in range(60)]
+        texts, langs = [], []
+        for i in range(40):
+            picks = rng.choice(len(words), rng.integers(1, 12))
+            texts.append("\t".join(words[j] for j in picks) + " \xa0x")
+            langs.append(("en", "de", None)[i % 3])
+        texts[7], langs[7] = " \n ", "fr"  # a language without tokens
+        b = pa.table({"lang": langs, "text": texts})
+        n_cand = 8
+        want, per_lang = reference(b, n_cand)
+        for c in per_lang.values():
+            if c:  # ties straddle the cut
+                ranked = sorted(c.values(), reverse=True)
+                assert len(c) > n_cand and ranked[n_cand - 1] == ranked[n_cand]
+
+        got = {}
+        for r in _cms_partials(b, n_cand).to_pylist():
+            top, grid = got.setdefault(r["lang"], ([], None))
+            if r["token"] == "":
+                got[r["lang"]] = (top, np.array(r["grid"]).reshape(CMS_D, CMS_W))
+            else:
+                assert r["grid"] is None
+                top.append(r["token"])
+        assert got.keys() == want.keys() == {"en", "de", None}
+        for lang, (top, grid) in want.items():
+            assert got[lang][0] == top
+            assert np.array_equal(got[lang][1], grid)
 
 
 def test_hll_sql_twin_harmonic_branch(ray_session, tmp_path):
