@@ -8,31 +8,32 @@ Replaces the reference's single-process asyncio event loop
                │              within-round dedup → lazy fingerprint →
                │              seen + robots lookup → per-host budget draw
                │                └─ side-write: deferred → frontier_{N+1}
-               └─ admitted ──sort(fetch_key)──▶ fetch+parse, one task per
-                                sorted block (bucketed page store; each
-                                bucket probed once; html never shuffled)
+               │                └─ side-write: admitted, sorted by
+               │                   fetch_key → admitted/shard-K
+               └─ fetch_key ranges ──▶ fetch+parse, one task per range:
+                                its slice of every admitted file (bucketed
+                                page store; each bucket probed once; html
+                                never shuffled)
                       ├─ side-write: fetched artifact → checkpoint
                       └─ edges → candidate filters → frontier_{N+1}
 
 One Ray Data execution per round, sized by the rows it carries.  The gate
 is not one: the driver makes one ``StateShard.gate`` call per shard with
 work, to the actor that hosts the shard's seen set, robots rules and
-budgets; the shard reads its frontier files itself and returns its admitted
-rows as an Arrow table, plus their count.  Shards share actors: there are
-``min(seen_shards, cluster CPUs)`` of them (``_start_actors``), since no
-more gates can run at once, and each actor process costs ~0.5 s to start.
-The driver sums the counts and sizes the fetch fan-out from them
-(``_fetch_parts``: one task per 64 admitted rows, so a small round fetches
-in one task).  The fetch execution
-takes the admitted tables by reference (``ray.data.from_arrow_refs``) and
-is the only shuffle: the sort of the ADMITTED set's METADATA (~100 B/row)
-by url-bucket sub-key, cut at fixed, even ``fetch_key`` ranges (one per
-fetch task), so it runs no sampling pass and needs no repartition in front
-of it, and block ids are a pure function of (fetch_key, fetch_parts).  How
-that sort is cut and padded, and how the frontier files are named, is
-``stages/exchange.py``'s alone.  A round that admits nothing runs no fetch
-execution.  The page corpus itself is never shuffled or re-scanned (see
-``stages/fetch.py``).
+budgets; the shard reads its frontier files itself, writes its admitted
+rows sorted by ``fetch_key`` to one file and returns their count.  Shards
+share actors: there are ``min(seen_shards, cluster CPUs)`` of them
+(``_start_actors``), since no more gates can run at once, and each actor
+process costs ~0.5 s to start.  The driver sums the counts and sizes the
+fetch fan-out from them (``_fetch_parts``: one task per 64 admitted rows,
+so a small round fetches in one task).  The fetch execution is map-only:
+one task per fixed, even ``fetch_key`` range, which reads its slice of
+every admitting shard's sorted file.  No sort, no sampling pass, no
+repartition, and block ids are a pure function of (fetch_key,
+fetch_parts).  How the ranges are cut, and how the admitted and frontier
+files are named, is ``stages/exchange.py``'s alone.  A round that admits
+nothing runs no fetch execution.  The page corpus itself is never shuffled
+or re-scanned (see ``stages/fetch.py``).
 
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
@@ -61,8 +62,8 @@ same way: every actor restarts, restores the committed rounds of its shards
 and the round re-runs (``run``).
 
 Skew story (SURVEY §7.4 "hot-domain skew"):
-- The FETCH stage sorts on url-hash sub-splits — balanced range partitions
-  even for a single-host crawl.
+- The FETCH stage ranges over url-hash sub-splits — balanced ranges even
+  for a single-host crawl.
 - The GATE keys on host-shard, so one pathological host concentrates its
   candidate volume in one actor call.  Three bounds keep that task finite:
   per-page link dedup (M14) caps fan-out at unique links; the vectorized
@@ -73,7 +74,7 @@ Skew story (SURVEY §7.4 "hot-domain skew"):
   of the salted two-phase top-k IN the candidate writer
   (``stages/fetch.py``): each producer (the fetched pages of one
   ``fetch_key``, a pure function of the url, so the cap does not depend on
-  how the fetch sort cut its blocks) keeps only its local per-host top-N
+  how the fetch ranges were cut) keeps only its local per-host top-N
   under the budget draw's exact sort order, so a hot domain's candidate
   volume reaching the gate is bounded by N × producers instead of its full
   fan-out.  The local rank counts rows the gate later discards
@@ -98,23 +99,23 @@ import ray
 from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.functions.hashing import shard_of
 from scrupyst_ray.stages.exchange import (
+    admitted_dir,
+    admitted_path,
     built_for,
     candidates_dir,
     exchange_files,
     for_each_range,
     frontier_row_counts,
     frontier_shards,
+    key_ranges,
+    read_admitted_range,
     read_exchange_file,
     write_candidates,
     write_marker,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
-from scrupyst_ray.state.shard import (
-    ADMITTED_SCHEMA,
-    FETCH_SPLIT,
-    StateShard,
-)
+from scrupyst_ray.state.shard import FETCH_SPLIT, StateShard
 
 # seeds per read block of init_frontier (see there)
 SEED_ROWS = 2048
@@ -125,7 +126,7 @@ ROUND_ATTEMPTS = 2
 
 def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     """Fetch task count for a round that admitted *total_rows* rows: the
-    sorted admitted set is cut into this many blocks, one task each.  The
+    ``fetch_key`` space is cut into this many ranges, one task each.  The
     count is exact (the sum of the gate calls' admitted counts); the
     frontier row count would overstate a polite crawl's fetch work by the
     inverse of its admit ratio (~20× when most rows are deferred).
@@ -317,9 +318,9 @@ class CrawlEngine:
                 )
                 for j in range(n_actors)
             ]
-            # warm the pool in parallel: actor PROCESS start is ~0.3-0.5 s,
-            # first-parquet-read init another ~0.3 s and the first Arrow
-            # return ~0.6 s per actor; round 0's gate calls would pay them
+            # warm the pool in parallel: actor PROCESS start is ~0.3-0.5 s
+            # and first-parquet-read init another ~0.3 s per actor; round
+            # 0's gate calls would pay them
             ray.get([a.warm.remote() for a in self._actors])
         if restore_upto >= 0:
             ray.get(
@@ -475,20 +476,25 @@ class CrawlEngine:
                shards' calls in turn, actors run in parallel): the shard
                reads its candidate + deferred files, dedups, fingerprints,
                looks up seen + robots + budgets, runs the vectorized
-               budget draw, side-writes DEFERRED rows and returns
-               (admitted table, count).  ``gate_s`` is the wall from the
-               first call to the last count.
-            2. (only if anything was admitted) ``exchange.for_each_range``
-               over the admitted tables' refs by ``fetch_key``, as many
-               fixed ranges as the summed count calls for → fused
-               fetch+parse, one call per range that holds rows → per-shard
-               candidate files for round n+1.  ``fetch_exec_s`` is its wall.
+               budget draw, side-writes DEFERRED rows and its ADMITTED
+               rows (sorted by ``fetch_key``) and returns their count.
+               ``gate_s`` is the wall from the first call to the last
+               count.
+            2. (only if anything was admitted) a map-only execution over
+               as many fixed ``fetch_key`` ranges as the summed count calls
+               for (``exchange.key_ranges``), one task each: the task reads
+               its range of the admitted files of the shards whose call
+               returned rows (``exchange.read_admitted_range``) → fused
+               fetch+parse, if the range holds rows → per-shard candidate
+               files for round n+1.  The ranges' row counts must add up to
+               the gates'.  ``fetch_exec_s`` is its wall.
 
         The frontier itself NEVER rides an all-to-all exchange: candidates
         are hash-partitioned by seen-shard at the map side (fetch tasks
         write them through ``exchange.write_candidates``) and each shard's
         gate reads only its own files — per-round shuffle volume is the
-        ADMITTED set (politeness-bounded), not the candidate flood.  All
+        ADMITTED set (politeness-bounded, through files), not the candidate
+        flood.  All
         counters come from idempotent per-shard / per-block sidecar files
         and parquet footers — zero bookkeeping executions.
         """
@@ -503,22 +509,21 @@ class CrawlEngine:
         # ids follow the fetch_parts cuts, and fetch_parts follows the
         # admitted count and the CPU count, so a re-run need not overwrite
         # them.  Round n's own frontier/ is this round's input and stays.
-        for d in (gate_stats_dir, fetched_dir, nf_dir):
+        for d in (gate_stats_dir, admitted_dir(rdir), fetched_dir, nf_dir):
             if os.path.isdir(d):
                 shutil.rmtree(d)
 
         store_dir = self.store_dir
         next_cand_dir = candidates_dir(nf_dir)
         t_exec = time.monotonic()
-        gates = [
-            actors[k % len(actors)]
-            .gate.options(num_returns=2)
-            .remote(
-                k, n, self._frontier_dir(n), nf_dir, gate_stats_dir, cfg.order_mode
+        fdir = self._frontier_dir(n)
+        shards = frontier_shards(fdir)
+        count_refs = [
+            actors[k % len(actors)].gate.remote(
+                k, n, fdir, nf_dir, gate_stats_dir, rdir, cfg.order_mode
             )
-            for k in frontier_shards(self._frontier_dir(n))
+            for k in shards
         ]
-        count_refs = [c for _, c in gates]
         # every call ends before a lost actor's error is raised, so no gate
         # of this attempt still writes when the round re-runs
         ray.wait(count_refs, num_returns=len(count_refs))
@@ -529,23 +534,39 @@ class CrawlEngine:
             stats.fetch_parts = _fetch_parts(
                 cfg, admitted, int(ray.cluster_resources().get("CPU", 32))
             )
-            gated = ray.data.from_arrow_refs(
-                [t for (t, _), c in zip(gates, counts) if c]
-            )
-            # the round's one execution and only exchange: fixed cuts, so
-            # the sort neither samples nor depends on how many shards
-            # admitted rows, and emits exactly fetch_parts blocks.
-            # FetchParse only needs each bucket's rows co-located, not one
-            # call per key, so it runs once per sorted block (a groupby's
-            # map_groups would call it once per fetch_key).
-            def fetch(rows: pa.Table) -> None:
-                FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
+            # the files this attempt's gates wrote, never a listing of
+            # admitted/: a killed attempt may have left a file for a shard
+            # that admits nothing now
+            paths = [admitted_path(rdir, k) for k, c in zip(shards, counts) if c]
 
-            n_keys = cfg.fetch_buckets * FETCH_SPLIT
+            # the round's one execution, map-only: one FetchParse call per
+            # range of consecutive fetch_keys, so each task probes each of
+            # its buckets once (a groupby's map_groups would call it once
+            # per fetch_key)
+            def fetch(bounds: pa.Table) -> pa.Table:
+                rows = read_admitted_range(
+                    paths, bounds["lo"][0].as_py(), bounds["hi"][0].as_py()
+                )
+                if rows is None:
+                    return pa.table({"rows": [0]})
+                FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
+                return pa.table({"rows": [rows.num_rows]})
+
+            ranges = key_ranges(stats.fetch_parts, cfg.fetch_buckets * FETCH_SPLIT)
             t_fetch = time.monotonic()
-            for_each_range(
-                gated, "fetch_key", stats.fetch_parts, n_keys, ADMITTED_SCHEMA, fetch
+            range_rows = sum(
+                out["rows"]
+                for out in ray.data.from_arrow(
+                    [pa.table({"lo": [lo], "hi": [hi]}) for lo, hi in ranges]
+                )
+                .map_batches(fetch, batch_size=1, batch_format="pyarrow")
+                .take_all()
             )
+            if range_rows != admitted:
+                raise RuntimeError(
+                    f"round {n}: the fetch ranges hold {range_rows} rows, "
+                    f"the gates admitted {admitted}"
+                )
             stats.fetch_exec_s = round(time.monotonic() - t_fetch, 3)
         stats.expand_s = round(time.monotonic() - t_exec, 2)
         for fname in os.listdir(gate_stats_dir) if os.path.isdir(gate_stats_dir) else []:

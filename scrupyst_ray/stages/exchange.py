@@ -1,15 +1,21 @@
-"""The crawl's exchanges: how a keyed sort is cut and padded, and how the
-frontier is laid out on disk.  No other module knows either.
+"""The crawl's exchanges: how a keyed exchange is cut into ranges, and how
+the frontier and the admitted rows are laid out on disk.  No other module
+knows either.
 
-Every keyed Ray Data exchange of the crawl (fetch stage; seeds / cap
-candidate writer, page store) is :func:`for_each_range`:
-a sort at fixed cuts (:func:`key_cuts`) that calls a callback once per
-range holding rows.  An empty range would come out of the sort as a
-schema-less block, which makes Ray Data log "different schema" warnings;
-so one placeholder row per range (its lowest key, every other column
-blank) is unioned in from one driver-built block and dropped before the
-callback.  The first column of the rows' schema marks placeholders: blank
-there, never blank in a real row.
+The seeds / cap candidate writer and the page store exchange through
+Ray Data: :func:`for_each_range`, a sort at fixed cuts (:func:`key_cuts`)
+that calls a callback once per range holding rows.  An empty range would
+come out of the sort as a schema-less block, which makes Ray Data log
+"different schema" warnings; so one placeholder row per range (its lowest
+key, every other column blank) is unioned in from one driver-built block
+and dropped before the callback.  The first column of the rows' schema
+marks placeholders: blank there, never blank in a real row.
+
+The fetch stage needs no sort: each gate writes its admitted rows already
+sorted by ``fetch_key`` (:func:`write_admitted`), and each fetch task reads
+its ``[lo, hi)`` slice of every admitting shard's file
+(:func:`read_admitted_range`) at the same fixed cuts (:func:`key_ranges`),
+as a consumer of sorted runs reads a key range (Exoshuffle, SIGCOMM 2023).
 
 A round's frontier directory holds::
 
@@ -20,7 +26,13 @@ A round's frontier directory holds::
 The tag is the fetch block's lowest ``fetch_key`` (under the map-side host
 cap, each row's parent ``fetch_key``), ``seeds`` or ``cap``.  Each shard's
 gate reads its own files (:func:`read_shard`); the frontier never
-rides a shuffle.  The files are Arrow IPC (feather v2), measured ~2.5×
+rides a shuffle.  Next to it, the round's directory holds::
+
+    admitted/shard-SSSSS.feather              the rows a shard's gate
+                                              admitted, sorted by fetch_key;
+                                              none for a shard admitting none
+
+The files are Arrow IPC (feather v2), measured ~2.5×
 cheaper than parquet on both sides at the bench's file sizes; the crawl
 artifact and seen deltas stay parquet.  They double as
 the resume checkpoint: every write is tmp+rename under a stable name, so
@@ -58,6 +70,13 @@ def key_cuts(parts: int, n_keys: int) -> list[int]:
     Ray, which then emits as many blocks as it received and can split one
     key across them."""
     return [n_keys * i // parts for i in range(1, parts)] or [n_keys]
+
+
+def key_ranges(parts: int, n_keys: int) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` ranges :func:`key_cuts` cuts ``[0, n_keys)`` into,
+    in key order: *parts* of them, together covering every key once."""
+    bounds = [0, *key_cuts(parts, n_keys)[: parts - 1], n_keys]
+    return list(zip(bounds, bounds[1:]))
 
 
 def _blank(t: pa.DataType):
@@ -224,6 +243,43 @@ def frontier_row_counts(frontier_dir: str) -> tuple[int, int]:
         exchange_rows(candidates_dir(frontier_dir)),
         exchange_rows(_deferred_dir(frontier_dir)),
     )
+
+
+# -- admitted layout ---------------------------------------------------------
+
+
+def admitted_dir(round_dir: str) -> str:
+    """Where a round's gates write their admitted rows."""
+    return os.path.join(round_dir, "admitted")
+
+
+def admitted_path(round_dir: str, shard: int) -> str:
+    """*shard*'s admitted-rows file in *round_dir*."""
+    return os.path.join(admitted_dir(round_dir), f"shard-{shard:05d}{EXCHANGE_EXT}")
+
+
+def write_admitted(rows: pa.Table, round_dir: str, shard: int) -> None:
+    """Write *shard*'s admitted *rows*, sorted by ``fetch_key``, into
+    *round_dir*; :func:`read_admitted_range` relies on the order."""
+    os.makedirs(admitted_dir(round_dir), exist_ok=True)
+    write_exchange(rows, admitted_path(round_dir, shard))
+
+
+def read_admitted_range(paths: list[str], lo: int, hi: int) -> pa.Table | None:
+    """The rows with ``lo <= fetch_key < hi`` of the admitted files *paths*
+    (each sorted by ``fetch_key``), file after file; None when there are
+    none.  Each file is memory-mapped and its run found by binary search,
+    so the rows are zero-copy slices of the maps."""
+    runs = []
+    for path in paths:
+        rows = read_exchange_file(path)
+        keys = rows["fetch_key"].to_numpy()
+        start, end = np.searchsorted(keys, [lo, hi]).tolist()
+        if end > start:
+            runs.append(rows.slice(start, end - start))
+    if not runs:
+        return None
+    return runs[0] if len(runs) == 1 else pa.concat_tables(runs)
 
 
 # -- exchange files ----------------------------------------------------------

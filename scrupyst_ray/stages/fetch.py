@@ -5,14 +5,16 @@ The reference's HTTP download handler (S1,
 lookup: the corpus *is* the network.  To make that lookup scale to a 100 TB
 page table WITHOUT re-scanning or re-shuffling the corpus every round, the
 pages are partitioned ONCE by ``bucket = bucket_of(url, B)`` (the function
-that routes every frontier row, ``functions/hashing.py``).  Per round:
+that routes every frontier row, ``functions/hashing.py``).  Per round, one
+fetch task per ``fetch_key`` range:
 
-    exchange.for_each_range(admitted, "fetch_key", fetch_parts, ..., FetchParse)
+    FetchParse(...)(exchange.read_admitted_range(admitted_files, lo, hi))
 
-The ranges are fixed, even cuts of the ``fetch_key`` space (one sorted
-block and one FetchParse call per fetch task, no sampling pass; see
-``stages/exchange.py``).  ``fetch_key`` is the bucket times
-FETCH_SPLIT plus a sub-split, so each sorted block holds a contiguous run
+The ranges are fixed, even cuts of the ``fetch_key`` space
+(``exchange.key_ranges``), and each task reads its range out of the gates'
+admitted files, which are sorted by ``fetch_key``: no sort, no sampling
+pass (see ``stages/exchange.py``).  ``fetch_key`` is the bucket times
+FETCH_SPLIT plus a sub-split, so each range holds a contiguous run
 of buckets, and its task reads ONLY those buckets' parquet fragments (one
 probe per bucket) with an ``url ∈ frontier`` scan filter — per-round I/O
 is proportional to the frontier, not the corpus.  At 10^10-URL design
@@ -206,10 +208,10 @@ def read_pages(store_dir: str, num_buckets: int, urls: list[str]) -> dict[str, b
 
 
 class FetchParse:
-    """Fused fetch→parse→candidate stage for one sorted block of admitted
-    rows.
+    """Fused fetch→parse→candidate stage for one block of admitted rows:
+    the rows of one ``fetch_key`` range.
 
-    One task per ``fetch_key``-sorted block per round: the block may span
+    One task per ``fetch_key`` range per round: the block may span
     several store buckets, and the task works through them one bucket at a
     time — probes the bucket's page bytes once, decodes text, extracts
     links — then builds + filters the block's next-round candidate rows
@@ -221,7 +223,7 @@ class FetchParse:
     - ``fetched/part-K.stats.json`` — counters (fetched/miss/edges/drops),
       so per-round stats cost zero extra Ray Data executions.
       K is the block's lowest ``fetch_key`` (a FETCH_SPLIT-way sub-split of
-      the store bucket, see pipelines/crawl.py).  Sorted blocks cover
+      the store bucket, see pipelines/crawl.py).  Blocks cover
       disjoint key ranges, so K is unique within a round.  The ranges are
       fixed cuts of the key space, a pure function of ``fetch_parts``;
       that follows the round's admitted count and the cluster's CPU count,
@@ -341,7 +343,7 @@ class FetchParse:
             # sorts by, so every globally-admittable row survives.  Ranked
             # within each parent fetch_key, not within the block: fetch_key
             # is a function of the parent row, so which rows survive does
-            # not depend on where the sort cut the blocks.
+            # not depend on where the fetch ranges were cut.
             ok_dir = "descending" if self.cfg.order_mode == "dfo" else "ascending"
             order = pc.sort_indices(
                 kept,

@@ -16,15 +16,17 @@ Shards share actor processes: a ``StateShard`` actor hosts a
 state and files.  The engine starts ``min(num_shards, cluster CPUs)``
 actors and actor ``j`` of ``A`` hosts shards ``j, j + A, j + 2A, …``: a
 gate cannot run on more CPUs than there are, and each actor process costs
-its start, its imports and its first Arrow return.
+its start and its imports.  No method returns an Arrow table (a process's
+first Arrow return imports ``ray.air``, ~0.2-0.7 s).
 
 Data flow per round (see ``pipelines/crawl.py``): the driver makes ONE
 :meth:`_ShardGroup.gate` call per shard with work, to the shard's actor.
 The shard reads its frontier files itself, deduplicates the new rows, looks
 them up in its own seen set, robots rules and budgets (``gate_check``,
 in-process), runs :func:`~scrupyst_ray.state.politeness.budget_draw`,
-writes the deferred rows and returns the admitted rows as one Arrow table,
-which the round's fetch execution takes by reference.  Of the page store,
+writes the deferred rows, writes the admitted rows sorted by ``fetch_key``
+(``exchange.write_admitted``), from which each fetch task reads its key
+range, and returns their count.  Of the page store,
 only robots.txt bodies reach these actors: a shard reads a host's robots.txt
 the first time the host reaches its gate (:meth:`_StateShard.gate_check`).
 
@@ -49,7 +51,7 @@ import pyarrow.compute as pc
 import ray
 
 from scrupyst_ray.functions.fingerprint import fingerprint_batch
-from scrupyst_ray.stages.exchange import read_shard, write_deferred
+from scrupyst_ray.stages.exchange import read_shard, write_admitted, write_deferred
 from scrupyst_ray.stages.fetch import read_pages
 from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA
 from scrupyst_ray.state.politeness import (
@@ -68,7 +70,7 @@ SEEN_DUP = 3  # status code for dupefilter-filtered rows
 # sub-splits per store bucket of the fetch stage's sort key (see _fetch_key)
 FETCH_SPLIT = 8
 
-# what the gate returns: the frontier row plus its fetch sort key
+# what the gate admits: the frontier row plus its fetch key
 ADMITTED_SCHEMA = FRONTIER_SCHEMA.append(pa.field("fetch_key", pa.int32()))
 
 
@@ -165,8 +167,8 @@ def _fetch_key(admitted: pa.Table) -> pa.Array:
     """The fetch stage's sort key: each store bucket sub-split FETCH_SPLIT
     ways by fp64.  The bucket alone is only 64-ary, and range-partitioning
     so few distinct values across ~32 blocks is lumpy (measured 3.3 s ..
-    10.9 s fetch-task skew); 512 keys balance the sorted blocks.
-    ``key // FETCH_SPLIT`` is still the store bucket, so a block holds a
+    10.9 s fetch-task skew); 512 keys balance the fetch ranges.
+    ``key // FETCH_SPLIT`` is still the store bucket, so a range holds a
     contiguous run of buckets and probes each of them once."""
     sub = pc.bit_wise_and(admitted["fp64"], pa.scalar(FETCH_SPLIT - 1, pa.uint64()))
     key = pc.add(
@@ -243,10 +245,14 @@ class _StateShard:
         frontier_dir: str,
         next_frontier_dir: str,
         stats_dir: str,
+        round_dir: str,
         order_mode: str,
-    ) -> tuple[pa.Table, int]:
-        """The shard's gate for round *round_id*: returns (admitted rows of
-        ``ADMITTED_SCHEMA``, their count).
+    ) -> int:
+        """The shard's gate for round *round_id*: returns the count of
+        rows it admitted, which it writes (``ADMITTED_SCHEMA``, stably
+        sorted by ``fetch_key``, so ties keep their budget-draw order) to
+        ``exchange.admitted_path(round_dir, shard)``; a shard admitting
+        nothing writes no such file.
 
         Reads the shard's rows from *frontier_dir* (``exchange.read_shard``:
         the new candidates the previous round's fetch tasks wrote for this
@@ -256,16 +262,17 @@ class _StateShard:
         budget over deferred ∪ surviving rows
         (``politeness.budget_draw``).  DEFERRED rows are written straight
         into *next_frontier_dir* (``exchange.write_deferred``) and the
-        counters into ``stats_dir/shard=K.json``; both are tmp+rename under
-        stable names, and a same-round repeat (after a restore to the
-        round before) returns an equal table and writes equal files.
+        counters into ``stats_dir/shard=K.json``; every file is
+        tmp+rename under a stable name, and a same-round repeat (after a
+        restore to the round before) returns the same count and writes
+        equal files.
 
         The sidecar's ``phase_s`` is the wall of each phase: file read /
         dedup + fingerprint / the seen, robots and budget lookup
         (``rpc``: since the gate runs in this actor, an in-process call,
         which also reads the robots.txt of hosts new to the shard) /
-        budget draw + deferred write.  A shard without rows returns an
-        empty table and writes nothing."""
+        budget draw + deferred and admitted writes.  A shard without rows
+        returns 0 and writes nothing."""
         t_start = time.monotonic()
         cands, deferred_in = read_shard(frontier_dir, self.shard_id)
         group = (
@@ -275,7 +282,7 @@ class _StateShard:
         n_def = deferred_in.num_rows if deferred_in is not None else 0
         t_read = time.monotonic()
         if n == 0 and n_def == 0:
-            return ADMITTED_SCHEMA.empty_table(), 0
+            return 0
 
         # -- NEW candidates only are deduplicated and looked up.  Deferred
         # rows were seen-recorded and robots-checked when first gated
@@ -309,8 +316,7 @@ class _StateShard:
         # -- budget draw over deferred ∪ surviving new rows: pure and
         # deterministic, so a repeated round replays identical decisions.
         parts = [t for t in (deferred_in, new_surv) if t is not None and t.num_rows]
-        admitted = ADMITTED_SCHEMA.empty_table()
-        n_defer_out = 0
+        n_admitted = n_defer_out = 0
         if parts:
             combined = (
                 pa.concat_tables(parts, promote_options="default")
@@ -323,7 +329,11 @@ class _StateShard:
             combined = combined.take(order)
             admitted = combined.filter(pa.array(admit_mask))
             admitted = admitted.append_column("fetch_key", _fetch_key(admitted))
-            n_defer_out = combined.num_rows - admitted.num_rows
+            n_admitted = admitted.num_rows
+            if n_admitted:
+                by_key = np.argsort(admitted["fetch_key"].to_numpy(), kind="stable")
+                write_admitted(admitted.take(by_key), round_dir, self.shard_id)
+            n_defer_out = combined.num_rows - n_admitted
             if n_defer_out:
                 deferred = combined.filter(pa.array(~admit_mask))
                 i_enq = deferred.column_names.index("already_enqueued")
@@ -338,7 +348,7 @@ class _StateShard:
         counts = {
             "shard": int(self.shard_id),
             "total": int(n + n_def),
-            "admitted": int(admitted.num_rows),
+            "admitted": int(n_admitted),
             "deferred": int(n_defer_out),
             "robots_forbidden": int((fresh & ~robots).sum()),
             # local dups and seen-set hits
@@ -354,7 +364,7 @@ class _StateShard:
         with open(path + ".tmp", "w") as f:
             json.dump(counts, f)
         os.replace(path + ".tmp", path)
-        return admitted, admitted.num_rows
+        return n_admitted
 
     def gate_check(
         self,
@@ -457,19 +467,16 @@ class _ShardGroup:
         ids = [shard_ids] if isinstance(shard_ids, int) else list(shard_ids)
         self.shards = {k: _StateShard(k, **shard_kwargs) for k in ids}
 
-    def warm(self) -> pa.Table:
+    def warm(self) -> None:
         """Force one-time per-process setup NOW (the engine warms its
         actors in parallel at startup); paying it lazily instead would land
         on round 0's gate calls: pyarrow's parquet scan set-up, paid here
-        by one page-store lookup of a url no page has, and the first Arrow
-        return, which imports ``ray.air`` (~0.6 s) — hence the
-        one-row-per-shard table."""
+        by one page-store lookup of a url no page has."""
         shard = next(iter(self.shards.values()))
         if shard.store_dir is not None:
             read_pages(shard.store_dir, shard.fetch_buckets, [""])
-        return pa.table({"shard": list(self.shards)})
 
-    def gate(self, shard_id: int, *args) -> tuple[pa.Table, int]:
+    def gate(self, shard_id: int, *args) -> int:
         """:meth:`_StateShard.gate` of shard *shard_id*."""
         return self.shards[shard_id].gate(*args)
 

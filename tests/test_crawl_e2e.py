@@ -17,7 +17,13 @@ import pytest
 
 from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.pipelines.crawl import CrawlEngine, CrawlResult, _fetch_parts
-from scrupyst_ray.stages.exchange import for_each_range, frontier_shards
+from scrupyst_ray.stages.exchange import (
+    admitted_path,
+    for_each_range,
+    frontier_shards,
+    read_exchange_file,
+    write_admitted,
+)
 from scrupyst_ray.state.shard import FETCH_SPLIT
 
 from tests.crawl_sim import load_pages_dict, simulate_crawl
@@ -101,7 +107,7 @@ def _assert_phase_schema(workdir: str, n_rounds: int) -> None:
 
 
 def _assert_one_artifact_per_block(workdir: str, cfg: CrawlConfig) -> None:
-    """The fetch stage writes one artifact per sorted block, not one per
+    """The fetch stage writes one artifact per fetch range, not one per
     fetch_key: each round's fetched/*.parquet count is at most its fetch
     task count, and the block sidecars add up to the manifest."""
     import ray
@@ -264,6 +270,84 @@ class TestCrawlE2E:
             d: m["stats"]["fetched"]
             for d, m in _committed_manifests(str(tmp_path / "full")).items()
         }
+
+    def test_stale_admitted_file_is_not_fetched(
+        self, smoke_corpus, tmp_path, monkeypatch
+    ):
+        """A killed attempt's admitted file for a shard that admits nothing
+        in the re-run is never fetched: the re-run clears the round's
+        ``admitted/``, and the fetch reads only the files of the shards
+        whose gate returned rows in this attempt, so a file planted after
+        the clear (round 0's admitted rows, under a shard without work) is
+        not read either."""
+        from scrupyst_ray.pipelines import crawl
+
+        cfg = _cfg()
+        cfg.seen_shards = 8  # 5 hosts: every round has shards without work
+        pages = os.path.join(smoke_corpus, "pages")
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        wd = str(tmp_path / "wd")
+        eng = CrawlEngine.for_corpus(pages, wd, cfg)
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        eng.run(max_rounds=2)
+        eng.shutdown_actors()  # "kill"
+        round0 = eng._round_dir(0)
+        stale = [
+            read_exchange_file(admitted_path(round0, k))
+            for k in range(cfg.seen_shards)
+            if os.path.exists(admitted_path(round0, k))
+        ]
+        assert stale
+
+        def plant(frontier_dir: str, with_work: list[int]) -> None:
+            idle = [k for k in range(cfg.seen_shards) if k not in with_work]
+            for rows, k in zip(stale, idle):
+                write_admitted(rows, os.path.dirname(frontier_dir), k)
+
+        # the killed attempt at round 2 ...
+        plant(eng._frontier_dir(2), frontier_shards(eng._frontier_dir(2)))
+        planted: list[str] = []
+
+        def shards_then_plant(frontier_dir: str) -> list[int]:
+            # ... and one that would survive the clear of every round
+            with_work = frontier_shards(frontier_dir)
+            plant(frontier_dir, with_work)
+            planted.append(frontier_dir)
+            return with_work
+
+        monkeypatch.setattr(crawl, "frontier_shards", shards_then_plant)
+        resumed = CrawlEngine(eng.store_dir, wd, cfg)
+        res = resumed.run(max_rounds=6)
+        resumed.shutdown_actors()
+
+        assert len(planted) == len(res.rounds) > 1
+        assert _engine_order(CrawlResult(wd, [], "")) == sim.fetch_order
+        assert _engine_seen_fps(wd) == sim.seen_fps
+        assert [r.admitted for r in res.rounds] == sim.per_round_admitted[2:]
+
+    def test_state_shards_never_import_ray_air(self, smoke_corpus, tmp_path):
+        """No StateShard method returns an Arrow table, so no actor process
+        pays the ``ray.air`` import of a first Arrow return."""
+        import ray
+
+        eng = CrawlEngine.for_corpus(
+            os.path.join(smoke_corpus, "pages"), str(tmp_path / "wd"), _cfg()
+        )
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        res = eng.run(max_rounds=3)
+        try:
+            imported = ray.get(
+                [
+                    a.__ray_call__.remote(lambda self: "ray.air" in sys.modules)
+                    for a in eng._actors
+                ]
+            )
+        finally:
+            eng.shutdown_actors()
+        assert res.total_fetched > 0
+        assert imported == [False] * len(imported) and imported
 
     def test_lost_state_shard_heals(self, smoke_corpus, tmp_path, monkeypatch):
         """Shard 1's actor dies before round 2's first attempt, while the
@@ -764,9 +848,40 @@ class TestMapSideHostCap:
 
 @pytest.mark.usefixtures("ray_session")
 class TestFixedCutExchanges:
-    """Every keyed exchange of a crawl (fetch stage; candidate and
-    page-store writers) is a sort at fixed cuts: it never samples, and no
-    range comes out of the sort as a schema-less empty block."""
+    """Every keyed exchange of a crawl is cut at fixed ranges: the candidate
+    and page-store writers sort at fixed cuts, never sample, and no range
+    comes out of the sort as a schema-less empty block; the fetch stage
+    reads its ranges out of the gates' sorted files and sorts nothing."""
+
+    def test_rounds_run_no_sort(self, smoke_corpus, tmp_path, monkeypatch):
+        """With the candidate cap off, ``run()`` calls no
+        ``Dataset.sort``, and the crawl still matches the oracle."""
+        import ray.data
+
+        cfg = _cfg()
+        cfg.max_round_candidates = 0
+        sim = simulate_crawl(
+            load_pages_dict(smoke_corpus), _seed_urls(smoke_corpus), cfg, max_rounds=6
+        )
+        wd = str(tmp_path / "wd")
+        eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        sorts: list[tuple] = []
+        sort = ray.data.Dataset.sort
+
+        def counted(ds, *args, **kwargs):
+            sorts.append(args)
+            return sort(ds, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(ray.data.Dataset, "sort", counted)
+            res = eng.run(max_rounds=6)
+        eng.shutdown_actors()
+
+        assert sorts == []
+        assert len(res.rounds) > 1 and all(r.fetch_parts for r in res.rounds)
+        assert _engine_order(res) == sim.fetch_order
+        assert _engine_seen_fps(wd) == sim.seen_fps
 
     @pytest.mark.parametrize("shards", [4, 1])
     def test_no_sampling_matches_oracle(

@@ -1,7 +1,8 @@
 """The crawl exchange module (stages/exchange.py): exchange-file IPC
 round-trip, legacy lz4 feather compatibility, row counting, atomicity; the
-fixed-cut keyed sort; the frontier layout; and the rule that no other
-module cuts a keyed sort or spells a frontier file name."""
+fixed-cut keyed sort; the fetch's key-range reader over sorted admitted
+files; the frontier layout; and the rule that no other module cuts a keyed
+sort or spells a frontier file name."""
 
 from __future__ import annotations
 
@@ -22,15 +23,19 @@ import scrupyst_ray
 from scrupyst_ray.stages import exchange
 from scrupyst_ray.stages.exchange import (
     EXCHANGE_EXT,
+    admitted_path,
     exchange_files,
     exchange_rows,
     for_each_range,
     frontier_row_counts,
     frontier_shards,
     key_cuts,
+    key_ranges,
+    read_admitted_range,
     read_exchange_dir,
     read_exchange_file,
     read_shard,
+    write_admitted,
     write_candidates,
     write_deferred,
     write_exchange,
@@ -185,6 +190,97 @@ class TestForEachRange:
         assert per_range == [3, 0]
         calls, per_range = self._run([_keyed([])], 4, 4, tmp_path / "empty")
         assert calls == [] and per_range == [0, 0, 0, 0]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestAdmittedRanges:
+    """The fetch reads its ``[lo, hi)`` ranges straight out of the gates'
+    sorted admitted files: every row lands in exactly one range, each
+    range's rows come file after file, and the per-range counts are those
+    of the fixed-cut sort the fetch used to run (``for_each_range``)."""
+
+    N_KEYS = 32
+    # keys no row holds: the even ranges [12, 16) (8 parts) and [0, 1)
+    # (32 parts) stay empty
+    EMPTY = set(range(12, 16)) | {0}
+
+    def _shards(self, tmp_path) -> tuple[list[str], list[pa.Table]]:
+        """Four shard files of random keys, plus every cut of the tested
+        part counts that is not in EMPTY; one shard holds one row."""
+        rng = np.random.default_rng(7)
+        keys = [k for k in range(self.N_KEYS) if k not in self.EMPTY]
+        on_cuts = [k for p in (3, 8) for k in key_cuts(p, self.N_KEYS)]
+        shard_keys = [
+            rng.choice(keys, 40).tolist() + [k for k in on_cuts if k in keys],
+            rng.choice(keys, 25).tolist(),
+            [int(rng.choice(keys))],
+            rng.choice(keys, 60).tolist() + keys,
+        ]
+        paths, tables = [], []
+        for shard, ks in zip((0, 2, 3, 5), shard_keys):
+            rows = pa.table(
+                {
+                    "url": [f"http://s{shard}.test/{i}" for i in range(len(ks))],
+                    "fetch_key": pa.array(ks, pa.int32()),
+                    "v": pa.array(range(len(ks)), pa.int64()),
+                }
+            )
+            rows = rows.take(np.argsort(ks, kind="stable"))
+            write_admitted(rows, str(tmp_path), shard)
+            paths.append(admitted_path(str(tmp_path), shard))
+            tables.append(rows)
+        return paths, tables
+
+    @pytest.mark.parametrize("parts", [1, 3, 8, N_KEYS])
+    def test_each_row_in_one_range(self, tmp_path, parts):
+        import ray
+
+        paths, tables = self._shards(tmp_path)
+        every = pa.concat_tables(tables)
+        ranges = key_ranges(parts, self.N_KEYS)
+        assert len(ranges) == parts
+        assert [lo for lo, _ in ranges] == [0, *key_cuts(parts, self.N_KEYS)][:parts]
+        assert ranges[-1][1] == self.N_KEYS
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+
+        before = pa.total_allocated_bytes()
+        got = [read_admitted_range(paths, lo, hi) for lo, hi in ranges]
+        assert pa.total_allocated_bytes() == before  # slices of the maps
+        assert all(read_admitted_range([], lo, hi) is None for lo, hi in ranges)
+        urls = []
+        for (lo, hi), rows in zip(ranges, got):
+            # the range's run of each file, file after file
+            want = pa.concat_tables(
+                [
+                    t.filter(
+                        pc.and_(
+                            pc.greater_equal(t["fetch_key"], lo),
+                            pc.less(t["fetch_key"], hi),
+                        )
+                    )
+                    for t in tables
+                ]
+            )
+            if rows is None:
+                assert want.num_rows == 0
+                continue
+            assert rows.equals(want)
+            urls += rows["url"].to_pylist()
+        assert sorted(urls) == sorted(every["url"].to_pylist())  # once each
+        if parts in (8, self.N_KEYS):
+            assert any(rows is None for rows in got)  # an empty range
+
+        counts = [0 if rows is None else rows.num_rows for rows in got]
+        sorted_counts = for_each_range(
+            ray.data.from_arrow(every),
+            "fetch_key",
+            parts,
+            self.N_KEYS,
+            every.schema,
+            lambda rows: None,
+        )
+        # one part also has a phantom range past the last key
+        assert sorted_counts == counts + [0] * (len(sorted_counts) - parts)
 
 
 def _frontier_table(shards: list[int]) -> pa.Table:

@@ -1,4 +1,4 @@
-"""FetchParse over one sorted block that spans several store buckets: the
+"""FetchParse over one block that spans several store buckets: the
 block-level call must equal the union of smaller calls, probe each bucket
 exactly once, and rank the map-side host cap within each parent fetch_key."""
 

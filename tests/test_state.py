@@ -435,7 +435,7 @@ class TestShardGroup:
         one = _ShardGroup(5, user_agent="ua")
         assert list(one.shards) == [5]
         assert one.restore(seen_dir, 0) == 5
-        assert one.warm()["shard"].to_pylist() == [5]
+        assert one.warm() is None
 
 
 class TestShardGate:
@@ -513,8 +513,9 @@ class TestShardGate:
         )
 
     def _round(self, tmp_path, order_mode):
-        """Lay out round 1's frontier, then gate it twice: (shard, dirs,
-        first result, second result, first-call files)."""
+        """Lay out round 1's frontier, then gate it twice: (first
+        (admitted rows, count), second (admitted rows, count), first-call
+        files, second-call files)."""
         from scrupyst_ray.config import CrawlConfig
         from scrupyst_ray.functions.fingerprint import fingerprint_batch
         from scrupyst_ray.stages.exchange import (
@@ -542,11 +543,19 @@ class TestShardGate:
         old = fingerprint_batch(pa.table({"url": ["http://a.test/old"]}))
         sh.seen.check_and_add(0, old["fp"].to_pylist(), old["fp64"].to_numpy())
 
-        args = (1, fdir, nf_dir, stats_dir, order_mode)
-        first = sh.gate(*args)
+        rdir = str(tmp_path / "round-000001")
+        args = (1, fdir, nf_dir, stats_dir, rdir, order_mode)
+        first = self._admitted(rdir, sh.gate(*args))
         files = self._files(nf_dir, stats_dir)
-        second = sh.gate(*args)
+        second = self._admitted(rdir, sh.gate(*args))
         return first, second, files, self._files(nf_dir, stats_dir)
+
+    @staticmethod
+    def _admitted(round_dir, count):
+        """(the rows of shard 0's admitted file, the gate's count)."""
+        from scrupyst_ray.stages.exchange import admitted_path, read_exchange_file
+
+        return read_exchange_file(admitted_path(round_dir, 0)), count
 
     @staticmethod
     def _files(nf_dir, stats_dir):
@@ -579,6 +588,10 @@ class TestShardGate:
         assert admitted.schema == ADMITTED_SCHEMA
         assert count == admitted.num_rows == len(want_admitted)
         assert pairs(admitted) == want_admitted
+        # the fetch tasks read their key ranges out of the file by binary
+        # search
+        keys = admitted["fetch_key"].to_pylist()
+        assert keys == sorted(keys)
         # lazy fingerprints are filled in, and the fetch key is the row's
         # store bucket sub-split by fp64
         fps = fingerprint_batch(admitted.select(["url"]))
@@ -602,7 +615,7 @@ class TestShardGate:
     @pytest.mark.parametrize("order_mode", ["bfo", "dfo"])
     def test_same_round_twice_is_identical(self, tmp_path, order_mode):
         """A re-run round calls the gate again for the same round: it must
-        return an equal table and write equal files."""
+        return the same count and write equal files."""
         first, second, files_1, files_2 = self._round(tmp_path, order_mode)
         assert first[1] == second[1]
         assert first[0].equals(second[0])
@@ -611,12 +624,12 @@ class TestShardGate:
 
     def test_shard_without_rows(self, tmp_path):
         sh = _StateShard(0, user_agent="ua")
-        stats_dir = str(tmp_path / "gate_stats")
-        admitted, count = sh.gate(
-            0, str(tmp_path / "f0"), str(tmp_path / "f1"), stats_dir, "bfo"
+        stats_dir, rdir = str(tmp_path / "gate_stats"), str(tmp_path / "round")
+        count = sh.gate(
+            0, str(tmp_path / "f0"), str(tmp_path / "f1"), stats_dir, rdir, "bfo"
         )
-        assert (admitted.num_rows, count) == (0, 0)
-        assert not os.path.exists(stats_dir)
+        assert count == 0
+        assert not os.path.exists(stats_dir) and not os.path.exists(rdir)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -746,5 +759,5 @@ class TestStoreRobots:
         group = _ShardGroup(
             [0, 2], user_agent=self.UA, store_dir=store, fetch_buckets=self.BUCKETS
         )
-        assert group.warm()["shard"].to_pylist() == [0, 2]
+        assert group.warm() is None
         assert len(reads) == 1
