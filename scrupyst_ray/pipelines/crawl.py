@@ -35,6 +35,10 @@ files are named, is ``stages/exchange.py``'s alone.  A round that admits
 nothing runs no fetch execution.  The page corpus itself is never shuffled
 or re-scanned (see ``stages/fetch.py``).
 
+Set-up exchanges the same way (``build_page_store``, ``init_frontier``):
+no step of a crawl runs a keyed Ray Data sort.  The one sort left is the
+candidate cap's global top-k by crawl order.
+
 Checkpoint layout (resume = reference JOBDIR contract,
 ``scrapy/core/scheduler.py:441-496`` + ``dupefilters.py:76-82``):
 
@@ -85,7 +89,7 @@ Skew story (SURVEY §7.4 "hot-domain skew"):
 
 from __future__ import annotations
 
-import functools
+import hashlib
 import json
 import os
 import shutil
@@ -93,6 +97,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import ray
 
@@ -103,18 +108,19 @@ from scrupyst_ray.stages.exchange import (
     admitted_path,
     built_for,
     candidates_dir,
+    cluster_cpus,
     exchange_files,
-    for_each_range,
     frontier_row_counts,
     frontier_shards,
     key_ranges,
-    read_admitted_range,
+    map_ranges,
     read_exchange_file,
+    read_range,
     write_candidates,
     write_marker,
 )
 from scrupyst_ray.stages.fetch import FetchParse, build_page_store
-from scrupyst_ray.stages.frontier import FRONTIER_SCHEMA, seeds_to_frontier
+from scrupyst_ray.stages.frontier import seeds_to_frontier
 from scrupyst_ray.state.shard import FETCH_SPLIT, StateShard
 
 # seeds per read block of init_frontier (see there)
@@ -145,7 +151,7 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     task) and multiplies the per-(shard, task) candidate-file count the
     next gate must read back.
 
-    The cuts are even ranges of the key space (``key_cuts``), not sampled:
+    The cuts are even ranges of the key space (``key_ranges``), not sampled:
     ``fetch_key`` is a uniform hash, so they balance as well.  A block's
     keys are consecutive, so it probes each of its buckets once; with
     more parts than buckets one bucket is probed by several blocks."""
@@ -155,14 +161,24 @@ def _fetch_parts(cfg: CrawlConfig, total_rows: int, n_cpus: int) -> int:
     )
 
 
-def _write_sharded_candidates(ds, cand_dir: str, num_shards: int, tag: str) -> None:
-    """Write a frontier dataset as per-shard candidate files tagged *tag*,
-    the layout the fetch stage emits, so the gate can always read its
-    shard's rows without a shuffle.  One range per shard, so each shard's
-    file is written by exactly one call and its name is the same under
-    task retry."""
-    write = functools.partial(write_candidates, cand_dir=cand_dir, tags=tag)
-    for_each_range(ds, "shard", num_shards, num_shards, FRONTIER_SCHEMA, write)
+def _write_sharded_candidates(ds, cand_dir: str, produce) -> None:
+    """Write the frontier rows of each block of *ds*, ``(rows, tag) =
+    produce(block)``, as per-shard candidate files, as a fetch task does;
+    the tag must be unique per block and the same on a task retry."""
+
+    def write(block: pa.Table) -> pa.Table:
+        rows, tag = produce(block)
+        write_candidates(rows, cand_dir, tag)
+        return pa.table({"rows": [rows.num_rows]})
+
+    ds.map_batches(write, batch_size=None, batch_format="pyarrow").take_all()
+
+
+def _first_key_digest(block: pa.Table) -> str:
+    """A digest of the first (priority, order_key) of *block*: unique."""
+    key = block["priority"][0].as_py().to_bytes(8, "big", signed=True)
+    key += block["order_key"][0].as_py()
+    return hashlib.blake2b(key, digest_size=8).hexdigest()
 
 
 @dataclass
@@ -293,8 +309,7 @@ class CrawlEngine:
         actor process started costs ~0.5 s of start and imports."""
         if self._actors is None:
             cfg = self.cfg
-            n_cpus = int(ray.cluster_resources().get("CPU", 1))
-            n_actors = max(1, min(cfg.seen_shards, n_cpus))
+            n_actors = max(1, min(cfg.seen_shards, cluster_cpus()))
             self._actors = [
                 StateShard.remote(
                     list(range(j, cfg.seen_shards, n_actors)),
@@ -361,11 +376,13 @@ class CrawlEngine:
         return last
 
     def init_frontier(self, seeds_path: str) -> None:
-        """Round-0 frontier from the seed list.  Idempotent: skipped once
-        round 0 is committed or its frontier is complete (``_COMPLETE``,
-        which records ``seen_shards``; another shard count raises
-        ``ValueError``).  A frontier without either may have been cut short
-        between two shard writes, so it is removed and written again."""
+        """Round-0 frontier from the seed list, in one map-only execution:
+        each seed read block writes its rows per shard as candidate files
+        tagged with its lowest ``seq``, like a fetch task.  Idempotent:
+        skipped once round 0 is committed or its frontier is complete
+        (``_COMPLETE``, which records ``seen_shards``; another shard count
+        raises ``ValueError``).  A frontier without either may have been cut
+        short between two block writes, so it is removed and written again."""
         cfg = self.cfg
         fdir = self._frontier_dir(0)
         marker = os.path.join(fdir, "_COMPLETE")
@@ -382,11 +399,10 @@ class CrawlEngine:
         ]
         blocks = min(min(rows, default=1), -(-sum(rows) // SEED_ROWS))
         seeds = ray.data.read_parquet(seeds_path, override_num_blocks=max(1, blocks))
-        frontier = seeds.map_batches(
-            lambda b: seeds_to_frontier(b, cfg), batch_format="pyarrow"
-        )
         _write_sharded_candidates(
-            frontier, candidates_dir(fdir), cfg.seen_shards, "seeds"
+            seeds,
+            candidates_dir(fdir),
+            lambda b: (seeds_to_frontier(b, cfg), pc.min(b["seq"]).as_py()),
         )
         os.makedirs(fdir, exist_ok=True)
         write_marker(marker, routing)
@@ -425,13 +441,11 @@ class CrawlEngine:
         start_s = time.monotonic() - t_start
         all_stats: list[RoundStats] = []
         total_fetched = self._committed_fetch_count(start_round)
-        stopped = "frontier_empty"
         n = start_round
-        hard_max = max_rounds if max_rounds is not None else cfg.max_rounds or 10**9
-        while n < start_round + 10**9:
-            if (n - 0) >= hard_max and hard_max > 0:
-                stopped = "max_rounds"
-                break
+        # rounds run while n < last, an absolute round index; 0 = no bound
+        last = max_rounds or cfg.max_rounds
+        stopped = "max_rounds"
+        while not last or n < last:
             if cfg.closespider_pagecount and total_fetched >= cfg.closespider_pagecount:
                 stopped = "closespider_pagecount"
                 break
@@ -482,9 +496,10 @@ class CrawlEngine:
                count.
             2. (only if anything was admitted) a map-only execution over
                as many fixed ``fetch_key`` ranges as the summed count calls
-               for (``exchange.key_ranges``), one task each: the task reads
+               for (``exchange.key_ranges``), one task each
+               (``exchange.map_ranges``): the task reads
                its range of the admitted files of the shards whose call
-               returned rows (``exchange.read_admitted_range``) → fused
+               returned rows (``exchange.read_range``) → fused
                fetch+parse, if the range holds rows → per-shard candidate
                files for round n+1.  The ranges' row counts must add up to
                the gates'.  ``fetch_exec_s`` is its wall.
@@ -531,9 +546,7 @@ class CrawlEngine:
         stats.gate_s = round(time.monotonic() - t_exec, 3)
         admitted = sum(counts)
         if admitted:
-            stats.fetch_parts = _fetch_parts(
-                cfg, admitted, int(ray.cluster_resources().get("CPU", 32))
-            )
+            stats.fetch_parts = _fetch_parts(cfg, admitted, cluster_cpus())
             # the files this attempt's gates wrote, never a listing of
             # admitted/: a killed attempt may have left a file for a shard
             # that admits nothing now
@@ -543,25 +556,16 @@ class CrawlEngine:
             # range of consecutive fetch_keys, so each task probes each of
             # its buckets once (a groupby's map_groups would call it once
             # per fetch_key)
-            def fetch(bounds: pa.Table) -> pa.Table:
-                rows = read_admitted_range(
-                    paths, bounds["lo"][0].as_py(), bounds["hi"][0].as_py()
-                )
+            def fetch(lo: int, hi: int) -> int:
+                rows = read_range(paths, "fetch_key", lo, hi)
                 if rows is None:
-                    return pa.table({"rows": [0]})
+                    return 0
                 FetchParse(store_dir, n, fetched_dir, cfg, next_cand_dir)(rows)
-                return pa.table({"rows": [rows.num_rows]})
+                return rows.num_rows
 
             ranges = key_ranges(stats.fetch_parts, cfg.fetch_buckets * FETCH_SPLIT)
             t_fetch = time.monotonic()
-            range_rows = sum(
-                out["rows"]
-                for out in ray.data.from_arrow(
-                    [pa.table({"lo": [lo], "hi": [hi]}) for lo, hi in ranges]
-                )
-                .map_batches(fetch, batch_size=1, batch_format="pyarrow")
-                .take_all()
-            )
+            range_rows = map_ranges(ranges, fetch)
             if range_rows != admitted:
                 raise RuntimeError(
                     f"round {n}: the fetch ranges hold {range_rows} rows, "
@@ -618,8 +622,9 @@ class CrawlEngine:
         next_cand, next_def = kept_rows, stats.deferred
         if cfg.max_round_candidates and next_cand > cfg.max_round_candidates:
             t_cap = time.monotonic()
-            # bound the next shuffle: global top-k of the NEW candidates by
-            # crawl order; the tail is dropped (re-discoverable via links) —
+            # bound the next round's gates: global top-k of the NEW
+            # candidates by crawl order, each block of which writes its rows
+            # per shard; the tail is dropped (re-discoverable via links) —
             # SURVEY.md §4.2.  Deferred rows are never capped: their
             # fingerprints are already recorded in the seen set, so dropping
             # one would lose the URL forever.
@@ -643,7 +648,9 @@ class CrawlEngine:
             )
             tmp_dir = next_cand_dir + ".capped"
             shutil.rmtree(tmp_dir, ignore_errors=True)
-            _write_sharded_candidates(capped, tmp_dir, cfg.seen_shards, "cap")
+            _write_sharded_candidates(
+                capped, tmp_dir, lambda b: (b, _first_key_digest(b))
+            )
             shutil.rmtree(next_cand_dir)
             os.replace(tmp_dir, next_cand_dir)
             next_cand = cfg.max_round_candidates

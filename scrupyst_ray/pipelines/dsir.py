@@ -38,7 +38,6 @@ driver; the only key exchange left shapes the outputs (the ``sort``);
 
 from __future__ import annotations
 
-import math
 from hashlib import md5
 
 import numpy as np
@@ -47,8 +46,8 @@ import pyarrow.compute as pc
 import ray
 
 from scrupyst_ray.functions.textstats import gram_texts, ngram_ids, ws_token_ids
-from scrupyst_ray.pipelines.joins import stream_blocks
-from scrupyst_ray.pipelines.textstats import _codes, _docs
+from scrupyst_ray.pipelines.joins import mean_by_key, stream_blocks
+from scrupyst_ray.pipelines.textstats import _docs
 
 N_BUCKETS = 10_000  # the paper's hashed-feature dimensionality
 
@@ -155,43 +154,10 @@ def dsir_by_lang(sf_dir: str, target_lang: str = "en") -> pa.Table:
     """(lang, n_docs, avg_logw) — mean DSIR weight per language.  The
     target language should dominate: its docs ARE the target distribution.
 
-    Each block emits one (lang, n, Σlogw) row per language and the driver
-    folds them as the blocks finish, like ``doc_token_totals``: no
-    groupby.  Both sums are ``math.fsum``, so the mean does not depend on
-    the order the blocks finish in."""
-
-    def partials(b: pa.Table) -> pa.Table:
-        lang = _codes(b["lang"])
-        codes = lang.indices.to_numpy()
-        w = b["logw_f"].to_numpy()
-        present = np.unique(codes)
-        return pa.table(
-            {
-                "lang": lang.dictionary.take(present),
-                "n": pa.array([int((codes == c).sum()) for c in present], pa.int64()),
-                "sum": pa.array(
-                    [math.fsum(w[codes == c]) for c in present], pa.float64()
-                ),
-            }
-        )
-
+    The per-language sums are folded on the driver
+    (:func:`~scrupyst_ray.pipelines.joins.mean_by_key`): no groupby."""
     docs = doc_logweights(sf_dir, target_lang)
-    n_docs, sums = {}, {}
-    for b in stream_blocks(docs.map_batches(partials, batch_format="pyarrow")):
-        for lang, n, w in zip(*(b[c].to_pylist() for c in ("lang", "n", "sum"))):
-            n_docs[lang] = n_docs.get(lang, 0) + n
-            sums.setdefault(lang, []).append(w)
-    langs = sorted(n_docs, key=lambda k: (k is None, k or ""))
-    return pa.table(
-        {
-            "lang": pa.array(langs, pa.string()),
-            "n_docs": pa.array([n_docs[k] for k in langs], pa.int64()),
-            "avg_logw": pa.array(
-                [f"{math.fsum(sums[k]) / n_docs[k]:.4f}" for k in langs],
-                pa.string(),
-            ),
-        }
-    )
+    return mean_by_key(docs, "lang", "logw_f", "avg_logw")
 
 
 def dsir_top_docs(sf_dir: str, k: int = 50, target_lang: str = "en"):

@@ -14,8 +14,10 @@ Two join strategies, chosen by side size (SURVEY.md §2.4 guidance):
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -71,6 +73,44 @@ def stream_blocks(ds):
     for b in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
         if b.num_rows:
             yield b
+
+
+def mean_by_key(ds, key: str, value: str, mean_as: str) -> pa.Table:
+    """(*key*, n_docs, *mean_as*) per distinct *key* of *ds*, keys sorted
+    with None last: the row count and the mean of *value* as a ``%.4f``
+    string.  Each block emits one (key, n, Σvalue) row per key and the
+    driver folds them as the blocks finish: no groupby, whose few-key
+    partitions would come out empty.  The sums are ``math.fsum``, so a
+    mean does not depend on the order the blocks finish in."""
+
+    def partials(b: pa.Table) -> pa.Table:
+        keys = pc.dictionary_encode(b[key].combine_chunks(), null_encoding="encode")
+        codes = keys.indices.to_numpy()
+        v = b[value].to_numpy()
+        present = np.unique(codes)
+        return pa.table(
+            {
+                "key": keys.dictionary.take(present),
+                "n": pa.array([int((codes == c).sum()) for c in present], pa.int64()),
+                "sum": pa.array(
+                    [math.fsum(v[codes == c]) for c in present], pa.float64()
+                ),
+            }
+        )
+
+    counts, sums = {}, {}
+    for b in stream_blocks(ds.map_batches(partials, batch_format="pyarrow")):
+        for k, n, s in zip(*(b[c].to_pylist() for c in ("key", "n", "sum"))):
+            counts[k] = counts.get(k, 0) + n
+            sums.setdefault(k, []).append(s)
+    keys = sorted(counts, key=lambda k: (k is None, k or ""))
+    return pa.table(
+        {
+            key: pa.array(keys, pa.string()),
+            "n_docs": pa.array([counts[k] for k in keys], pa.int64()),
+            mean_as: [f"{math.fsum(sums[k]) / counts[k]:.4f}" for k in keys],
+        }
+    )
 
 
 # Broadcast-vs-shuffle selection threshold: a side at or below this many

@@ -54,7 +54,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
-from ray.data.aggregate import Count, Mean, Sum
+from ray.data.aggregate import Sum
 
 from scrupyst_ray.functions.textstats import gram_texts, ngram_ids, ws_token_ids
 from scrupyst_ray.pipelines import joins
@@ -202,22 +202,9 @@ def bigram_lm_ppl(sf_dir: str):
     return doc_ppl(sf_dir).map_batches(fmt, batch_format="pyarrow").sort("doc_id")
 
 
-def lm_ppl_by_source(sf_dir: str):
+def lm_ppl_by_source(sf_dir: str) -> pa.Table:
     """(source, n_docs, avg_ppl) — mean per-document perplexity per corpus
-    source (the head/middle/tail split signal, aggregated)."""
-    per_doc = doc_ppl(sf_dir, ("source",))
-    agg = per_doc.groupby("source").aggregate(Count(), Mean("ppl_f"))
-
-    def fmt(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "source": b["source"],
-                "n_docs": pc.cast(b["count()"], pa.int64()),
-                "avg_ppl": pa.array(
-                    [f"{v:.4f}" for v in b["mean(ppl_f)"].to_pylist()],
-                    pa.string(),
-                ),
-            }
-        )
-
-    return agg.map_batches(fmt, batch_format="pyarrow").sort("source")
+    source (the head/middle/tail split signal, aggregated), folded on the
+    driver from per-block (source, n, Σppl) rows
+    (:func:`~scrupyst_ray.pipelines.joins.mean_by_key`): no groupby."""
+    return joins.mean_by_key(doc_ppl(sf_dir, ("source",)), "source", "ppl_f", "avg_ppl")

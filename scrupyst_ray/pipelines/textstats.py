@@ -620,14 +620,15 @@ def vocab_by_lang(sf_dir: str):
     ).sort("lang")
 
 
-def vocab_by_lang_hll(sf_dir: str):
+def vocab_by_lang_hll(sf_dir: str) -> pa.Table:
     """(lang, vocab_est) — the SKETCH variant of :func:`vocab_by_lang`:
-    HyperLogLog registers (``functions/sketches.py``, 4 KB per lang) merged
-    with a ``groupby(lang, register).max`` — state is constant per lang at
-    ANY corpus size, duplicate partials are harmless (max is idempotent),
-    estimate ≈1.6% standard error (bounded vs the exact query in tests,
-    and the ESTIMATE itself is hash-gated by a full DuckDB twin since
-    round 5).
+    HyperLogLog registers (``functions/sketches.py``, 4 KB per lang); each
+    block emits its sparse (lang, register, rho) partials and the driver
+    keeps each lang's register maxima as the blocks finish — no groupby,
+    state is constant per lang at ANY corpus size, duplicate partials are
+    harmless (max is idempotent), estimate ≈1.6% standard error (bounded
+    vs the exact query in tests, and the ESTIMATE itself is hash-gated by
+    a full DuckDB twin since round 5).
 
     Token hash: md5 first-8-bytes big-endian (NOT ``stable_hash64``'s
     blake2b, which DuckDB cannot compute) — equally uniform, and it lets
@@ -636,7 +637,8 @@ def vocab_by_lang_hll(sf_dir: str):
     HUGEINT), the exact harmonic denominator, and the linear-counting
     branch, so the estimate is verified end to end rather than merely
     floor-gated."""
-    from scrupyst_ray.functions.sketches import hll_estimate, hll_partial
+    from scrupyst_ray.functions.sketches import HLL_M, hll_estimate, hll_partial
+    from scrupyst_ray.pipelines.joins import stream_blocks
 
     ds = _docs(sf_dir, ["lang", "text"])
 
@@ -661,26 +663,22 @@ def vocab_by_lang_hll(sf_dir: str):
             tables.append(pa.table([lang, idx, rho], schema=registers))
         return pa.concat_tables(tables)
 
-    merged = (
-        ds.map_batches(register_rows, batch_format="pyarrow")
-        .groupby(["lang", "register"])
-        .max("rho")
-    )
-
-    def finish(g: pa.Table) -> pa.Table:
-        est = hll_estimate(
-            g["register"].to_numpy(zero_copy_only=False),
-            g["max(rho)"].to_numpy(zero_copy_only=False),
-        )
-        return pa.table(
-            {
-                "lang": pa.array([g["lang"][0].as_py()], pa.string()),
-                "vocab_est": pa.array([est], pa.int64()),
-            }
-        )
-
-    return (
-        merged.groupby("lang").map_groups(finish, batch_format="pyarrow").sort("lang")
+    regs: dict = {}
+    for b in stream_blocks(ds.map_batches(register_rows, batch_format="pyarrow")):
+        langs = _codes(b["lang"])
+        codes = langs.indices.to_numpy()
+        idx, rho = b["register"].to_numpy(), b["rho"].to_numpy()
+        for c, lang in enumerate(langs.dictionary.to_pylist()):
+            reg = regs.setdefault(lang, np.zeros(HLL_M, np.int64))
+            np.maximum.at(reg, idx[codes == c], rho[codes == c])
+    langs = sorted(regs, key=lambda k: (k is None, k or ""))
+    return pa.table(
+        {
+            "lang": pa.array(langs, pa.string()),
+            "vocab_est": pa.array(
+                [hll_estimate(np.arange(HLL_M), regs[k]) for k in langs], pa.int64()
+            ),
+        }
     )
 
 
@@ -694,10 +692,7 @@ def vocab_hll_gate(sf_dir: str, tol: float = 0.05):
     ≤2% on the gate corpora).  Both sides are bounded driver reads: one row
     per lang."""
     exact = {r["lang"]: r["vocab"] for r in vocab_by_lang(sf_dir).take_all()}
-    est = {
-        r["lang"]: r["vocab_est"]
-        for r in vocab_by_lang_hll(sf_dir).take_all()
-    }
+    est = {r["lang"]: r["vocab_est"] for r in vocab_by_lang_hll(sf_dir).to_pylist()}
     langs = sorted(exact)
     return pa.table(
         {

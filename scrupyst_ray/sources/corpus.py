@@ -280,18 +280,6 @@ def page_rows(h: int, H: int, P: int, show: int, xlink: int) -> dict[str, list]:
     return {"url": urls, "warc_ts": ts, "html": htmls, "text": texts, "lang": langs}
 
 
-def generate_pages_table(
-    H: int = 5, P: int = 40, show: int = 3, xlink: int = 1
-) -> pa.Table:
-    """In-process corpus (smoke/correctness scale)."""
-    cols: dict[str, list] = {k: [] for k in ("url", "warc_ts", "html", "text", "lang")}
-    for h in range(H):
-        rows = page_rows(h, H, P, show, xlink)
-        for k in cols:
-            cols[k].extend(rows[k])
-    return pa.table(cols, schema=PAGES_SCHEMA)
-
-
 def generate_seeds_table(H: int, P: int, every: int = 1) -> pa.Table:
     """Seed list: the top page (n=P) of every ``every``-th host, FIFO seq
     (FIXTURES.md §2)."""

@@ -2,20 +2,22 @@
 the frontier and the admitted rows are laid out on disk.  No other module
 knows either.
 
-The seeds / cap candidate writer and the page store exchange through
-Ray Data: :func:`for_each_range`, a sort at fixed cuts (:func:`key_cuts`)
-that calls a callback once per range holding rows.  An empty range would
-come out of the sort as a schema-less block, which makes Ray Data log
-"different schema" warnings; so one placeholder row per range (its lowest
-key, every other column blank) is unioned in from one driver-built block
-and dropped before the callback.  The first column of the rows' schema
-marks placeholders: blank there, never blank in a real row.
+Every keyed exchange of the crawl is one pattern, sorted runs read by key
+range (Exoshuffle, SIGCOMM 2023): producers write their rows to files,
+and consumers read what they need out of them, so no exchange is a keyed
+Ray Data sort.  (The candidate cap's global top-k still sorts, by crawl
+order; its output blocks are producers like any other.)
 
-The fetch stage needs no sort: each gate writes its admitted rows already
-sorted by ``fetch_key`` (:func:`write_admitted`), and each fetch task reads
-its ``[lo, hi)`` slice of every admitting shard's file
-(:func:`read_admitted_range`) at the same fixed cuts (:func:`key_ranges`),
-as a consumer of sorted runs reads a key range (Exoshuffle, SIGCOMM 2023).
+- Frontier candidates are written per (seen shard, producer) by
+  :func:`write_candidates`; a producer is a fetch task, a seed read
+  block or a block of the cap's top-k, and each shard's gate reads its
+  own files (:func:`read_shard`).
+- Admitted rows are written per shard sorted by ``fetch_key``
+  (:func:`write_admitted`), and the page store's runs per corpus row group
+  sorted by ``bucket``; one consumer task per fixed, even key range
+  (:func:`key_ranges`) reads its ``[lo, hi)`` slice of every file
+  (:func:`read_range`).  :func:`map_ranges` runs those tasks, one
+  map-only Ray Data execution, and sums the row counts they return.
 
 A round's frontier directory holds::
 
@@ -24,9 +26,9 @@ A round's frontier directory holds::
     deferred/deferred-shard-SSSSS.feather     rows deferred last round
 
 The tag is the fetch block's lowest ``fetch_key`` (under the map-side host
-cap, each row's parent ``fetch_key``), ``seeds`` or ``cap``.  Each shard's
-gate reads its own files (:func:`read_shard`); the frontier never
-rides a shuffle.  Next to it, the round's directory holds::
+cap, each row's parent ``fetch_key``), a seed block's lowest ``seq``, or a
+digest of a capped block's first key: unique per producer, and the same
+when its task is retried.  Next to it, the round's directory holds::
 
     admitted/shard-SSSSS.feather              the rows a shard's gate
                                               admitted, sorted by fetch_key;
@@ -44,101 +46,74 @@ were routed by (:func:`write_marker`, :func:`built_for`).
 
 from __future__ import annotations
 
-import bisect
 import os
 import re
 from typing import Callable
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.feather as feather
 import ray
 
 EXCHANGE_EXT = ".feather"
 
 
-def key_cuts(parts: int, n_keys: int) -> list[int]:
-    """``boundaries=`` for ``Dataset.sort`` over an int key in
-    ``[0, n_keys)``: *parts* even ranges (``parts <= n_keys``;
-    ``parts == n_keys`` puts every key in its own block).
-
-    Given boundaries, Ray's sort skips its per-block sampling pass and
-    emits exactly one block per range whatever its input block count, so
-    the block a key lands in is a pure function of (key, parts).  One part
-    still gets a cut, past the last key: an empty list means "sample" to
-    Ray, which then emits as many blocks as it received and can split one
-    key across them."""
-    return [n_keys * i // parts for i in range(1, parts)] or [n_keys]
-
-
 def key_ranges(parts: int, n_keys: int) -> list[tuple[int, int]]:
-    """The ``[lo, hi)`` ranges :func:`key_cuts` cuts ``[0, n_keys)`` into,
-    in key order: *parts* of them, together covering every key once."""
-    bounds = [0, *key_cuts(parts, n_keys)[: parts - 1], n_keys]
+    """*parts* even ``[lo, hi)`` ranges of the int keys ``[0, n_keys)``, in
+    key order, together covering every key once (``parts <= n_keys``;
+    ``parts == n_keys`` gives every key its own range).  A pure function of
+    (parts, n_keys), so the range a key falls in, and every id named after
+    a range's lowest key, never depends on how the rows were produced."""
+    bounds = [n_keys * i // parts for i in range(parts + 1)]
     return list(zip(bounds, bounds[1:]))
 
 
-def _blank(t: pa.DataType):
-    if pa.types.is_string(t):
-        return ""
-    if pa.types.is_binary(t):
-        return b""
-    return False if pa.types.is_boolean(t) else 0
+def map_ranges(
+    ranges: list[tuple[int, int]], fn: Callable[[int, int], int]
+) -> int:
+    """Call ``fn(lo, hi)`` once per range of *ranges*, each call in its own
+    task of one map-only Ray Data execution, and return the sum of what the
+    calls return (their row counts).
 
+    The output is read as a stream, not materialized: ``Dataset.materialize``
+    plans a no-op execution after the run, which checks for free CPUs while
+    the run's tasks still hold them and logs "The Ray cluster currently
+    does not have any available CPUs"."""
 
-def _blank_rows(schema: pa.Schema, key: str, keys: list[int]) -> pa.Table:
-    """One placeholder row of *schema* per value of *keys*: that value in
-    column *key*, every other column zero / empty / false."""
-    return pa.table(
-        {
-            f.name: keys if f.name == key else [_blank(f.type)] * len(keys)
-            for f in schema
-        },
-        schema=schema,
+    def call(bounds: pa.Table) -> pa.Table:
+        rows = fn(bounds["lo"][0].as_py(), bounds["hi"][0].as_py())
+        return pa.table({"rows": [rows]})
+
+    return sum(
+        out["rows"]
+        for out in ray.data.from_arrow(
+            [pa.table({"lo": [lo], "hi": [hi]}) for lo, hi in ranges]
+        )
+        .map_batches(call, batch_size=1, batch_format="pyarrow")
+        .take_all()
     )
 
 
-def for_each_range(
-    ds: "ray.data.Dataset",
-    key: str,
-    parts: int,
-    n_keys: int,
-    schema: pa.Schema,
-    fn: Callable[[pa.Table], None],
-) -> list[int]:
-    """Sort *ds* (rows of *schema*) by its int column *key*, values in
-    ``[0, n_keys)``, at ``key_cuts(parts, n_keys)``, and call ``fn(rows)``
-    once for each range that holds rows, with the placeholders removed;
-    a range without rows makes no call.
+def read_range(paths: list[str], key: str, lo: int, hi: int) -> pa.Table | None:
+    """The rows with ``lo <= key < hi`` of the exchange files *paths* (each
+    sorted by its int column *key*), file after file; None when there are
+    none.  Each file is memory-mapped and its run found by binary search,
+    so the rows are zero-copy slices of the maps."""
+    runs = []
+    for path in paths:
+        rows = read_exchange_file(path)
+        keys = rows[key].to_numpy()
+        start, end = np.searchsorted(keys, [lo, hi]).tolist()
+        if end > start:
+            runs.append(rows.slice(start, end - start))
+    if not runs:
+        return None
+    return runs[0] if len(runs) == 1 else pa.concat_tables(runs)
 
-    Returns each range's row count, in range order.  The output is read as
-    a stream, not materialized: ``Dataset.materialize`` plans a no-op
-    execution after the run, which checks for free CPUs while the run's
-    tasks still hold them and logs "The Ray cluster currently does not have
-    any available CPUs"."""
-    lows = [0, *key_cuts(parts, n_keys)]
-    marker = schema.field(0)
-    blank = pa.scalar(_blank(marker.type), marker.type)
-    placeholders = ray.data.from_arrow(_blank_rows(schema, key, lows))
 
-    def each(block: pa.Table) -> pa.Table:
-        rows = block.filter(pc.not_equal(block[marker.name], blank))
-        if rows.num_rows:
-            fn(rows)
-        # the range's placeholder holds its lowest key
-        low = pc.min(block[key]).as_py()
-        return pa.table({"low": [low], "rows": [rows.num_rows]})
-
-    counts = [0] * len(lows)
-    for out in (
-        ds.union(placeholders)
-        .sort(key, boundaries=lows[1:])
-        .map_batches(each, batch_size=None, batch_format="pyarrow")
-        .take_all()
-    ):
-        counts[bisect.bisect_right(lows, out["low"]) - 1] += out["rows"]
-    return counts
+def cluster_cpus() -> int:
+    """The Ray cluster's CPU count (1 when it reports none)."""
+    return int(ray.cluster_resources().get("CPU", 1))
 
 
 def write_marker(marker: str, record: str) -> None:
@@ -260,26 +235,9 @@ def admitted_path(round_dir: str, shard: int) -> str:
 
 def write_admitted(rows: pa.Table, round_dir: str, shard: int) -> None:
     """Write *shard*'s admitted *rows*, sorted by ``fetch_key``, into
-    *round_dir*; :func:`read_admitted_range` relies on the order."""
+    *round_dir*; :func:`read_range` relies on the order."""
     os.makedirs(admitted_dir(round_dir), exist_ok=True)
     write_exchange(rows, admitted_path(round_dir, shard))
-
-
-def read_admitted_range(paths: list[str], lo: int, hi: int) -> pa.Table | None:
-    """The rows with ``lo <= fetch_key < hi`` of the admitted files *paths*
-    (each sorted by ``fetch_key``), file after file; None when there are
-    none.  Each file is memory-mapped and its run found by binary search,
-    so the rows are zero-copy slices of the maps."""
-    runs = []
-    for path in paths:
-        rows = read_exchange_file(path)
-        keys = rows["fetch_key"].to_numpy()
-        start, end = np.searchsorted(keys, [lo, hi]).tolist()
-        if end > start:
-            runs.append(rows.slice(start, end - start))
-    if not runs:
-        return None
-    return runs[0] if len(runs) == 1 else pa.concat_tables(runs)
 
 
 # -- exchange files ----------------------------------------------------------

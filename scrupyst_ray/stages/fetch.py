@@ -8,7 +8,7 @@ pages are partitioned ONCE by ``bucket = bucket_of(url, B)`` (the function
 that routes every frontier row, ``functions/hashing.py``).  Per round, one
 fetch task per ``fetch_key`` range:
 
-    FetchParse(...)(exchange.read_admitted_range(admitted_files, lo, hi))
+    FetchParse(...)(exchange.read_range(admitted_files, "fetch_key", lo, hi))
 
 The ranges are fixed, even cuts of the ``fetch_key`` space
 (``exchange.key_ranges``), and each task reads its range out of the gates'
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -50,9 +51,14 @@ from scrupyst_ray.functions.links import LinkExtractorConfig, extract_links
 from scrupyst_ray.functions.textextract import detect_and_decode
 from scrupyst_ray.sources.corpus import PAGES_SCHEMA
 from scrupyst_ray.stages.exchange import (
+    EXCHANGE_EXT,
     built_for,
-    for_each_range,
+    cluster_cpus,
+    key_ranges,
+    map_ranges,
+    read_range,
     write_candidates,
+    write_exchange,
     write_marker,
 )
 from scrupyst_ray.stages.frontier import EDGE_META_SCHEMA
@@ -62,8 +68,8 @@ from scrupyst_ray.stages.middleware import MiddlewareContext, MiddlewarePipeline
 # edge's parent fetch_key, which the map-side host cap ranks within
 _EDGE_SCHEMA = EDGE_META_SCHEMA.append(pa.field("parent_fetch_key", pa.int32()))
 
-# the rows the page store is sorted from: the corpus columns a fetch reads,
-# plus the url's bucket
+# the rows of the page store's runs: the corpus columns a fetch reads, plus
+# the url's bucket
 _STORE_ROWS = pa.schema(
     [PAGES_SCHEMA.field(c) for c in ("url", "warc_ts", "html")]
 ).append(pa.field("bucket", pa.int32()))
@@ -92,48 +98,81 @@ def build_page_store(
 
     Reads only the columns the crawl needs (url, warc_ts, html — column
     pruning at the read, never the oracle ``text`` column) and writes
-    ``store_dir/bucket=K/part-0.parquet`` through one ``for_each_range``
-    over the bucket key: one range per bucket, one write per bucket that
-    holds pages, and no empty sort block (so no schema warning) however
-    few of the buckets are filled.  The sort is a full corpus shuffle, but
-    it runs ONCE per corpus (this pass IS the design-scale partitioning
-    step); the payoff is one compact fragment per bucket instead of one per
-    (input block × bucket), which makes the per-round bucket probes O(1)
+    ``store_dir/bucket=K/part-0.parquet`` in two map-only executions, the
+    crawl's one exchange pattern (``stages/exchange.py``):
+
+    1. one task per corpus row group (listed on the driver from the file
+       footers) writes its rows, sorted by (bucket, url), as one run file
+       under ``store_dir/_runs/``;
+    2. one task per fixed ``bucket`` range (``exchange.key_ranges``, one
+       range per CPU, at most one per bucket) reads its slice of every run
+       and writes each of its buckets that holds pages as one file.
+
+    The runs are deleted before ``_STORE_COMPLETE`` is written.  The pass
+    moves the whole corpus once (this IS the design-scale partitioning
+    step); the payoff is one compact fragment per bucket instead of one
+    per (row group × bucket), which makes the per-round bucket probes O(1)
     file opens.
 
     ``_STORE_COMPLETE`` records ``num_buckets``; reusing a store built
     with another bucket count raises ``ValueError`` (here and in
     ``CrawlEngine.run``).
     """
-    import ray
-
     done = os.path.join(store_dir, "_STORE_COMPLETE")
     routing = f"num_buckets={num_buckets}"
     if built_for(done, routing):
         return store_dir
-    ds = ray.data.read_parquet(pages_path, columns=["url", "warc_ts", "html"])
+    groups = [
+        (f.path, i)
+        for f in pads.dataset(pages_path, format="parquet").get_fragments()
+        for i in range(f.metadata.num_row_groups)
+    ]
+    runs_dir = os.path.join(store_dir, "_runs")
+    shutil.rmtree(runs_dir, ignore_errors=True)
+    os.makedirs(runs_dir)
+    runs = [
+        os.path.join(runs_dir, f"{g:06d}{EXCHANGE_EXT}") for g in range(len(groups))
+    ]
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        columns = {c: batch[c] for c in ("url", "warc_ts", "html")}
-        columns["bucket"] = bucket_of(batch["url"], num_buckets)
-        return pa.table(columns, schema=_STORE_ROWS)
+    def write_run(g: int, _: int) -> int:
+        path, i = groups[g]
+        columns = ["url", "warc_ts", "html"]
+        batch = pq.ParquetFile(path).read_row_group(i, columns=columns)
+        rows = {c: batch[c] for c in columns}
+        rows["bucket"] = bucket_of(batch["url"], num_buckets)
+        rows = pa.table(rows, schema=_STORE_ROWS)
+        order = [("bucket", "ascending"), ("url", "ascending")]
+        write_exchange(rows.sort_by(order), runs[g])
+        return rows.num_rows
 
-    def write_bucket(rows: pa.Table) -> None:
-        bdir = os.path.join(store_dir, f"bucket={rows['bucket'][0].as_py()}")
-        os.makedirs(bdir, exist_ok=True)
-        path = os.path.join(bdir, "part-0.parquet")
-        # url-sorted + small row groups: per-round probes filter by
-        # ``url ∈ frontier``, and parquet row-group min/max statistics can
-        # only prune when urls are clustered — unsorted single-row-group
-        # buckets forced every probe to decode the WHOLE bucket (measured
-        # as a 1.4× per-task time inflation at 32-way parallelism from
-        # memory-bandwidth contention alone)
-        rows = rows.drop_columns(["bucket"]).sort_by("url")
-        pq.write_table(rows, path + ".tmp", row_group_size=1024)
-        os.replace(path + ".tmp", path)
+    def write_buckets(lo: int, hi: int) -> int:
+        rows = read_range(runs, "bucket", lo, hi)
+        if rows is None:
+            return 0
+        buckets = rows["bucket"].to_numpy()
+        for b in np.unique(buckets):
+            bdir = os.path.join(store_dir, f"bucket={b}")
+            os.makedirs(bdir, exist_ok=True)
+            path = os.path.join(bdir, "part-0.parquet")
+            # url-sorted + small row groups: per-round probes filter by
+            # ``url ∈ frontier``, and parquet row-group min/max statistics
+            # can only prune when urls are clustered — unsorted
+            # single-row-group buckets forced every probe to decode the
+            # WHOLE bucket (measured as a 1.4× per-task time inflation at
+            # 32-way parallelism from memory-bandwidth contention alone)
+            pages = rows.filter(pa.array(buckets == b)).drop_columns(["bucket"])
+            pq.write_table(pages.sort_by("url"), path + ".tmp", row_group_size=1024)
+            os.replace(path + ".tmp", path)
+        return rows.num_rows
 
-    pages = ds.map_batches(add_bucket, batch_format="pyarrow")
-    for_each_range(pages, "bucket", num_buckets, num_buckets, _STORE_ROWS, write_bucket)
+    total = map_ranges([(g, g + 1) for g in range(len(groups))], write_run)
+    parts = min(num_buckets, cluster_cpus())
+    stored = map_ranges(key_ranges(parts, num_buckets), write_buckets)
+    if stored != total:
+        raise RuntimeError(
+            f"{store_dir}: the buckets hold {stored} pages, the corpus {total}"
+        )
+    shutil.rmtree(runs_dir)
     write_marker(done, routing)
     return store_dir
 

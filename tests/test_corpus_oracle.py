@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from scrupyst_ray.functions.textextract import extract_text
 from scrupyst_ray.sources.corpus import (
-    generate_pages_table,
     page_html,
+    page_rows,
     page_text,
     robots_body,
     robots_text,
@@ -27,10 +27,10 @@ H, P = 6, 24  # covers all 6 page encoding modes and all 5 robots modes
 
 
 def test_kernel_matches_independent_oracle_every_row():
-    t = generate_pages_table(H=H, P=P)
-    htmls = t["html"].to_pylist()
-    texts = t["text"].to_pylist()
-    urls = t["url"].to_pylist()
+    rows = [page_rows(h, H, P, 3, 1) for h in range(H)]
+    htmls = [html for r in rows for html in r["html"]]
+    texts = [text for r in rows for text in r["text"]]
+    urls = [url for r in rows for url in r["url"]]
     assert len(htmls) > H * P  # pages + robots rows
     for url, html, expected in zip(urls, htmls, texts):
         assert extract_text(html) == expected, url

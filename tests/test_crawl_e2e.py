@@ -19,7 +19,6 @@ from scrupyst_ray.config import CrawlConfig
 from scrupyst_ray.pipelines.crawl import CrawlEngine, CrawlResult, _fetch_parts
 from scrupyst_ray.stages.exchange import (
     admitted_path,
-    for_each_range,
     frontier_shards,
     read_exchange_file,
     write_admitted,
@@ -597,6 +596,33 @@ class TestCrawlE2E:
             assert r.candidates_kept == 25 + r.deferred
 
 
+    def test_cap_keeps_top_k(self, smoke_corpus, tmp_path):
+        """With ``max_round_candidates=25``, the candidates round 1 writes
+        are the top 25, by (priority desc, order_key), of those it writes
+        with the cap off.  (Round 0 writes 24, so both crawls enter round
+        1 alike.)"""
+        from scrupyst_ray.stages.exchange import candidates_dir, read_exchange_dir
+
+        def round1_candidates(cap: int):
+            cfg = _cfg()
+            cfg.max_round_candidates = cap
+            wd = str(tmp_path / f"wd{cap}")
+            eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
+            eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+            r0, r1 = eng.run(max_rounds=2).rounds
+            eng.shutdown_actors()
+            assert r0.candidates_kept == 24
+            fdir = os.path.join(wd, "rounds", "round-000002", "frontier")
+            rows = read_exchange_dir(candidates_dir(fdir))
+            order = [("priority", "descending"), ("order_key", "ascending")]
+            return r1, rows.sort_by(order)
+
+        r1, capped = round1_candidates(25)
+        _, every = round1_candidates(0)
+        assert r1.candidates_kept == 25 + r1.deferred and every.num_rows > 25
+        assert capped.equals(every.slice(0, 25))
+
+
 class TestFetchParts:
     """The fetch fan-out rule, without Ray: one task per 64 admitted rows
     and at least one, capped at half the fetch_key space and at four tasks
@@ -848,10 +874,9 @@ class TestMapSideHostCap:
 
 @pytest.mark.usefixtures("ray_session")
 class TestFixedCutExchanges:
-    """Every keyed exchange of a crawl is cut at fixed ranges: the candidate
-    and page-store writers sort at fixed cuts, never sample, and no range
-    comes out of the sort as a schema-less empty block; the fetch stage
-    reads its ranges out of the gates' sorted files and sorts nothing."""
+    """Every keyed exchange of a crawl is cut at fixed ranges and sorts
+    nothing: producers (seed read blocks, page-store row groups, fetch
+    tasks) write files, and consumers read fixed key ranges of them."""
 
     def test_rounds_run_no_sort(self, smoke_corpus, tmp_path, monkeypatch):
         """With the candidate cap off, ``run()`` calls no
@@ -887,8 +912,9 @@ class TestFixedCutExchanges:
     def test_no_sampling_matches_oracle(
         self, smoke_corpus, tmp_path, monkeypatch, shards
     ):
-        """One shard is the case where every-key cuts are an empty list,
-        which Ray would read as "sample"."""
+        """No exchange samples sort boundaries, and the crawl matches the
+        oracle at four shards and at one (a single range holding every
+        key)."""
         from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
 
         def no_sampling(*args, **kwargs):
@@ -912,24 +938,32 @@ class TestFixedCutExchanges:
         assert _engine_seen_fps(str(tmp_path / "wd")) == sim.seen_fps
         assert sum(r.robots_forbidden for r in res.rounds) == sim.robots_forbidden
 
-    def test_for_corpus_is_one_exchange(self, smoke_corpus, tmp_path, monkeypatch):
-        """``for_corpus`` runs one keyed exchange, the page store's, and
-        writes nothing but the store into the workdir."""
-        from scrupyst_ray.pipelines import crawl
-        from scrupyst_ray.stages import fetch
+    def test_for_corpus_runs_no_all_to_all(
+        self, smoke_corpus, tmp_path, monkeypatch
+    ):
+        """``for_corpus`` and ``init_frontier`` run no all-to-all operator
+        (no sort, shuffle or repartition), and write nothing but the store
+        and round 0's frontier into the workdir."""
+        from ray.data._internal.execution.operators.base_physical_operator import (
+            AllToAllOperator,
+        )
 
-        calls = []
+        ops = []
+        init = AllToAllOperator.__init__
 
-        def counted(ds, key, *args):
-            calls.append(key)
-            return for_each_range(ds, key, *args)
+        def counted(op, *args, **kwargs):
+            ops.append(type(op).__name__)
+            init(op, *args, **kwargs)
 
-        for module in (crawl, fetch):
-            monkeypatch.setattr(module, "for_each_range", counted)
+        monkeypatch.setattr(AllToAllOperator, "__init__", counted)
         wd = tmp_path / "wd"
-        CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), str(wd), _cfg())
-        assert calls == ["bucket"]
+        pages = os.path.join(smoke_corpus, "pages")
+        eng = CrawlEngine.for_corpus(pages, str(wd), _cfg())
+        eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
+        assert ops == []
         assert sorted(os.listdir(wd)) == ["rounds", "store"]
+        assert not os.path.exists(wd / "store" / "_runs")
+        assert os.listdir(wd / "rounds") == ["round-000000"]
 
     def test_no_cpu_warning(self, smoke_corpus, tmp_path):
         """Building a crawl logs no "does not have any available CPUs"

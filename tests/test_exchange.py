@@ -1,6 +1,6 @@
 """The crawl exchange module (stages/exchange.py): exchange-file IPC
 round-trip, legacy lz4 feather compatibility, row counting, atomicity; the
-fixed-cut keyed sort; the fetch's key-range reader over sorted admitted
+fixed key ranges and their task runner; the key-range reader over sorted
 files; the frontier layout; and the rule that no other module cuts a keyed
 sort or spells a frontier file name."""
 
@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import ast
 import glob
-import json
 import os
 import re
-import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -26,14 +24,13 @@ from scrupyst_ray.stages.exchange import (
     admitted_path,
     exchange_files,
     exchange_rows,
-    for_each_range,
     frontier_row_counts,
     frontier_shards,
-    key_cuts,
     key_ranges,
-    read_admitted_range,
+    map_ranges,
     read_exchange_dir,
     read_exchange_file,
+    read_range,
     read_shard,
     write_admitted,
     write_candidates,
@@ -94,110 +91,41 @@ class TestExchange:
         assert exchange_rows(d) == 2
 
 
-class TestKeyCuts:
-    def test_even_cuts_strictly_inside_key_space(self):
-        for n_keys in (8, 32, 128, 512):
-            for parts in range(2, n_keys + 1):
-                cuts = key_cuts(parts, n_keys)
-                assert len(cuts) == parts - 1
-                assert all(isinstance(c, int) for c in cuts)
-                assert all(0 < a < b < n_keys for a, b in zip(cuts, cuts[1:]))
-                assert 0 < cuts[0] and cuts[-1] < n_keys
+class TestKeyRanges:
+    def test_old_cut_formula(self):
+        """The ranges are those of the fixed-cut sort the exchanges used to
+        run, ``n_keys * i // parts``, so ``part-K`` ids and candidate tags
+        (a range's lowest key) stay as they were."""
+        for n_keys in (1, 8, 16, 512):
+            for parts in range(1, n_keys + 1):
+                cuts = [n_keys * i // parts for i in range(1, parts)]
+                bounds = [0, *cuts, n_keys]
+                assert key_ranges(parts, n_keys) == list(zip(bounds, bounds[1:]))
 
     def test_every_key_own_range(self):
-        assert key_cuts(4, 4) == [1, 2, 3]
-
-    def test_one_part_is_not_an_empty_list(self):
-        # an empty boundaries list would make Ray's sort sample instead
-        assert key_cuts(1, 1) == [1]
-        assert key_cuts(1, 64) == [64]
-
-
-ROWS = pa.schema([("url", pa.string()), ("k", pa.int32()), ("v", pa.int64())])
-
-
-def _keyed(keys: list[int]) -> pa.Table:
-    return pa.table(
-        {
-            "url": [f"http://h.test/{i}" for i in range(len(keys))],
-            "k": keys,
-            "v": range(len(keys)),
-        },
-        schema=ROWS,
-    )
+        assert key_ranges(4, 4) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert key_ranges(1, 64) == [(0, 64)]
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestForEachRange:
-    """``fn`` runs once per range that holds rows, never on a placeholder
-    and never for an empty range, however the input is cut into blocks."""
+class TestMapRanges:
+    def test_one_call_per_range(self, tmp_path):
+        """``fn`` runs once per range, and the counts it returns are
+        summed."""
 
-    def _run(self, blocks: list[pa.Table], parts: int, n_keys: int, tmp_path):
-        import ray
+        def record(lo: int, hi: int) -> int:
+            (tmp_path / f"{lo}-{hi}").touch()
+            return hi - lo
 
-        calls = tmp_path / "calls"
-        calls.mkdir(parents=True)
-
-        def record(rows: pa.Table) -> None:
-            with open(calls / f"{uuid.uuid4().hex}.json", "w") as f:
-                json.dump(rows.to_pydict(), f)
-
-        out = for_each_range(
-            ray.data.from_arrow(blocks), "k", parts, n_keys, ROWS, record
-        )
-        seen = []
-        for f in sorted(os.listdir(calls)):
-            with open(calls / f) as fh:
-                seen.append(json.load(fh))
-        return seen, out
-
-    @pytest.mark.parametrize(
-        "sizes", [[40], [1, 17, 0, 5, 9]], ids=["one-block", "uneven-blocks"]
-    )
-    def test_one_call_per_filled_range(self, tmp_path, sizes):
-        parts, n_keys = 8, 64
-        # keys in ranges 1, 2, 5 and 7 only; the other four stay empty
-        pool = [8, 9, 15, 16, 23, 40, 47, 56, 63]
-        table = _keyed([pool[i % len(pool)] for i in range(sum(sizes))])
-        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
-        blocks = [table.slice(o, n) for o, n in zip(offsets, sizes)]
-
-        calls, per_range = self._run(blocks, parts, n_keys, tmp_path)
-
-        cuts = [0, *key_cuts(parts, n_keys), n_keys]
-        filled = {
-            i for i in range(parts) for k in pool if cuts[i] <= k < cuts[i + 1]
-        }
-        ranges = [
-            {i for i in range(parts) for k in c["k"] if cuts[i] <= k < cuts[i + 1]}
-            for c in calls
-        ]
-        assert all(len(r) == 1 for r in ranges)  # one range per call
-        assert sorted(r.pop() for r in ranges) == sorted(filled)  # once each
-        assert all(u != "" for c in calls for u in c["url"])  # no placeholder
-        got = sorted(u for c in calls for u in c["url"])
-        assert got == sorted(table["url"].to_pylist())
-        # one result row per range, in range order, counting real rows only
-        assert len(per_range) == parts
-        assert [i for i, n in enumerate(per_range) if n] == sorted(filled)
-        assert sum(per_range) == table.num_rows
-
-    def test_one_part_and_no_rows(self, tmp_path):
-        # one part is a cut past the last key: the phantom range above it
-        # holds only its placeholder and makes no call
-        calls, per_range = self._run([_keyed([0, 3, 3])], 1, 4, tmp_path)
-        assert [sorted(c["k"]) for c in calls] == [[0, 3, 3]]
-        assert per_range == [3, 0]
-        calls, per_range = self._run([_keyed([])], 4, 4, tmp_path / "empty")
-        assert calls == [] and per_range == [0, 0, 0, 0]
+        ranges = key_ranges(5, 40)
+        assert map_ranges(ranges, record) == 40
+        assert sorted(os.listdir(tmp_path)) == sorted(f"{a}-{b}" for a, b in ranges)
 
 
-@pytest.mark.usefixtures("ray_session")
 class TestAdmittedRanges:
     """The fetch reads its ``[lo, hi)`` ranges straight out of the gates'
-    sorted admitted files: every row lands in exactly one range, each
-    range's rows come file after file, and the per-range counts are those
-    of the fixed-cut sort the fetch used to run (``for_each_range``)."""
+    sorted admitted files: every row lands in exactly one range, and each
+    range's rows come file after file."""
 
     N_KEYS = 32
     # keys no row holds: the even ranges [12, 16) (8 parts) and [0, 1)
@@ -209,7 +137,7 @@ class TestAdmittedRanges:
         part counts that is not in EMPTY; one shard holds one row."""
         rng = np.random.default_rng(7)
         keys = [k for k in range(self.N_KEYS) if k not in self.EMPTY]
-        on_cuts = [k for p in (3, 8) for k in key_cuts(p, self.N_KEYS)]
+        on_cuts = [lo for p in (3, 8) for lo, _ in key_ranges(p, self.N_KEYS)[1:]]
         shard_keys = [
             rng.choice(keys, 40).tolist() + [k for k in on_cuts if k in keys],
             rng.choice(keys, 25).tolist(),
@@ -233,20 +161,17 @@ class TestAdmittedRanges:
 
     @pytest.mark.parametrize("parts", [1, 3, 8, N_KEYS])
     def test_each_row_in_one_range(self, tmp_path, parts):
-        import ray
-
         paths, tables = self._shards(tmp_path)
         every = pa.concat_tables(tables)
         ranges = key_ranges(parts, self.N_KEYS)
         assert len(ranges) == parts
-        assert [lo for lo, _ in ranges] == [0, *key_cuts(parts, self.N_KEYS)][:parts]
-        assert ranges[-1][1] == self.N_KEYS
+        assert ranges[0][0] == 0 and ranges[-1][1] == self.N_KEYS
         assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
 
         before = pa.total_allocated_bytes()
-        got = [read_admitted_range(paths, lo, hi) for lo, hi in ranges]
+        got = [read_range(paths, "fetch_key", lo, hi) for lo, hi in ranges]
         assert pa.total_allocated_bytes() == before  # slices of the maps
-        assert all(read_admitted_range([], lo, hi) is None for lo, hi in ranges)
+        assert all(read_range([], "fetch_key", lo, hi) is None for lo, hi in ranges)
         urls = []
         for (lo, hi), rows in zip(ranges, got):
             # the range's run of each file, file after file
@@ -270,17 +195,6 @@ class TestAdmittedRanges:
         if parts in (8, self.N_KEYS):
             assert any(rows is None for rows in got)  # an empty range
 
-        counts = [0 if rows is None else rows.num_rows for rows in got]
-        sorted_counts = for_each_range(
-            ray.data.from_arrow(every),
-            "fetch_key",
-            parts,
-            self.N_KEYS,
-            every.schema,
-            lambda rows: None,
-        )
-        # one part also has a phantom range past the last key
-        assert sorted_counts == counts + [0] * (len(sorted_counts) - parts)
 
 
 def _frontier_table(shards: list[int]) -> pa.Table:
@@ -380,9 +294,9 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def test_one_exchange_module():
-    """Outside ``stages/exchange.py`` no module of the package calls
-    ``key_cuts``, passes ``boundaries=`` to a sort, or spells a frontier
-    file name (docstrings may describe the layout)."""
+    """Outside ``stages/exchange.py`` no module of the package passes
+    ``boundaries=`` to a sort or spells a frontier file name (docstrings
+    may describe the layout)."""
     root = os.path.dirname(scrupyst_ray.__file__)
     files = glob.glob(os.path.join(root, "**", "*.py"), recursive=True)
     hits = []
@@ -395,9 +309,6 @@ def test_one_exchange_module():
         for node in ast.walk(tree):
             where = f"{os.path.relpath(path, root)}:{getattr(node, 'lineno', 0)}"
             if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
-                if name == "key_cuts":
-                    hits.append(f"{where} calls key_cuts")
                 if any(kw.arg == "boundaries" for kw in node.keywords):
                     hits.append(f"{where} passes boundaries=")
             if (

@@ -80,7 +80,7 @@ def test_bigram_ppl_matches_reference(ray_session, lm_dir):
 def test_ppl_by_source_aggregates(ray_session, lm_dir):
     from scrupyst_ray.pipelines.lm import lm_ppl_by_source
 
-    rows = {r["source"]: r for r in lm_ppl_by_source(lm_dir).take_all()}
+    rows = {r["source"]: r for r in lm_ppl_by_source(lm_dir).to_pylist()}
     want = ref_ppl()
     # doc 4 (books, no bigrams) and doc 5 drop out of the per-source count
     assert rows["web"]["n_docs"] == 3

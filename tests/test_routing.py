@@ -108,6 +108,29 @@ class TestRoutedStores:
         with pytest.raises(ValueError, match="num_buckets=16"):
             CrawlEngine(store, str(tmp_path / "wd"), other).run(max_rounds=1)
 
+    @pytest.mark.parametrize("buckets", [16, 64])
+    def test_page_store_equals_reference(self, smoke_corpus, tmp_path, buckets):
+        """Each bucket's file holds, in row order, the corpus rows of that
+        bucket sorted by url (an in-process reference), in 1,024-row
+        groups; the build leaves no run files behind."""
+        import pyarrow.compute as pc
+
+        from scrupyst_ray.stages.fetch import build_page_store
+
+        pages = os.path.join(smoke_corpus, "pages")
+        store = build_page_store(pages, str(tmp_path / "store"), buckets)
+        corpus = pq.ParquetDataset(pages).read(columns=["url", "warc_ts", "html"])
+        keys = bucket_of(corpus["url"], buckets)
+        want = {int(b) for b in pc.unique(keys).to_pylist()}
+        assert 1 < len(want) and sorted(os.listdir(store)) == sorted(
+            ["_STORE_COMPLETE", *(f"bucket={b}" for b in want)]
+        )
+        for b in want:
+            ref = corpus.filter(pc.equal(keys, b)).sort_by("url")
+            part = pq.ParquetFile(os.path.join(store, f"bucket={b}", "part-0.parquet"))
+            assert part.read().equals(ref)
+            assert part.metadata.num_row_groups == -(-ref.num_rows // 1024)
+
     def test_resume_refuses_other_routing(self, smoke_corpus, tmp_path):
         from scrupyst_ray.pipelines.crawl import CrawlEngine
         from scrupyst_ray.stages.fetch import build_page_store

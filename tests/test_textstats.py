@@ -206,7 +206,7 @@ class TestVocabHLL:
 
         sf = "/root/testdata/sf0.001"
         exact = {r["lang"]: r["vocab"] for r in vocab_by_lang(sf).take_all()}
-        est = {r["lang"]: r["vocab_est"] for r in vocab_by_lang_hll(sf).take_all()}
+        est = {r["lang"]: r["vocab_est"] for r in vocab_by_lang_hll(sf).to_pylist()}
         assert set(exact) == set(est)
         for lang, n in exact.items():
             # p=12 HLL: ~1.6% standard error; 5% is a ~3-sigma bound
@@ -379,7 +379,7 @@ def test_hll_sql_twin_harmonic_branch(ray_session, tmp_path):
         ),
         str(tmp_path / "documents.parquet"),
     )
-    got = vocab_by_lang_hll(str(tmp_path)).take_all()
+    got = vocab_by_lang_hll(str(tmp_path)).to_pylist()
     est = got[0]["vocab_est"]
     assert est > 10240  # harmonic branch, not linear counting
     assert abs(est / 15000 - 1.0) < 0.05  # ~1.6% standard error at p=12
