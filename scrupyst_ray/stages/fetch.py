@@ -137,7 +137,8 @@ def build_page_store(
     def write_run(g: int, _: int) -> int:
         path, i = groups[g]
         columns = ["url", "warc_ts", "html"]
-        batch = pq.ParquetFile(path).read_row_group(i, columns=columns)
+        with pq.ParquetFile(path) as f:
+            batch = f.read_row_group(i, columns=columns)
         rows = {c: batch[c] for c in columns}
         rows["bucket"] = bucket_of(batch["url"], num_buckets)
         rows = pa.table(rows, schema=_STORE_ROWS)

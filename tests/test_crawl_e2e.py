@@ -606,11 +606,14 @@ class TestCrawlE2E:
         def round1_candidates(cap: int):
             cfg = _cfg()
             cfg.max_round_candidates = cap
+            cfg.max_rounds = 2  # run(max_rounds=0) falls back to it
             wd = str(tmp_path / f"wd{cap}")
             eng = CrawlEngine.for_corpus(os.path.join(smoke_corpus, "pages"), wd, cfg)
             eng.init_frontier(os.path.join(smoke_corpus, "seeds.parquet"))
-            r0, r1 = eng.run(max_rounds=2).rounds
+            res = eng.run(max_rounds=0)
             eng.shutdown_actors()
+            r0, r1 = res.rounds
+            assert res.stopped_reason == "max_rounds"
             assert r0.candidates_kept == 24
             fdir = os.path.join(wd, "rounds", "round-000002", "frontier")
             rows = read_exchange_dir(candidates_dir(fdir))

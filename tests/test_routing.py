@@ -112,14 +112,18 @@ class TestRoutedStores:
     def test_page_store_equals_reference(self, smoke_corpus, tmp_path, buckets):
         """Each bucket's file holds, in row order, the corpus rows of that
         bucket sorted by url (an in-process reference), in 1,024-row
-        groups; the build leaves no run files behind."""
+        groups; the build leaves no run files behind.  The corpus is
+        written in 64-row groups, so each bucket merges several runs."""
         import pyarrow.compute as pc
 
         from scrupyst_ray.stages.fetch import build_page_store
 
-        pages = os.path.join(smoke_corpus, "pages")
+        corpus = pq.ParquetDataset(os.path.join(smoke_corpus, "pages")).read(
+            columns=["url", "warc_ts", "html"]
+        )
+        pages = str(tmp_path / "pages.parquet")
+        pq.write_table(corpus, pages, row_group_size=64)
         store = build_page_store(pages, str(tmp_path / "store"), buckets)
-        corpus = pq.ParquetDataset(pages).read(columns=["url", "warc_ts", "html"])
         keys = bucket_of(corpus["url"], buckets)
         want = {int(b) for b in pc.unique(keys).to_pylist()}
         assert 1 < len(want) and sorted(os.listdir(store)) == sorted(
