@@ -595,7 +595,6 @@ class TestCrawlE2E:
             # kept = capped new candidates (= exactly k) + deferred backlog
             assert r.candidates_kept == 25 + r.deferred
 
-
     def test_cap_keeps_top_k(self, smoke_corpus, tmp_path):
         """With ``max_round_candidates=25``, the candidates round 1 writes
         are the top 25, by (priority desc, order_key), of those it writes
